@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -134,15 +135,41 @@ def cmd_verify_rk(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_HESTON_KEYS = tuple(f.name for f in fields(HestonParams))
+
+
 def _heston_from_mapping(data: dict) -> HestonParams:
+    if not isinstance(data, dict):
+        raise ValueError("heston must be a JSON object")
+    unknown = sorted(set(data) - set(_HESTON_KEYS))
+    if unknown:
+        raise ValueError(f"unknown heston key(s) {', '.join(unknown)}; "
+                         f"expected a subset of {', '.join(_HESTON_KEYS)}")
+    for key, value in data.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"heston {key} must be a number, got {value!r}")
     return HestonParams(**data)
 
 
-def _config_from_file(path: str | None, args) -> BenchConfig:
-    raw = {}
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+def _count(value, what: str) -> int:
+    """An integer >= 1 from the command line or a JSON config (2e5 is accepted)."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _load_config(path: str | None) -> dict:
+    if not path:
+        return {}
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
+    return raw
+
+
+def _config_from_mapping(raw: dict, args) -> BenchConfig:
     heston = _heston_from_mapping(raw.get("heston", {}))
     cfg = BenchConfig(
         heston=heston,
@@ -168,14 +195,16 @@ def _config_from_file(path: str | None, args) -> BenchConfig:
     if getattr(args, "workers", None) is not None:
         overrides["workers"] = args.workers
     if overrides:
-        from dataclasses import replace
         cfg = replace(cfg, **overrides)
+    if cfg.workers is not None:
+        cfg = replace(cfg, workers=_count(cfg.workers, "workers"))
     return cfg
 
 
 def cmd_price(args) -> int:
-    config = _config_from_file(args.config, args)
-    cell = Cell(args.scheme, args.n, args.samples, args.mode, use_romberg=args.romberg)
+    config = _config_from_mapping(_load_config(args.config), args)
+    cell = Cell(args.scheme, args.n, _count(args.samples, "--samples"), args.mode,
+                use_romberg=args.romberg)
     result = BenchmarkResult(config.reference, (price_cell(config, cell),))
     _emit(result_rows(result, timings=args.timings), args.out)
     c = result.cells[0]
@@ -193,17 +222,17 @@ def _cells_from_mapping(raw: dict) -> list[Cell]:
         ms = item["samples"] if isinstance(item["samples"], list) else [item["samples"]]
         for n in ns:
             for m in ms:
-                cells.append(Cell(item["scheme"], int(n), int(m), item.get("mode", QMC),
+                cells.append(Cell(item["scheme"], int(n), _count(m, "samples"),
+                                  item.get("mode", QMC),
                                   use_romberg=bool(item.get("romberg", False))))
     if not cells:
-        raise argparse.ArgumentTypeError("config contains no cells")
+        raise ValueError("config contains no cells")
     return cells
 
 
 def cmd_converge(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    config = _config_from_file(args.config, args)
+    raw = _load_config(args.config)
+    config = _config_from_mapping(raw, args)
     cells = _cells_from_mapping(raw)
     result = convergence_study(config, cells)
     _emit(result_rows(result, timings=args.timings), args.out)

@@ -109,7 +109,9 @@ def sobol_points(dim: int, start: int, count: int,
 
     Gray-code order: consecutive states differ by one direction row, so a
     block is one XOR prefix scan seeded by the directly computed first state.
-    Random access and streaming agree bit for bit.
+    Random access and streaming agree bit for bit.  The block is stored
+    dimension-major (a transposed view of a (dim, count) array), so the
+    uniforms of one coordinate, and of one scheme step, lie contiguous.
     """
     if count < 0 or start < 0:
         raise ValueError("start and count must be nonnegative")
@@ -118,15 +120,19 @@ def sobol_points(dim: int, start: int, count: int,
     V = _direction_matrix(dim, path)
     if count == 0:
         return np.empty((0, dim))
+    # column 0 holds the first state, column 1 + k the k-th direction numbers
+    table = np.empty((dim, _SOBOL_BITS + 1), dtype=np.uint32)
+    table[:, 0] = _gray_state(start, V)
+    table[:, 1:] = V.T
     idx = np.arange(start + 1, start + count, dtype=np.uint64)
-    rows = np.empty((count, dim), dtype=np.uint32)
-    rows[0] = _gray_state(start, V)
-    if count > 1:
-        low = (idx & (~idx + np.uint64(1))).astype(np.float64)  # lowest set bit
-        ctz = np.log2(low).astype(np.int64)
-        rows[1:] = V[ctz]
-    state = np.bitwise_xor.accumulate(rows, axis=0)
-    return state.astype(np.float64) * _SOBOL_SCALE
+    low = (idx & (~idx + np.uint64(1))).astype(np.float64)  # lowest set bit
+    pick = np.zeros(count, dtype=np.int64)
+    pick[1:] = np.log2(low).astype(np.int64) + 1
+    cols = np.take(table, pick, axis=1)
+    np.bitwise_xor.accumulate(cols, axis=1, out=cols)
+    points = cols.astype(np.float64)
+    points *= _SOBOL_SCALE
+    return points.T
 
 
 def sobol_point(dim: int, index: int, path: str | None = None) -> np.ndarray:
@@ -273,18 +279,24 @@ def inv_normal_cdf(u):
     Wichura's AS241 rational approximation: a central regime in q = u - 1/2
     and two tail regimes in sqrt(-log(min(u, 1-u))).  Accepts scalars or
     arrays; raises on values outside the open interval.  Large inputs are
-    processed in cache-sized blocks.
+    processed in cache-sized blocks.  A Fortran-ordered input, such as one
+    step's columns of a dimension-major Sobol block, is read where it lies
+    through its C-ordered transpose and gives a Fortran-ordered result.
     """
     arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel()
+    fortran = arr.flags.f_contiguous and not arr.flags.c_contiguous
+    src = arr.T if fortran else arr
+    flat = src.ravel()
     if flat.size and (np.any(flat <= 0.0) or np.any(flat >= 1.0)):
         raise ValueError("inv_normal_cdf requires 0 < u < 1")
     out = np.empty_like(flat)
     for lo in range(0, flat.size, _INV_BLOCK):
         hi = min(lo + _INV_BLOCK, flat.size)
         _inv_normal_block(flat[lo:hi], out[lo:hi])
-    return float(out[0]) if scalar else out.reshape(np.shape(u))
+    if arr.ndim == 0:
+        return float(out[0])
+    out = out.reshape(src.shape)
+    return out.T if fortran else out
 
 
 def correlate_pair(z: np.ndarray, cov: Sequence[Sequence[float]]) -> np.ndarray:

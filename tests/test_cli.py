@@ -139,6 +139,14 @@ class TestPrice:
         assert code == 2
         assert "even" in err
 
+    def test_zero_samples_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "price", "--scheme", "em", "--n", "2",
+                                 "--mode", "qmc", "--samples", "0")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["sdeweak price: error: --samples must be an integer "
+                                    ">= 1, got 0"]
+
     def test_malformed_config_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -180,6 +188,32 @@ class TestConverge:
                                 "--workers", w)
             outs.append(out)
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg["heston"].update(kappa=1.0), "unknown heston key(s) kappa"),
+        (lambda cfg: cfg["cells"][0].update(samples=0), "samples must be an integer >= 1"),
+        (lambda cfg: cfg.update(workers="two"), "workers must be an integer >= 1"),
+        (lambda cfg: cfg.update(cells=[]), "config contains no cells"),
+    ], ids=["unknown-heston-key", "zero-samples", "non-integer-workers", "no-cells"])
+    def test_bad_config_value_is_usage_error(self, capsys, config_file, edit, message):
+        with open(config_file, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        edit(cfg)
+        with open(config_file, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        code, out, err = run_cli(capsys, "converge", "--config", config_file)
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("sdeweak converge: error: ")
+        assert message in line
+
+    def test_non_object_config_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, _, err = run_cli(capsys, "converge", "--config", str(path))
+        assert code == 2
+        assert err.splitlines() == ["sdeweak converge: error: config must be a JSON object"]
 
     def test_missing_config_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

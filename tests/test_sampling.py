@@ -12,6 +12,8 @@ from sdeweak.sampling import (
     correlate_pair,
     estimate,
     inv_normal_cdf,
+    _direction_matrix,
+    _gray_state,
     load_direction_numbers,
     philox_raw,
     philox_uniforms,
@@ -23,6 +25,21 @@ from sdeweak.sampling import (
 # contract; any change here is a reproducibility break, not a refactor
 _GOLDEN_RAW = [11923609910150341984, 14282716219641783572,
                14507188490975060125, 2944039161201405073]
+
+
+def _row_major_sobol(dim, start, count):
+    """The row-major Gray-code scan: (count, dim) states, prefix XOR down axis 0."""
+    V = _direction_matrix(dim)
+    if count == 0:
+        return np.empty((0, dim))
+    rows = np.empty((count, dim), dtype=np.uint32)
+    rows[0] = _gray_state(start, V)
+    idx = np.arange(start + 1, start + count, dtype=np.uint64)
+    if count > 1:
+        low = (idx & (~idx + np.uint64(1))).astype(np.float64)
+        rows[1:] = V[np.log2(low).astype(np.int64)]
+    state = np.bitwise_xor.accumulate(rows, axis=0)
+    return state.astype(np.float64) * 2.0**-32
 
 
 class TestSobol:
@@ -56,6 +73,17 @@ class TestSobol:
         for d in (3, 40):
             ref = qmc.Sobol(d=d, scramble=False).random_base2(8)
             assert np.array_equal(sobol_points(d, 0, 256), ref)
+
+    @pytest.mark.parametrize("dim", [1, 2, 40, 400])
+    @pytest.mark.parametrize("start", [0, 1, 12345])
+    def test_matches_row_major_scan(self, dim, start):
+        for count in (0, 1, 2, 3, 1000):
+            pts = sobol_points(dim, start, count)
+            assert pts.shape == (count, dim)
+            assert np.array_equal(pts, _row_major_sobol(dim, start, count))
+            if count > 1:
+                # dimension-major storage: one step's uniforms are one slab
+                assert pts.flags.f_contiguous
 
     def test_dimension_beyond_table_rejected(self):
         with pytest.raises(ValueError):
@@ -143,6 +171,39 @@ class TestInvNormal:
     def test_array_shape_preserved(self):
         u = np.full((3, 4), 0.25)
         assert inv_normal_cdf(u).shape == (3, 4)
+
+    def test_layout_independent_bits(self):
+        # AS241 is elementwise: every memory layout gives the C-order bits,
+        # the input's shape, and leaves the input untouched
+        c = np.linspace(1e-12, 1.0 - 1e-12, 6 * 70 * 5).reshape(6, 70, 5)
+        ref = inv_normal_cdf(c)
+        views = {
+            "c": lambda a: a,
+            "fortran": np.asfortranarray,
+            "column slice of fortran": lambda a: np.asfortranarray(a)[:, 10:12, :],
+            "strided": lambda a: a[::2, 3::5, ::-1],
+            "transposed": lambda a: a.transpose(2, 0, 1),
+            "broadcast": lambda a: np.broadcast_to(a[:1], a.shape),
+        }
+        for name, view in views.items():
+            u = view(c)
+            before = u.copy()
+            z = inv_normal_cdf(u)
+            assert z.shape == u.shape, name
+            assert np.array_equal(z, view(ref)), name
+            assert np.array_equal(u, before), name
+        assert inv_normal_cdf(np.asfortranarray(c)).flags.f_contiguous
+
+    def test_zero_and_one_dimensional_inputs(self):
+        us = np.array([1e-300, 0.02, 0.3, 0.5, 0.97, 1.0 - 2.0**-53])
+        z = inv_normal_cdf(us)
+        assert z.shape == us.shape
+        for u, zi in zip(us, z):
+            assert inv_normal_cdf(float(u)) == zi
+            zero_d = inv_normal_cdf(np.array(u))
+            assert isinstance(zero_d, float) and zero_d == zi
+        assert np.array_equal(inv_normal_cdf(us[::-2]), z[::-2])
+        assert inv_normal_cdf(np.empty(0)).shape == (0,)
 
 
 class TestCorrelatePair:

@@ -5,7 +5,8 @@ import pytest
 
 from sdeweak.moment_match import DEFAULT_PARAMS
 from sdeweak.rk_integrator import VectorField, scheme
-from sdeweak.sampling import UniformSource, PSEUDO
+from sdeweak.heston_bench import BenchConfig, Cell, HestonParams, heston_model, price_cell
+from sdeweak.sampling import PSEUDO, QMC, SOBOL, UniformSource
 from sdeweak.schemes import (
     EM,
     NN,
@@ -189,6 +190,26 @@ class TestRunPaths:
             batch = run_paths(plan, model, [1.0], 1.0, block)
             singles = np.vstack([run_path(plan, model, [1.0], 1.0, row) for row in block])
             assert np.allclose(batch, singles, atol=0, rtol=0), kind
+
+    def test_block_layout_does_not_change_bits(self):
+        model = heston_model(HestonParams())
+        for kind, kwargs in ((NN, dict(params=DEFAULT_PARAMS, integrator=RK5)),
+                             (EM, {}), (NV, dict(integrator=RK5))):
+            plan = SchemeStepPlan(kind, 3, **kwargs)
+            block = UniformSource(SOBOL, plan.uniform_dimension(model)).block(0, 300)
+            c = run_paths(plan, model, (1.0, 0.09, 0.0), 1.0, np.ascontiguousarray(block))
+            f = run_paths(plan, model, (1.0, 0.09, 0.0), 1.0, np.asfortranarray(block))
+            assert np.array_equal(c, f), kind
+
+    @pytest.mark.parametrize("kind, n, pinned", [
+        (EM, 8, "0.05182674617787431"),
+        (NN, 2, "0.0615391137596445"),
+    ])
+    def test_small_qmc_estimates_pinned(self, kind, n, pinned):
+        # 20000 samples span two estimator chunks; any change to the Sobol
+        # values or their consumption order moves these digits
+        res = price_cell(BenchConfig(workers=1), Cell(kind, n, 20_000, QMC))
+        assert repr(res.estimate) == pinned
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
