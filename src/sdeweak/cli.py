@@ -151,12 +151,17 @@ def _heston_from_mapping(data: dict) -> HestonParams:
     return HestonParams(**data)
 
 
-def _count(value, what: str) -> int:
-    """An integer >= 1 from the command line or a JSON config (2e5 is accepted)."""
+def _count(value, what: str, least: int = 1) -> int:
+    """An integer >= least from the command line or a JSON config (2e5 is accepted)."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < 1:
-        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+    if isinstance(value, bool) or not integral or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _counts(value, what: str) -> list[int]:
+    """One count or a list of counts (a cell's grid axis)."""
+    return [_count(v, what) for v in (value if isinstance(value, list) else [value])]
 
 
 def _load_config(path: str | None) -> dict:
@@ -169,6 +174,16 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
+def _reference(raw: dict, heston: HestonParams) -> float | None:
+    """The config's reference, else the pinned price for the pinned parameters only."""
+    if "reference" not in raw:
+        return REFERENCE_PRICE if heston == HestonParams() else None
+    value = raw["reference"]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"reference must be a number, got {value!r}")
+    return float(value)
+
+
 def _config_from_mapping(raw: dict, args) -> BenchConfig:
     heston = _heston_from_mapping(raw.get("heston", {}))
     cfg = BenchConfig(
@@ -177,9 +192,9 @@ def _config_from_mapping(raw: dict, args) -> BenchConfig:
         branch=raw.get("branch", LOWER),
         nn_tableau=raw.get("nn_tableau", "rk5-butcher"),
         nv_tableau=raw.get("nv_tableau", "rk5-butcher"),
-        seed=int(raw.get("seed", 0)),
-        sobol_skip=int(raw.get("sobol_skip", 1)),
-        reference=float(raw.get("reference", REFERENCE_PRICE)),
+        seed=raw.get("seed", 0),
+        sobol_skip=raw.get("sobol_skip", 1),
+        reference=_reference(raw, heston),
         workers=raw.get("workers"),
     )
     # explicit flags override the file
@@ -196,9 +211,15 @@ def _config_from_mapping(raw: dict, args) -> BenchConfig:
         overrides["workers"] = args.workers
     if overrides:
         cfg = replace(cfg, **overrides)
+    cfg = replace(cfg, seed=_count(cfg.seed, "seed", least=0),
+                  sobol_skip=_count(cfg.sobol_skip, "sobol_skip"))
     if cfg.workers is not None:
         cfg = replace(cfg, workers=_count(cfg.workers, "workers"))
     return cfg
+
+
+def _reference_text(reference: float | None) -> str:
+    return "none" if reference is None else str(reference)
 
 
 def cmd_price(args) -> int:
@@ -211,20 +232,49 @@ def cmd_price(args) -> int:
     err = "n/a" if c.error is None else f"{c.error:.3e}"
     print(f"price: {c.kind} n={c.partitions} M={c.samples} {c.mode}"
           f"{' +romberg' if c.use_romberg else ''} estimate={c.estimate:.10f} "
-          f"error={err} reference={config.reference} [{c.seconds:.1f}s]", file=sys.stderr)
+          f"error={err} reference={_reference_text(config.reference)} [{c.seconds:.1f}s]",
+          file=sys.stderr)
     return 0
 
 
+_CELL_KEYS = ("scheme", "n", "samples", "mode", "romberg")
+_SCHEMES = ("nn", "em", "nv")
+
+
+def _cell_grid(item) -> list[Cell]:
+    """The cells of one config entry: every n crossed with every sample count."""
+    if not isinstance(item, dict):
+        raise ValueError(f"a cell must be a JSON object, got {item!r}")
+    unknown = sorted(set(item) - set(_CELL_KEYS))
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)}; "
+                         f"expected a subset of {', '.join(_CELL_KEYS)}")
+    missing = [key for key in ("scheme", "n", "samples") if key not in item]
+    if missing:
+        raise ValueError(f"missing key(s) {', '.join(missing)}")
+    scheme = item["scheme"]
+    if scheme not in _SCHEMES:
+        raise ValueError(f"scheme must be one of {', '.join(_SCHEMES)}, got {scheme!r}")
+    mode = item.get("mode", QMC)
+    if mode not in (QMC, MC):
+        raise ValueError(f"mode must be {QMC} or {MC}, got {mode!r}")
+    romberg = item.get("romberg", False)
+    if not isinstance(romberg, bool):
+        raise ValueError(f"romberg must be true or false, got {romberg!r}")
+    return [Cell(scheme, n, m, mode, use_romberg=romberg)
+            for n in _counts(item["n"], "n") for m in _counts(item["samples"], "samples")]
+
+
 def _cells_from_mapping(raw: dict) -> list[Cell]:
+    items = raw.get("cells", [])
+    if not isinstance(items, list):
+        raise ValueError("cells must be a list of objects")
     cells = []
-    for item in raw.get("cells", []):
-        ns = item["n"] if isinstance(item["n"], list) else [item["n"]]
-        ms = item["samples"] if isinstance(item["samples"], list) else [item["samples"]]
-        for n in ns:
-            for m in ms:
-                cells.append(Cell(item["scheme"], int(n), _count(m, "samples"),
-                                  item.get("mode", QMC),
-                                  use_romberg=bool(item.get("romberg", False))))
+    for i, item in enumerate(items):
+        try:
+            cells.extend(_cell_grid(item))
+        except ValueError as exc:
+            raise ValueError(f"cells[{i}]: {exc}") from None
     if not cells:
         raise ValueError("config contains no cells")
     return cells
@@ -237,8 +287,8 @@ def cmd_converge(args) -> int:
     result = convergence_study(config, cells)
     _emit(result_rows(result, timings=args.timings), args.out)
     total = sum(c.seconds for c in result.cells)
-    print(f"converge: {len(result.cells)} cells, reference={config.reference} "
-          f"[{total:.1f}s]", file=sys.stderr)
+    print(f"converge: {len(result.cells)} cells, "
+          f"reference={_reference_text(config.reference)} [{total:.1f}s]", file=sys.stderr)
     return 0
 
 
@@ -288,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write CSV here instead of stdout")
 
     pr = sub.add_parser("price", help="price the Asian option with one scheme setting")
-    pr.add_argument("--scheme", choices=("nn", "em", "nv"), required=True)
+    pr.add_argument("--scheme", choices=_SCHEMES, required=True)
     pr.add_argument("--n", type=int, required=True, help="partitions (fine level for Romberg)")
     pr.add_argument("--romberg", action="store_true",
                     help="combine runs at n and n/2 at the scheme's weak order")

@@ -88,14 +88,17 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
     Ito drift (mu y1, alpha (theta - y2), y1) with diffusion columns V1, V2.
     """
     mu, al, th, be, rho = params.mu, params.alpha, params.theta, params.beta, params.rho
-    rb4 = rho * be / 4.0
+    rb = rho * be
+    rb4 = rb / 4.0
     be2_4 = be * be / 4.0
     orth = be * math.sqrt(1.0 - rho * rho)
     guard = guard if guard is not None else GuardCounter()
 
     def vol(y2):
         guard.record(np.count_nonzero(y2 < 0.0), y2.size)
-        return np.sqrt(np.maximum(y2, 0.0))
+        # an explicit out keeps q an array (and sqrt in place) for a 0-d y2
+        q = np.maximum(y2, 0.0, out=np.empty_like(y2))
+        return np.sqrt(q, out=q)
 
     def v0(y):
         out = np.empty_like(y)
@@ -124,15 +127,36 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
         return out
 
     def fused(y, coeffs):
-        # a V0 + b1 V1 + b2 V2 in one pass; the variance sqrt is shared
+        # a V0 + b1 V1 + b2 V2 with the variance sqrt shared.  The columns
+        # are accumulated in place, with the output columns as the only
+        # scratch, in the operation order of
+        #   out0 = y1 (a (mu - y2/2 - rb4) + b1 q)
+        #   out1 = a (alpha (theta - y2) - beta^2/4) + (b1 rho beta + b2 orth) q
+        #   out2 = a y1
+        # so the bits do not depend on the layout or on the passes taken.
         a, b1, b2 = coeffs
         y1 = y[..., 0]
         y2 = y[..., 1]
         q = vol(y2)
         out = np.empty_like(y)
-        out[..., 0] = y1 * (a * (mu - 0.5 * y2 - rb4) + b1 * q)
-        out[..., 1] = a * (al * (th - y2) - be2_4) + (b1 * (rho * be) + b2 * orth) * q
-        out[..., 2] = a * y1
+        o0, o1, o2 = out[..., 0], out[..., 1], out[..., 2]
+        np.multiply(y2, 0.5, out=o0)
+        np.subtract(mu, o0, out=o0)
+        o0 -= rb4
+        o0 *= a
+        np.multiply(b1, q, out=o1)
+        o0 += o1
+        o0 *= y1
+        np.multiply(b1, rb, out=o1)
+        np.multiply(b2, orth, out=o2)
+        o1 += o2
+        o1 *= q
+        np.subtract(th, y2, out=o2)
+        o2 *= al
+        o2 -= be2_4
+        o2 *= a
+        o1 += o2
+        np.multiply(y1, a, out=o2)
         return out
 
     fields = tuple(VectorField(3, f) for f in (v0, v1, v2))
@@ -164,7 +188,7 @@ class BenchConfig:
     seed: int = 0
     sobol_skip: int = 1
     workers: int | None = None
-    reference: float = REFERENCE_PRICE
+    reference: float | None = REFERENCE_PRICE
 
     def scheme_params(self) -> SchemeParams:
         return solution_params(self.u, self.branch)
@@ -207,7 +231,7 @@ class CellResult:
 
 @dataclass(frozen=True)
 class BenchmarkResult:
-    reference: float
+    reference: float | None
     cells: tuple[CellResult, ...]
 
 

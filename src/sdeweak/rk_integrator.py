@@ -19,13 +19,18 @@ from .rk_trees import ButcherTableau, has_order
 
 
 class IntegrationFailure(RuntimeError):
-    """A non-finite state appeared during stage evaluation."""
+    """A non-finite state appeared during a Runge-Kutta step.
 
-    def __init__(self, stage: int, step: int | None = None):
+    ``stage`` is the 1-based index of the first non-finite stage, or None when
+    every stage was finite and the step's final combination overflowed.
+    """
+
+    def __init__(self, stage: int | None, step: int | None = None):
         self.stage = stage
         self.step = step
-        where = f"stage {stage}" + (f", step {step}" if step is not None else "")
-        super().__init__(f"non-finite state during Runge-Kutta {where}")
+        where = "the step combination" if stage is None else f"stage {stage}"
+        where += f", step {step}" if step is not None else ""
+        super().__init__(f"non-finite state in Runge-Kutta {where}")
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,7 @@ class IntegrationScheme:
     # float views of (A, b), precomputed with the nonzero structure
     _rows: tuple = field(init=False, repr=False, compare=False)
     _weights: tuple = field(init=False, repr=False, compare=False)
+    _unweighted: frozenset = field(init=False, repr=False, compare=False)  # stages with b_i = 0
 
     def __post_init__(self):
         if not _certify(self.tableau, self.order):
@@ -114,8 +120,10 @@ class IntegrationScheme:
             for row in self.tableau.a
         )
         weights = tuple((i, float(bi)) for i, bi in enumerate(self.tableau.b) if bi != 0)
+        unweighted = frozenset(i for i, bi in enumerate(self.tableau.b) if bi == 0)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_unweighted", unweighted)
 
     @property
     def stages(self) -> int:
@@ -127,27 +135,54 @@ def scheme(name: str) -> IntegrationScheme:
     return IntegrationScheme(t, t.declared_order)
 
 
+def _combine(y0: np.ndarray, ks: list[np.ndarray], terms, s: float,
+             tmp: np.ndarray) -> np.ndarray:
+    """y0 + (s c_1) k_1 + (s c_2) k_2 + ..., left to right, as one fresh array.
+
+    tmp is scratch for each product; y0 and the ks are only read.
+    """
+    acc = y0
+    for j, cj in terms:
+        np.multiply(ks[j], s * cj, out=tmp)
+        if acc is y0:
+            acc = y0 + tmp
+        else:
+            acc += tmp
+    return acc
+
+
+def _first_nonfinite_stage(ks: list[np.ndarray]) -> int | None:
+    for i, k in enumerate(ks):
+        if not np.all(np.isfinite(k)):
+            return i + 1
+    return None
+
+
 def rk_step(integ: IntegrationScheme, W, y0: np.ndarray, s: float,
             check: bool = True, step_index: int | None = None) -> np.ndarray:
     """One explicit step Y(y0; W, s) = y0 + s sum_i b_i W(Y_i).
 
     y0 may be a single state (N,) or a batch (P, N); W must broadcast
-    accordingly.  With check=True every stage is screened for non-finite
-    values and failures carry the stage index.
+    accordingly.  Neither y0 nor any output of W is written to.  With
+    check=True a non-finite value raises IntegrationFailure naming the first
+    non-finite stage, as if every stage were screened when evaluated.  The
+    screen runs once per step, on the result: a non-finite stage with a
+    nonzero weight always makes the result non-finite, so only zero-weight
+    stages are screened as they are evaluated.  A result that is non-finite
+    although every stage is finite (an overflowing sum) raises with stage
+    None.
     """
     y0 = np.asarray(y0, dtype=float)
+    tmp = np.empty_like(y0)
     ks: list[np.ndarray] = []
     for i, row in enumerate(integ._rows):
-        yi = y0
-        for j, aij in row:
-            yi = yi + (s * aij) * ks[j]
-        ki = np.asarray(W(yi), dtype=float)
-        if check and not np.all(np.isfinite(ki)):
-            raise IntegrationFailure(stage=i + 1, step=step_index)
+        ki = np.asarray(W(_combine(y0, ks, row, s, tmp)), dtype=float)
         ks.append(ki)
-    out = y0
-    for i, bi in integ._weights:
-        out = out + (s * bi) * ks[i]
+        if check and i in integ._unweighted and not np.all(np.isfinite(ki)):
+            raise IntegrationFailure(stage=_first_nonfinite_stage(ks), step=step_index)
+    out = _combine(y0, ks, integ._weights, s, tmp)
+    if check and not np.all(np.isfinite(out)):
+        raise IntegrationFailure(stage=_first_nonfinite_stage(ks), step=step_index)
     return out
 
 

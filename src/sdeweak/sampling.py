@@ -163,7 +163,11 @@ def philox_raw(seed: int, start: int, count: int) -> np.ndarray:
 def philox_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Uniforms in the open interval (0,1): ((raw >> 11) + 0.5) * 2^-53."""
     raw = philox_raw(seed, start, count)
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    raw >>= np.uint64(11)
+    out = raw.astype(np.float64)
+    out += 0.5
+    out *= 2.0**-53
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +257,13 @@ def _inv_normal_block(flat: np.ndarray, out: np.ndarray) -> None:
     np.divide(num, den, out=out)
     out *= q
 
-    tail = np.abs(q) > 0.425
-    if tail.any():
+    # the tails are a scattered ~15% of the block: gather and scatter them
+    # through one index list, not a boolean mask per pass
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
         qt = q[tail]
-        rt = np.where(qt < 0, flat[tail], 1.0 - flat[tail])
+        ft = flat[tail]
+        rt = np.where(qt < 0, ft, 1.0 - ft)
         np.log(rt, out=rt)
         np.negative(rt, out=rt)
         np.sqrt(rt, out=rt)

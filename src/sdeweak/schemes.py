@@ -38,6 +38,11 @@ class SDEModel:
     (true whenever, as for Heston, only the drift picks up a correction).
     ``fused_combination``, when given, evaluates sum_k coeffs[k] V_k(y) in one
     pass; it must agree with the per-field sum and exists purely for speed.
+    Like the per-field sum, it must give each path a value that depends only
+    on that path's state and coefficients, give a scalar coefficient the same
+    result as that value broadcast over the paths (the N-V step selects an
+    ordering per path by +0.0 entries in place of scalar zeros), and accept
+    any memory layout of y.
     """
 
     dim: int
@@ -150,33 +155,34 @@ def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
     root_s = np.sqrt(s)
     d = model.brownian_dim
 
-    def drift_half(y):
-        coeffs = [0.5 * s] + [0.0] * d
+    def flow(y, coeffs):
         return integrate(rk, lambda z: model.combination(z, coeffs), y,
                          step_index=step_index)
 
-    def brownian_flow(y, i, eta):
-        coeffs = [0.0] * (d + 1)
-        coeffs[i] = root_s * eta
-        return integrate(rk, lambda z: model.combination(z, coeffs), y,
-                         step_index=step_index)
-
-    x = drift_half(x)
+    drift_half = [0.5 * s] + [0.0] * d
+    x = flow(x, drift_half)
     if bernoulli.ndim == 0:
         order = range(1, d + 1) if bernoulli >= 0 else range(d, 0, -1)
         for i in order:
-            x = brownian_flow(x, i, etas[..., i - 1])
+            coeffs = [0.0] * (d + 1)
+            coeffs[i] = root_s * etas[..., i - 1]
+            x = flow(x, coeffs)
     else:
+        # flow position p runs V_p on ascending paths and V_{d+1-p} on
+        # descending ones, as one flow over all paths: each path's other
+        # coefficient is +0.0, which the combination treats like the scalar
+        # 0.0 of a flow of its own
         asc = bernoulli >= 0
-        for sel, order in ((asc, range(1, d + 1)), (~asc, range(d, 0, -1))):
-            if not np.any(sel):
-                continue
-            sub = x[sel]
-            for i in order:
-                sub = brownian_flow(sub, i, etas[sel, i - 1])
-            x = x.copy()
-            x[sel] = sub
-    return drift_half(x)
+        for p in range(1, d + 1):
+            q = d + 1 - p
+            coeffs = [0.0] * (d + 1)
+            if p == q:
+                coeffs[p] = root_s * etas[..., p - 1]
+            else:
+                coeffs[p] = np.where(asc, root_s * etas[..., p - 1], 0.0)
+                coeffs[q] = np.where(~asc, root_s * etas[..., q - 1], 0.0)
+            x = flow(x, coeffs)
+    return flow(x, drift_half)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +210,10 @@ def run_paths(plan: SchemeStepPlan, model: SDEModel, x0: Sequence[float], T: flo
     s = T / n
     d = model.brownian_dim
     per = plan.step_dimension(model)
-    x = np.broadcast_to(np.asarray(x0, dtype=float), (paths, model.dim)).copy()
+    # column-major: each state coordinate is one contiguous column in every
+    # field evaluation and stage combination
+    x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (paths, model.dim)),
+                 order="F")
 
     for k in range(n):
         block = uniforms[:, k * per:(k + 1) * per]

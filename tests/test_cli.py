@@ -3,6 +3,7 @@ import json
 import pytest
 
 from sdeweak.cli import main
+from sdeweak.heston_bench import REFERENCE_PRICE
 
 
 def run_cli(capsys, *argv):
@@ -194,7 +195,24 @@ class TestConverge:
         (lambda cfg: cfg["cells"][0].update(samples=0), "samples must be an integer >= 1"),
         (lambda cfg: cfg.update(workers="two"), "workers must be an integer >= 1"),
         (lambda cfg: cfg.update(cells=[]), "config contains no cells"),
-    ], ids=["unknown-heston-key", "zero-samples", "non-integer-workers", "no-cells"])
+        (lambda cfg: cfg.update(cells=[1]), "cells[0]: a cell must be a JSON object, got 1"),
+        (lambda cfg: cfg.update(cells=cfg["cells"][0]), "cells must be a list of objects"),
+        (lambda cfg: cfg["cells"][1].pop("n"), "cells[1]: missing key(s) n"),
+        (lambda cfg: cfg["cells"][0].update(n=2.5),
+         "cells[0]: n must be an integer >= 1, got 2.5"),
+        (lambda cfg: cfg["cells"][0].update(n=True),
+         "cells[0]: n must be an integer >= 1, got True"),
+        (lambda cfg: cfg["cells"][0].update(romberg="no"),
+         "cells[0]: romberg must be true or false, got 'no'"),
+        (lambda cfg: cfg["cells"][0].update(scheme="xx", romberg=True),
+         "cells[0]: scheme must be one of nn, em, nv, got 'xx'"),
+        (lambda cfg: cfg["cells"][0].update(partitions=4), "cells[0]: unknown key(s) partitions"),
+        (lambda cfg: cfg.update(seed=1.7), "seed must be an integer >= 0, got 1.7"),
+        (lambda cfg: cfg.update(sobol_skip=0), "sobol_skip must be an integer >= 1, got 0"),
+    ], ids=["unknown-heston-key", "zero-samples", "non-integer-workers", "no-cells",
+            "cell-not-object", "cells-not-list", "cell-without-n", "fractional-n", "boolean-n",
+            "string-romberg", "unknown-scheme-romberg", "unknown-cell-key", "fractional-seed",
+            "zero-sobol-skip"])
     def test_bad_config_value_is_usage_error(self, capsys, config_file, edit, message):
         with open(config_file, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -207,6 +225,26 @@ class TestConverge:
         [line] = err.splitlines()
         assert line.startswith("sdeweak converge: error: ")
         assert message in line
+
+    @pytest.mark.parametrize("extra, reference", [
+        ({}, REFERENCE_PRICE),
+        ({"heston": {"alpha": 3.0}}, None),
+        ({"heston": {"alpha": 3.0}, "reference": 0.06}, 0.06),
+    ], ids=["pinned-parameters", "changed-parameters", "explicit-reference"])
+    def test_error_column_names_its_reference(self, capsys, tmp_path, extra, reference):
+        # the pinned price is the reference only for the pinned parameters
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps(
+            {**extra, "cells": [{"scheme": "nn", "n": 2, "samples": 1000}]}))
+        code, out, err = run_cli(capsys, "converge", "--config", str(path))
+        assert code == 0
+        estimate, error = out.splitlines()[1].split(",")[5:7]
+        if reference is None:
+            assert error == ""
+            assert "reference=none" in err
+        else:
+            assert float(error) == abs(float(estimate) - reference)
+            assert f"reference={reference}" in err
 
     def test_non_object_config_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "list.json"

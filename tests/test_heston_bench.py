@@ -20,6 +20,22 @@ from sdeweak.heston_bench import (
 CFG = BenchConfig(workers=2)
 
 
+def _column_expressions(p, y, coeffs):
+    """Reference: a V0 + b1 V1 + b2 V2 for the Heston fields, one expression per column."""
+    rb4 = p.rho * p.beta / 4.0
+    be2_4 = p.beta * p.beta / 4.0
+    orth = p.beta * math.sqrt(1.0 - p.rho * p.rho)
+    a, b1, b2 = coeffs
+    y1, y2 = y[..., 0], y[..., 1]
+    q = np.sqrt(np.maximum(y2, 0.0))
+    out = np.empty_like(y)
+    out[..., 0] = y1 * (a * (p.mu - 0.5 * y2 - rb4) + b1 * q)
+    out[..., 1] = (a * (p.alpha * (p.theta - y2) - be2_4)
+                   + (b1 * (p.rho * p.beta) + b2 * orth) * q)
+    out[..., 2] = a * y1
+    return out
+
+
 class TestHestonParams:
     def test_defaults_satisfy_feller(self):
         p = HestonParams()
@@ -84,6 +100,28 @@ class TestHestonFields:
         )
         fused = model.combination(y, coeffs)
         assert np.allclose(fused, generic, atol=1e-14)
+
+    def test_fused_matches_one_expression_per_column(self):
+        # the kernel accumulates in place; its bits must equal the plain
+        # per-column expressions in every layout and coefficient shape
+        p = HestonParams(rho=-0.5)
+        model = heston_model(p)
+        rng = np.random.default_rng(9)
+        y = np.abs(rng.normal(size=(300, 3))) * [1.0, 0.1, 1.0]
+        y[::7, 1] *= -1.0  # negative variances hit the clamp
+        per_path = [0.013, rng.normal(size=300), rng.normal(size=300)]
+        scalar = [0.013, 0.4, -0.7]
+        cases = {
+            "C, per-path": (np.ascontiguousarray(y), per_path),
+            "F, per-path": (np.asfortranarray(y), per_path),
+            "F, scalar": (np.asfortranarray(y), scalar),
+            "F, per-path drift": (np.asfortranarray(y), [rng.normal(size=300), 0.0, 0.0]),
+            "single state": (y[3].copy(), scalar),
+        }
+        for name, (state, coeffs) in cases.items():
+            out = model.combination(state, coeffs)
+            assert np.array_equal(out, _column_expressions(p, state, coeffs)), name
+            assert out.shape == state.shape, name
 
     def test_guard_counts_negative_variance(self):
         guard = GuardCounter()

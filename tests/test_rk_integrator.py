@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sdeweak.heston_bench import HestonParams, heston_model
 from sdeweak.rk_integrator import (
     IntegrationFailure,
     IntegrationScheme,
@@ -26,6 +27,22 @@ def rotation_error(integ, n):
         y = rk_step(integ, ROTATE, y, 1.0 / n)
     exact = np.array([math.cos(1.0), -math.sin(1.0)])
     return float(np.max(np.abs(y - exact)))
+
+
+def _out_of_place_rk_step(integ, W, y0, s):
+    """Reference: every stage combination as a fresh out-of-place sum."""
+    rows = [[(j, float(a)) for j, a in enumerate(row) if a != 0] for row in integ.tableau.a]
+    ks = []
+    for row in rows:
+        yi = y0
+        for j, aij in row:
+            yi = yi + (s * aij) * ks[j]
+        ks.append(np.asarray(W(yi), dtype=float))
+    out = y0
+    for i, bi in enumerate(integ.tableau.b):
+        if bi != 0:
+            out = out + (s * float(bi)) * ks[i]
+    return out
 
 
 def decay_slope(ns, errors, floor=1e-13):
@@ -129,6 +146,59 @@ class TestRkStep:
             # stages grow past 1.5 for a large field value
             rk_step(RK5, bad, np.array([1.4]), 5.0)
         assert exc.value.stage >= 1
+
+    @pytest.mark.parametrize("integ", [RK5, RK7], ids=["rk5", "rk7"])
+    def test_failure_names_first_nonfinite_stage(self, integ):
+        bad = VectorField(1, lambda y: np.where(y > 1.5, np.nan, y))
+        with pytest.raises(IntegrationFailure) as exc:
+            rk_step(integ, bad, np.array([1.4]), 5.0)
+        assert exc.value.stage == 2
+
+    def test_failure_in_one_row_of_a_batch(self):
+        bad = VectorField(1, lambda y: np.where(y > 1.5, np.nan, y))
+        with pytest.raises(IntegrationFailure) as exc:
+            rk_step(RK5, bad, np.array([[0.1], [1.4], [0.2]]), 5.0, step_index=7)
+        assert (exc.value.stage, exc.value.step) == (2, 7)
+
+    def test_failure_in_a_zero_weight_stage(self):
+        # b_1 = 0 in RK7: stage 1 never reaches the result, so it is screened
+        # as it is evaluated
+        calls = []
+
+        def first_call_infinite(y):
+            calls.append(None)
+            return np.full_like(y, np.inf if len(calls) == 1 else 1.0)
+
+        with pytest.raises(IntegrationFailure) as exc:
+            rk_step(RK7, VectorField(1, first_call_infinite), np.array([0.5]), 0.1)
+        assert exc.value.stage == 1
+
+    @pytest.mark.parametrize("integ", [RK5, RK7], ids=["rk5", "rk7"])
+    def test_overflowing_combination_fails_without_a_stage(self, integ):
+        huge = VectorField(1, lambda y: np.full_like(y, 1e308))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(IntegrationFailure) as exc:
+            rk_step(integ, huge, np.array([1e308]), 1.0, step_index=4)
+        assert (exc.value.stage, exc.value.step) == (None, 4)
+        assert "step combination" in str(exc.value)
+
+    @pytest.mark.parametrize("integ", [RK5, RK7], ids=["rk5", "rk7"])
+    def test_matches_out_of_place_loop(self, integ):
+        # stage combinations reuse one scratch buffer; the bits must equal
+        # the plain left-to-right loop, for a batch (column-major, as the
+        # path drivers hold it) and for a single state
+        model = heston_model(HestonParams(rho=-0.5))
+        rng = np.random.default_rng(5)
+        batch = np.asfortranarray(np.abs(rng.normal(size=(257, 3))) * [1.0, 0.1, 1.0])
+        batch[::9, 1] *= -1.0  # some negative variances hit the clamp
+        per_path = [0.02, 0.3 * rng.normal(size=257), 0.3 * rng.normal(size=257)]
+        cases = [(batch, per_path), (np.array([1.1, 0.07, 0.4]), [0.02, 0.25, -0.1])]
+        for y0, coeffs in cases:
+            W = VectorField(3, lambda y, coeffs=coeffs: model.combination(y, coeffs))
+            before = y0.copy()
+            out = rk_step(integ, W, y0, 1.0)
+            assert np.array_equal(out, _out_of_place_rk_step(integ, W, y0, 1.0))
+            assert np.array_equal(y0, before)
 
 
 class TestConvergenceOrder:

@@ -12,8 +12,15 @@ from sdeweak.sampling import (
     correlate_pair,
     estimate,
     inv_normal_cdf,
+    _A,
+    _B,
+    _C,
+    _D,
+    _E,
+    _F,
     _direction_matrix,
     _gray_state,
+    _poly,
     load_direction_numbers,
     philox_raw,
     philox_uniforms,
@@ -40,6 +47,23 @@ def _row_major_sobol(dim, start, count):
         rows[1:] = V[np.log2(low).astype(np.int64)]
     state = np.bitwise_xor.accumulate(rows, axis=0)
     return state.astype(np.float64) * 2.0**-32
+
+
+def _boolean_mask_as241(u):
+    """Reference: AS241 with every tail pass selecting through a boolean mask."""
+    flat = np.ascontiguousarray(u, dtype=float).ravel()
+    q = flat - 0.5
+    r = 0.180625 - q * q
+    out = _poly(_A, r) / _poly(_B, r) * q
+    tail = np.abs(q) > 0.425
+    qt = q[tail]
+    rt = np.sqrt(-np.log(np.where(qt < 0, flat[tail], 1.0 - flat[tail])))
+    val = np.empty_like(rt)
+    near = rt <= 5.0
+    val[near] = _poly(_C, rt[near] - 1.6) / _poly(_D, rt[near] - 1.6)
+    val[~near] = _poly(_E, rt[~near] - 5.0) / _poly(_F, rt[~near] - 5.0)
+    out[tail] = np.copysign(val, qt)
+    return out.reshape(np.shape(u))
 
 
 class TestSobol:
@@ -193,6 +217,22 @@ class TestInvNormal:
             assert np.array_equal(z, view(ref)), name
             assert np.array_equal(u, before), name
         assert inv_normal_cdf(np.asfortranarray(c)).flags.f_contiguous
+
+    def test_matches_boolean_mask_tail(self):
+        # central, near-tail and far-tail regimes, the extreme doubles, and
+        # more values than one transform block
+        rng = np.random.default_rng(11)
+        u = np.concatenate([
+            rng.uniform(0.075, 0.925, 40_000),
+            rng.uniform(1e-10, 0.075, 15_000),
+            1.0 - rng.uniform(1e-10, 0.075, 15_000),
+            10.0 ** rng.uniform(-300, -12, 2_000),
+            [5e-324, 1.0 - 2.0**-53, 1e-300, 0.425 + 0.5, 0.5 - 0.425],
+        ])
+        u = rng.permutation(u)[:72_000].reshape(720, 100)
+        for name, view in {"c": lambda a: a, "fortran": np.asfortranarray,
+                           "strided": lambda a: a[::3, 1::2]}.items():
+            assert np.array_equal(inv_normal_cdf(view(u)), _boolean_mask_as241(view(u))), name
 
     def test_zero_and_one_dimensional_inputs(self):
         us = np.array([1e-300, 0.02, 0.3, 0.5, 0.97, 1.0 - 2.0**-53])

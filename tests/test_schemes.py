@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from sdeweak.moment_match import DEFAULT_PARAMS
-from sdeweak.rk_integrator import VectorField, scheme
+from sdeweak.rk_integrator import IntegrationFailure, VectorField, integrate, scheme
 from sdeweak.heston_bench import BenchConfig, Cell, HestonParams, heston_model, price_cell
-from sdeweak.sampling import PSEUDO, QMC, SOBOL, UniformSource
+from sdeweak.sampling import MC, PSEUDO, QMC, SOBOL, UniformSource
 from sdeweak.schemes import (
     EM,
     NN,
@@ -116,7 +116,71 @@ class TestEMStep:
         assert abs(states[:, 0].mean() - 1.0) < 3 * sem
 
 
+def _masked_split_nv_step(model, rk, x, s, bernoulli, etas):
+    """Reference: each Bernoulli ordering flows its own subset of the paths."""
+    root_s = np.sqrt(s)
+    d = model.brownian_dim
+
+    def flow(y, coeffs):
+        return integrate(rk, lambda z: model.combination(z, coeffs), y)
+
+    x = flow(x, [0.5 * s] + [0.0] * d)
+    asc = bernoulli >= 0
+    for sel, order in ((asc, range(1, d + 1)), (~asc, range(d, 0, -1))):
+        if not np.any(sel):
+            continue
+        sub = x[sel]
+        for i in order:
+            coeffs = [0.0] * (d + 1)
+            coeffs[i] = root_s * etas[sel, i - 1]
+            sub = flow(sub, coeffs)
+        x = x.copy()
+        x[sel] = sub
+    return flow(x, [0.5 * s] + [0.0] * d)
+
+
+def three_factor_model():
+    """d=3 with non-commuting, state-dependent fields and no fused kernel."""
+    def field(f):
+        return VectorField(3, lambda y: np.stack(f(y[..., 0], y[..., 1], y[..., 2]), axis=-1))
+
+    v0 = field(lambda a, b, c: (np.sin(b), -0.3 * a, a * c))
+    v1 = field(lambda a, b, c: (np.ones_like(a), c, np.zeros_like(a)))
+    v2 = field(lambda a, b, c: (np.zeros_like(a), np.cos(a), b))
+    v3 = field(lambda a, b, c: (0.5 * b, np.zeros_like(a), a * b))
+    return SDEModel(3, 3, (v0, v1, v2, v3), v0)
+
+
 class TestNVStep:
+    def test_matches_masked_split(self):
+        # one flow per ordering position over all paths gives the bits of
+        # flowing each ordering's paths on their own
+        heston = heston_model(HestonParams(rho=-0.5))
+        generic = SDEModel(3, 2, heston.stratonovich, heston.ito_drift)
+        rng = np.random.default_rng(13)
+        paths = 200
+        x = np.asfortranarray(np.abs(rng.normal(size=(paths, 3))) * [1.0, 0.1, 1.0])
+        mixed = np.where(rng.uniform(size=paths) >= 0.5, 1.0, -1.0)
+        for name, model in (("heston", heston), ("generic", generic),
+                            ("three-factor", three_factor_model())):
+            etas = rng.normal(size=(paths, model.brownian_dim))
+            for bern in (np.ones(paths), -np.ones(paths), mixed):
+                out = nv_step(model, RK5, x, 0.05, bern, etas)
+                ref = _masked_split_nv_step(model, RK5, x, 0.05, bern, etas)
+                assert np.array_equal(out, ref), (name, bern[:4])
+
+    def test_failure_in_a_middle_flow_names_the_step(self):
+        # path 1 runs descending: V2 with eta 0, then V1 pushes it past 5
+        zero = VectorField(1, lambda y: np.zeros_like(y))
+        v1 = VectorField(1, lambda y: np.where(y > 5.0, np.nan, 1.0))
+        v2 = VectorField(1, lambda y: np.ones_like(y))
+        model = SDEModel(1, 2, (zero, v1, v2), zero)
+        etas = np.array([[0.1, 0.2], [10.0, 0.0], [-0.3, 0.1]])
+        with pytest.raises(IntegrationFailure) as exc:
+            nv_step(model, RK5, np.zeros((3, 1)), 1.0, np.array([1.0, -1.0, 1.0]), etas,
+                    step_index=3)
+        assert exc.value.step == 3
+
     def test_zero_noise_is_strang_drift(self):
         model = planar_drift_model()
         s = 0.6
@@ -200,15 +264,28 @@ class TestRunPaths:
             c = run_paths(plan, model, (1.0, 0.09, 0.0), 1.0, np.ascontiguousarray(block))
             f = run_paths(plan, model, (1.0, 0.09, 0.0), 1.0, np.asfortranarray(block))
             assert np.array_equal(c, f), kind
+            # the path state is column-major whatever the block layout
+            assert c.flags.f_contiguous and f.flags.f_contiguous, kind
 
     @pytest.mark.parametrize("kind, n, pinned", [
         (EM, 8, "0.05182674617787431"),
         (NN, 2, "0.0615391137596445"),
+        (NV, 4, "0.05998188995138026"),
     ])
     def test_small_qmc_estimates_pinned(self, kind, n, pinned):
         # 20000 samples span two estimator chunks; any change to the Sobol
-        # values or their consumption order moves these digits
+        # values, their consumption order or the per-path arithmetic moves
+        # these digits
         res = price_cell(BenchConfig(workers=1), Cell(kind, n, 20_000, QMC))
+        assert repr(res.estimate) == pinned
+
+    @pytest.mark.parametrize("kind, n, pinned", [
+        (NN, 2, "0.06203760383778746"),
+        (NV, 3, "0.05967567321437449"),
+    ])
+    def test_small_mc_estimates_pinned(self, kind, n, pinned):
+        # the same with Philox uniforms: ten batches of 2000, row-major blocks
+        res = price_cell(BenchConfig(workers=1), Cell(kind, n, 20_000, MC))
         assert repr(res.estimate) == pinned
 
     def test_plan_validation(self):
