@@ -1,10 +1,11 @@
 """Command-line surface: verification commands and the pricing benchmark.
 
 Machine-first output: CSV goes to stdout (or --out), a short human summary to
-stderr.  Exit codes: 0 success, 1 verification failure, 2 usage error.  With
-identical arguments and seed every subcommand's primary output is
-byte-identical; wall-clock timings are therefore excluded from the CSV unless
---timings is passed.
+stderr.  Exit codes: 0 success, 1 verification failure, 2 usage error (a
+malformed argument or config), 3 numerical failure (a non-finite Runge-Kutta
+state; the message names the stage and the step).  With identical arguments
+and seed every subcommand's primary output is byte-identical; wall-clock
+timings are therefore excluded from the CSV unless --timings is passed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +31,7 @@ from .heston_bench import (
 )
 from .moment_match import UPPER, LOWER, residual_table, solution_params
 from .rk_trees import ButcherTableau, check_order
-from .rk_integrator import builtin_tableau
+from .rk_integrator import IntegrationFailure, builtin_tableau
 from .sampling import MC, QMC
 
 FLOAT_TOL = 1e-12
@@ -42,11 +44,28 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _u_value(text: str) -> Fraction:
-    u = _fraction(text)
+def _u_fraction(value) -> Fraction:
+    """The family parameter, a rational string or a number >= 1/2, from a flag or a config."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError
+        u = Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"u must be a rational number, got {value!r}") from None
     if u < Fraction(1, 2):
-        raise argparse.ArgumentTypeError(f"u must be >= 1/2, got {text}")
+        raise ValueError(f"u must be >= 1/2, got {value!r}")
+    try:
+        float(u)  # the scheme parameters are floats unless sqrt(2(2u - 1)) is rational
+    except OverflowError:
+        raise ValueError(f"u is too large for a float, got {value!r}") from None
     return u
+
+
+def _u_value(text: str) -> Fraction:
+    try:
+        return _u_fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _perturbation(text: str) -> tuple[str, Fraction]:
@@ -174,6 +193,17 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
+def _config_tableau(raw: dict, key: str) -> str:
+    name = raw.get(key, "rk5-butcher")
+    if not isinstance(name, str):
+        raise ValueError(f"{key} must be a tableau name, got {name!r}")
+    try:
+        builtin_tableau(name)
+    except KeyError as exc:
+        raise ValueError(f"{key}: {exc.args[0]}") from None
+    return name
+
+
 def _reference(raw: dict, heston: HestonParams) -> float | None:
     """The config's reference, else the pinned price for the pinned parameters only."""
     if "reference" not in raw:
@@ -184,14 +214,25 @@ def _reference(raw: dict, heston: HestonParams) -> float | None:
     return float(value)
 
 
+_CONFIG_KEYS = ("heston", "u", "branch", "nn_tableau", "nv_tableau", "seed", "sobol_skip",
+                "reference", "workers", "cells")
+
+
 def _config_from_mapping(raw: dict, args) -> BenchConfig:
+    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)}; "
+                         f"expected a subset of {', '.join(_CONFIG_KEYS)}")
+    branch = raw.get("branch", LOWER)
+    if branch not in (UPPER, LOWER):
+        raise ValueError(f"branch must be {UPPER} or {LOWER}, got {branch!r}")
     heston = _heston_from_mapping(raw.get("heston", {}))
     cfg = BenchConfig(
         heston=heston,
-        u=Fraction(str(raw.get("u", "3/4"))),
-        branch=raw.get("branch", LOWER),
-        nn_tableau=raw.get("nn_tableau", "rk5-butcher"),
-        nv_tableau=raw.get("nv_tableau", "rk5-butcher"),
+        u=_u_fraction(raw.get("u", "3/4")),
+        branch=branch,
+        nn_tableau=_config_tableau(raw, "nn_tableau"),
+        nv_tableau=_config_tableau(raw, "nv_tableau"),
         seed=raw.get("seed", 0),
         sobol_skip=raw.get("sobol_skip", 1),
         reference=_reference(raw, heston),
@@ -359,10 +400,18 @@ def main(argv=None) -> int:
     if args.command == "converge" and not args.config:
         parser.error("converge requires --config")
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # numpy's overflow / invalid-value warnings would precede the
+            # one-line report of the failure they lead to
+            warnings.filterwarnings("ignore", message=".* encountered in ",
+                                    category=RuntimeWarning)
+            return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"sdeweak {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    except IntegrationFailure as exc:
+        print(f"sdeweak {args.command}: numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -95,9 +95,16 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
     guard = guard if guard is not None else GuardCounter()
 
     def vol(y2):
+        # an explicit out keeps q a fresh array for a 0-d y2, so callers may
+        # overwrite it.  With every variance positive the clamp is the
+        # identity and one min() replaces the count and the maximum; 0.0,
+        # -0.0, NaN and negative entries take the clamp.
+        q = np.empty_like(y2)
+        if y2.size and y2.min() > 0.0:
+            guard.record(0, y2.size)
+            return np.sqrt(y2, out=q)
         guard.record(np.count_nonzero(y2 < 0.0), y2.size)
-        # an explicit out keeps q an array (and sqrt in place) for a 0-d y2
-        q = np.maximum(y2, 0.0, out=np.empty_like(y2))
+        np.maximum(y2, 0.0, out=q)
         return np.sqrt(q, out=q)
 
     def v0(y):
@@ -159,9 +166,50 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
         np.multiply(y1, a, out=o2)
         return out
 
+    def euler(y, s, increments):
+        # y + s drift(y) + dB1 V1(y) + dB2 V2(y) with the variance sqrt taken
+        # once.  Each column repeats the per-field em_step's operations in
+        # its order,
+        #   out0 = ((y1 + s (mu y1)) + dB1 (y1 q)) + dB2 0.0
+        #   out1 = ((y2 + s (alpha (theta - y2))) + dB1 (rb q)) + dB2 (orth q)
+        #   out2 = ((y3 + s y1) + dB1 0.0) + dB2 0.0
+        # including the dB 0.0 terms of the zero field entries, which decide
+        # the sign of a -0.0 coordinate and carry a non-finite increment.
+        # out2 and q (fresh from vol) are the only scratch.
+        y1, y2, y3 = y[..., 0], y[..., 1], y[..., 2]
+        b1, b2 = increments[..., 0], increments[..., 1]
+        q = vol(y2)
+        out = np.empty_like(y)
+        o0, o1, o2 = out[..., 0], out[..., 1], out[..., 2]
+        np.multiply(y1, mu, out=o0)
+        o0 *= s
+        o0 += y1
+        np.multiply(y1, q, out=o2)
+        o2 *= b1
+        o0 += o2
+        np.subtract(th, y2, out=o1)
+        o1 *= al
+        o1 *= s
+        o1 += y2
+        np.multiply(q, rb, out=o2)
+        o2 *= b1
+        o1 += o2
+        q *= orth
+        q *= b2
+        o1 += q
+        np.multiply(y1, s, out=o2)
+        o2 += y3
+        np.multiply(b1, 0.0, out=q)
+        o2 += q
+        np.multiply(b2, 0.0, out=q)
+        o0 += q
+        o2 += q
+        return out
+
     fields = tuple(VectorField(3, f) for f in (v0, v1, v2))
     model = SDEModel(dim=3, brownian_dim=2, stratonovich=fields,
-                     ito_drift=VectorField(3, drift), fused_combination=fused)
+                     ito_drift=VectorField(3, drift), fused_combination=fused,
+                     fused_euler=euler)
     return model
 
 

@@ -235,9 +235,11 @@ _F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.4875361290850
       2.04426310338993978564e-15)
 
 
-def _poly(coeffs: Sequence[float], x: np.ndarray) -> np.ndarray:
-    acc = np.full_like(x, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
+def _poly(coeffs: Sequence[float], x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # Horner's rule; its first product c[-1] * x needs no filled array
+    acc = np.multiply(x, coeffs[-1], out=out)
+    acc += coeffs[-2]
+    for c in reversed(coeffs[:-2]):
         acc *= x
         acc += c
     return acc
@@ -250,11 +252,10 @@ def _inv_normal_block(flat: np.ndarray, out: np.ndarray) -> None:
     """AS241 on one flat block; central regime computed unconditionally, tails fixed up."""
     q = flat - 0.5
     r = q * q
-    np.negative(r, out=r)
-    r += 0.180625
+    np.subtract(0.180625, r, out=r)
     num = _poly(_A, r)
-    den = _poly(_B, r)
-    np.divide(num, den, out=out)
+    # the denominator is built in out, and the quotient replaces it there
+    np.divide(num, _poly(_B, r, out=out), out=out)
     out *= q
 
     # the tails are a scattered ~15% of the block: gather and scatter them

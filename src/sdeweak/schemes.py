@@ -42,7 +42,10 @@ class SDEModel:
     on that path's state and coefficients, give a scalar coefficient the same
     result as that value broadcast over the paths (the N-V step selects an
     ordering per path by +0.0 entries in place of scalar zeros), and accept
-    any memory layout of y.
+    any memory layout of y.  ``fused_euler``, when given, is the whole
+    Euler-Maruyama step x + s drift(x) + sum_i dB^i V_i(x) in one call; it
+    must give the per-field :func:`em_step` bits, for per-path (P, d) and
+    scalar (d,) increments and any layout of x.
     """
 
     dim: int
@@ -50,6 +53,7 @@ class SDEModel:
     stratonovich: tuple[VectorField, ...]
     ito_drift: VectorField
     fused_combination: Callable | None = None
+    fused_euler: Callable | None = None
 
     def __post_init__(self):
         if len(self.stratonovich) != self.brownian_dim + 1:
@@ -130,6 +134,8 @@ def em_step(model: SDEModel, x: np.ndarray, s: float, increments: np.ndarray) ->
     """Euler-Maruyama: x + drift(x) s + sum_i V_i(x) dB^i, increments ~ N(0, s)."""
     x = np.asarray(x, dtype=float)
     increments = np.asarray(increments, dtype=float)
+    if model.fused_euler is not None:
+        return model.fused_euler(x, s, increments)
     out = x + s * model.ito_drift(x)
     for i in range(model.brownian_dim):
         dbi = increments[..., i]
@@ -222,7 +228,8 @@ def run_paths(plan: SchemeStepPlan, model: SDEModel, x0: Sequence[float], T: flo
             gaussians = correlate_pair(z, plan.params.covariance)
             x = nn_step(model, plan.params, plan.integrator, x, s, gaussians, step_index=k)
         elif plan.kind == EM:
-            increments = np.sqrt(s) * inv_normal_cdf(block)
+            increments = inv_normal_cdf(block)
+            increments *= np.sqrt(s)
             x = em_step(model, x, s, increments)
         else:
             bern = np.where(block[:, 0] >= 0.5, 1.0, -1.0)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sdeweak
 from sdeweak.cli import main
 from sdeweak.heston_bench import REFERENCE_PRICE
 
@@ -209,10 +214,18 @@ class TestConverge:
         (lambda cfg: cfg["cells"][0].update(partitions=4), "cells[0]: unknown key(s) partitions"),
         (lambda cfg: cfg.update(seed=1.7), "seed must be an integer >= 0, got 1.7"),
         (lambda cfg: cfg.update(sobol_skip=0), "sobol_skip must be an integer >= 1, got 0"),
+        (lambda cfg: cfg.update(sobol_skp=5), "unknown config key(s) sobol_skp"),
+        (lambda cfg: cfg.update(u="1/0"), "u must be a rational number, got '1/0'"),
+        (lambda cfg: cfg.update(u=0.25), "u must be >= 1/2, got 0.25"),
+        (lambda cfg: cfg.update(u="1e400"), "u is too large for a float, got '1e400'"),
+        (lambda cfg: cfg.update(branch="middle"), "branch must be upper or lower, got 'middle'"),
+        (lambda cfg: cfg.update(nn_tableau="rk9"), "nn_tableau: unknown tableau 'rk9'"),
+        (lambda cfg: cfg.update(nv_tableau=[5]), "nv_tableau must be a tableau name, got [5]"),
     ], ids=["unknown-heston-key", "zero-samples", "non-integer-workers", "no-cells",
             "cell-not-object", "cells-not-list", "cell-without-n", "fractional-n", "boolean-n",
             "string-romberg", "unknown-scheme-romberg", "unknown-cell-key", "fractional-seed",
-            "zero-sobol-skip"])
+            "zero-sobol-skip", "unknown-top-level-key", "zero-denominator-u", "low-u",
+            "huge-u", "unknown-branch", "unknown-tableau", "non-string-tableau"])
     def test_bad_config_value_is_usage_error(self, capsys, config_file, edit, message):
         with open(config_file, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -245,6 +258,36 @@ class TestConverge:
         else:
             assert float(error) == abs(float(estimate) - reference)
             assert f"reference={reference}" in err
+
+    def test_numerical_failure_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps({"heston": {"alpha": 1e80},
+                                    "cells": [{"scheme": "nn", "n": 2, "samples": 1000}]}))
+        code, out, err = run_cli(capsys, "converge", "--config", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == ["sdeweak converge: numerical failure: "
+                                    "non-finite state in Runge-Kutta stage 5, step 0"]
+
+    @pytest.mark.parametrize("config, code", [
+        ({"sobol_skp": 5}, 2),
+        ({"u": "1/0"}, 2),
+        ({"heston": {"alpha": 1e80}}, 3),
+    ], ids=["unknown-top-level-key", "zero-denominator-u", "stiff-parameters"])
+    def test_process_reports_one_line(self, tmp_path, config, code):
+        # a separate process shows what reaches the terminal: no traceback
+        # and no numpy floating-point warnings ahead of the one line
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(
+            {**config, "cells": [{"scheme": "nn", "n": 2, "samples": 1000}]}))
+        src = str(Path(sdeweak.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "sdeweak.cli", "converge", "--config", str(path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("sdeweak converge: ")
 
     def test_non_object_config_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "list.json"

@@ -16,6 +16,7 @@ from sdeweak.heston_bench import (
     price_cell,
     result_rows,
 )
+from sdeweak.schemes import em_step
 
 CFG = BenchConfig(workers=2)
 
@@ -34,6 +35,25 @@ def _column_expressions(p, y, coeffs):
                    + (b1 * (p.rho * p.beta) + b2 * orth) * q)
     out[..., 2] = a * y1
     return out
+
+
+def _per_field_em_step(model, x, s, increments):
+    """Reference: the Euler-Maruyama step as the drift plus one term per field."""
+    out = x + s * model.ito_drift(x)
+    for i in range(model.brownian_dim):
+        dbi = increments[..., i]
+        if dbi.ndim == x.ndim - 1:
+            dbi = dbi[..., None]
+        out = out + dbi * model.stratonovich[i + 1](x)
+    return out
+
+
+def _same_bits(a, b):
+    """Same shape, NaN in the same places, and the same bits elsewhere (zero signs too)."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
 
 
 class TestHestonParams:
@@ -131,6 +151,83 @@ class TestHestonFields:
         assert np.all(np.isfinite(out))
         assert guard.negative == 1 and guard.total == 2
         assert guard.fraction == 0.5
+
+
+class TestVarianceSqrt:
+    @pytest.mark.parametrize("special", [None, -0.01, 0.0, -0.0, np.nan],
+                             ids=["positive", "negative", "zero", "negative-zero", "nan"])
+    def test_matches_the_clamped_sqrt(self, special):
+        # positive variances skip the clamp; every other value must take it
+        p = HestonParams(rho=-0.5)
+        guard = GuardCounter()
+        model = heston_model(p, guard)
+        y = np.column_stack([np.linspace(0.5, 2.0, 50), np.linspace(0.01, 0.3, 50),
+                             np.zeros(50)])
+        if special is not None:
+            y[17, 1] = special
+        orth = p.beta * math.sqrt(1.0 - p.rho * p.rho)
+        for state in (np.asfortranarray(y), y.copy(), y[17].copy()):
+            want = orth * np.sqrt(np.maximum(state[..., 1], 0.0))
+            assert _same_bits(model.stratonovich[2](state)[..., 1], want)
+        negative = special is not None and special < 0.0
+        assert (guard.negative, guard.total) == (3 * negative, 101)
+
+    def test_empty_batch(self):
+        guard = GuardCounter()
+        model = heston_model(HestonParams(), guard)
+        assert model.stratonovich[1](np.empty((0, 3))).shape == (0, 3)
+        assert guard.total == 0
+
+
+class TestFusedEuler:
+    @staticmethod
+    def _case(rng, paths=200):
+        y = np.abs(rng.normal(size=(paths, 3))) * [1.0, 0.1, 1.0]
+        y[::7, 1] *= -1.0  # negative variances hit the clamp
+        y[1, 1], y[2, 1], y[3, 1] = 0.0, -0.0, np.nan
+        # -0.0 price and integral under each sign pair of increments: the
+        # dB 0.0 terms of the zero field entries decide the sign of the result
+        y[4:8, 0] = -0.0
+        y[4:8, 2] = -0.0
+        y[8, 2] = -0.0
+        inc = 0.1 * rng.normal(size=(paths, 2))
+        inc[4:8] = [[0.1, 0.2], [0.1, -0.2], [-0.1, 0.2], [-0.1, -0.2]]
+        return y, inc
+
+    def test_matches_the_per_field_step(self):
+        # alpha = 2 would make the products by alpha exact and hide their order
+        p = HestonParams(alpha=1.7, rho=-0.5)
+        y, inc = self._case(np.random.default_rng(21))
+        cases = {
+            "C, per-path": (np.ascontiguousarray(y), np.ascontiguousarray(inc)),
+            "F, per-path": (np.asfortranarray(y), np.asfortranarray(inc)),
+            "F, scalar": (np.asfortranarray(y), np.array([0.3, -0.2])),
+            "F, scalar negative zero": (np.asfortranarray(y), np.array([-0.0, -0.0])),
+            "single state, -0.0 price": (y[6].copy(), inc[6].copy()),
+            "single state, -0.0 variance": (y[2].copy(), inc[2].copy()),
+            "single state, nan variance": (y[3].copy(), inc[3].copy()),
+        }
+        for name, (state, increments) in cases.items():
+            fused_guard, ref_guard = GuardCounter(), GuardCounter()
+            model = heston_model(p, fused_guard)
+            before = state.copy()
+            out = em_step(model, state, 0.37, increments)
+            ref = _per_field_em_step(heston_model(p, ref_guard), state, 0.37, increments)
+            assert _same_bits(out, ref), name
+            assert _same_bits(state, before), name
+            assert fused_guard.fraction == ref_guard.fraction, name
+            assert out.flags.f_contiguous == state.flags.f_contiguous, name
+        # the per-field step evaluates the variance sqrt twice, the fused one once
+        assert ref_guard.total == 2 * fused_guard.total
+
+    def test_negative_zero_coordinates_keep_the_reference_sign(self):
+        y, inc = self._case(np.random.default_rng(22))
+        model = heston_model(HestonParams())
+        out = em_step(model, np.asfortranarray(y), 0.01, inc)
+        # out0 = (-0.0 + dB1 (-0.0 q)) + dB2 0.0 and out2 = (-0.0 + dB1 0.0) + dB2 0.0;
+        # without the zero terms both columns would read -0.0 more often
+        assert np.signbit(out[4:8, 0]).tolist() == [False, True, False, False]
+        assert np.signbit(out[4:8, 2]).tolist() == [False, False, False, True]
 
 
 class TestAsianPayoff:

@@ -20,7 +20,6 @@ from sdeweak.sampling import (
     _F,
     _direction_matrix,
     _gray_state,
-    _poly,
     load_direction_numbers,
     philox_raw,
     philox_uniforms,
@@ -49,19 +48,27 @@ def _row_major_sobol(dim, start, count):
     return state.astype(np.float64) * 2.0**-32
 
 
+def _horner(coeffs, x):
+    """Reference: sum_k coeffs[k] x^k by Horner's rule from a filled array."""
+    acc = np.full_like(x, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
 def _boolean_mask_as241(u):
     """Reference: AS241 with every tail pass selecting through a boolean mask."""
     flat = np.ascontiguousarray(u, dtype=float).ravel()
     q = flat - 0.5
     r = 0.180625 - q * q
-    out = _poly(_A, r) / _poly(_B, r) * q
+    out = _horner(_A, r) / _horner(_B, r) * q
     tail = np.abs(q) > 0.425
     qt = q[tail]
     rt = np.sqrt(-np.log(np.where(qt < 0, flat[tail], 1.0 - flat[tail])))
     val = np.empty_like(rt)
     near = rt <= 5.0
-    val[near] = _poly(_C, rt[near] - 1.6) / _poly(_D, rt[near] - 1.6)
-    val[~near] = _poly(_E, rt[~near] - 5.0) / _poly(_F, rt[~near] - 5.0)
+    val[near] = _horner(_C, rt[near] - 1.6) / _horner(_D, rt[near] - 1.6)
+    val[~near] = _horner(_E, rt[~near] - 5.0) / _horner(_F, rt[~near] - 5.0)
     out[tail] = np.copysign(val, qt)
     return out.reshape(np.shape(u))
 

@@ -103,6 +103,20 @@ class TestEMStep:
         drift = (1.0 + 0.125) * 2.0 * 0.1
         assert out[0, 0] == pytest.approx(2.0 + drift + 0.5 * 2.0 * 0.3)
 
+    def test_fused_step_replaces_the_field_loop(self):
+        base = linear_model(a=1.0, b=0.5)
+        calls = []
+
+        def fused(x, s, increments):
+            calls.append((x.dtype, s, increments.dtype))
+            return em_step(base, x, s, increments)
+
+        model = SDEModel(base.dim, base.brownian_dim, base.stratonovich, base.ito_drift,
+                         fused_euler=fused)
+        x, inc = [[2.0], [-1.0]], [[0.3], [0.1]]
+        assert np.array_equal(em_step(model, x, 0.1, inc), em_step(base, x, 0.1, inc))
+        assert calls == [(np.float64, 0.1, np.float64)]
+
     def test_martingale_mean_preserved(self):
         # dX = X dB (Ito): EM keeps E[X_1] = x0 for every n
         zero = VectorField(1, lambda y: np.zeros_like(y))
