@@ -2,10 +2,11 @@
 
 Machine-first output: CSV goes to stdout (or --out), a short human summary to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 usage error (a
-malformed argument or config), 3 numerical failure (a non-finite Runge-Kutta
-state; the message names the stage and the step).  With identical arguments
-and seed every subcommand's primary output is byte-identical; wall-clock
-timings are therefore excluded from the CSV unless --timings is passed.
+malformed argument or config, or a run too large to allocate), 3 numerical
+failure (a non-finite Runge-Kutta state; the message names the stage and the
+step).  With identical arguments and seed every subcommand's primary output
+is byte-identical; wall-clock timings are therefore excluded from the CSV
+unless --timings is passed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .freealg import FLOAT
 from .heston_bench import (
     BenchConfig,
     BenchmarkResult,
@@ -29,7 +29,7 @@ from .heston_bench import (
     price_cell,
     result_rows,
 )
-from .moment_match import UPPER, LOWER, residual_table, solution_params
+from .moment_match import FLOAT, UPPER, LOWER, residual_table, solution_params
 from .rk_trees import ButcherTableau, check_order
 from .rk_integrator import IntegrationFailure, builtin_tableau
 from .sampling import MC, QMC
@@ -98,11 +98,12 @@ def _emit(lines, path: str | None) -> None:
 
 
 def cmd_verify_moments(args) -> int:
+    m, d = _count(args.m, "--m"), _count(args.d, "--d")
     params = solution_params(args.u, args.branch)
     for key, delta in args.perturb:
         value = delta if params.is_exact else float(delta)
         params = params.perturbed(**{key: value})
-    rows = residual_table(params, args.m, args.d)
+    rows = residual_table(params, m, d)
     tol = FLOAT_TOL if params.mode == FLOAT else 0
     lines = ["word,coefficient,target,residual"]
     worst = 0.0
@@ -408,6 +409,11 @@ def main(argv=None) -> int:
             return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"sdeweak {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a request no machine can hold, such as a Monte Carlo cell with 1e15 steps
+        detail = f": {exc}" if str(exc) else ""
+        print(f"sdeweak {args.command}: error: out of memory{detail}", file=sys.stderr)
         return 2
     except IntegrationFailure as exc:
         print(f"sdeweak {args.command}: numerical failure: {exc}", file=sys.stderr)

@@ -1,44 +1,23 @@
 """Truncated non-commutative power series over the alphabet {v0, v1, ..., vd}.
 
 Words carry the scaled degree ``|w| + (number of v0 letters)``, which weights
-the time letter v0 twice; series are truncated by that degree.  Two scalar
-modes exist: ``exact`` (Fraction arithmetic, used by all verification paths so
-that identities are equality tests) and ``float`` (used where irrational
-square roots appear).  Values are immutable after construction and all
-operations are pure.
+the time letter v0 twice; series are truncated by that degree.  Coefficients
+come from whatever commutative ring the caller supplies: Fraction on every
+verification path, so that identities are equality tests, float where
+irrational square roots appear, or a polynomial type such as the one the
+moment-matching oracle expands in.  Values are immutable after construction
+and all operations are pure.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
-
-Scalar = Union[Fraction, float, int]
-
-EXACT = "exact"
-FLOAT = "float"
-_MODES = (EXACT, FLOAT)
-
-
-class ScalarModeError(ValueError):
-    """Mixing exact and float series, or an unsupported coefficient type."""
+from typing import Iterable, Iterator, Mapping
 
 
 class TruncationError(ValueError):
     """Mixing series with different truncation degrees."""
-
-
-def _coerce(value: Scalar, mode: str) -> Scalar:
-    if mode == EXACT:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
-        raise ScalarModeError(f"exact mode requires Fraction/int, got {type(value).__name__}")
-    if isinstance(value, (int, float, Fraction)):
-        return float(value)
-    raise ScalarModeError(f"float mode cannot hold {type(value).__name__}")
 
 
 class Word:
@@ -92,11 +71,6 @@ class Word:
 EMPTY_WORD = Word()
 
 
-def word_scaled_degree(w: Word) -> int:
-    """Scaled degree of a word: length plus the number of v0 letters."""
-    return w.scaled_degree
-
-
 def words_up_to(max_degree: int, d: int) -> list[Word]:
     """All words over {v0, ..., vd} with scaled degree <= max_degree, canonically ordered."""
     out = [EMPTY_WORD]
@@ -114,59 +88,61 @@ def words_up_to(max_degree: int, d: int) -> list[Word]:
 
 
 class TruncatedSeries:
-    """A finitely supported map Word -> scalar, truncated at a fixed scaled degree.
+    """A finitely supported map Word -> coefficient, truncated at a fixed scaled degree.
 
     Addition and multiplication close over the truncation: any product word of
-    scaled degree beyond ``degree`` is discarded.  Series of different degrees
-    or scalar modes never mix implicitly.
+    scaled degree beyond ``degree`` is discarded.  Coefficients need +, *,
+    truth testing (false exactly for zero) and mixing with the integers 0 and
+    1 and with Fraction scalars (:func:`exp` divides by k!); ``zero`` is what
+    :meth:`coefficient` returns off the support.  Terms are kept, and
+    combined, in the order they were formed.
     """
 
-    __slots__ = ("_coeffs", "degree", "mode")
+    __slots__ = ("_coeffs", "degree", "_zero")
 
-    def __init__(self, coeffs: Mapping[Word, Scalar], degree: int, mode: str = EXACT):
-        if mode not in _MODES:
-            raise ScalarModeError(f"unknown scalar mode {mode!r}")
+    def __init__(self, coeffs: Mapping[Word, object], degree: int, zero=0):
         if degree < 0:
             raise ValueError("truncation degree must be nonnegative")
-        store: dict[Word, Scalar] = {}
+        store = {}
         for w, a in coeffs.items():
             if w.scaled_degree > degree:
                 raise TruncationError(
                     f"word {w} has scaled degree {w.scaled_degree} > truncation {degree}"
                 )
-            a = _coerce(a, mode)
-            if a != 0:
+            if a:
                 store[w] = a
         object.__setattr__(self, "_coeffs", store)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "_zero", zero)
 
     def __setattr__(self, *_):
         raise AttributeError("TruncatedSeries is immutable")
 
+    def _like(self, coeffs: Mapping[Word, object]) -> "TruncatedSeries":
+        return TruncatedSeries(coeffs, self.degree, self._zero)
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, degree: int, mode: str = EXACT) -> "TruncatedSeries":
-        return cls({}, degree, mode)
+    def zero(cls, degree: int) -> "TruncatedSeries":
+        return cls({}, degree)
 
     @classmethod
-    def one(cls, degree: int, mode: str = EXACT) -> "TruncatedSeries":
-        return cls({EMPTY_WORD: 1}, degree, mode)
+    def one(cls, degree: int) -> "TruncatedSeries":
+        return cls({EMPTY_WORD: 1}, degree)
 
     @classmethod
-    def letter(cls, i: int, degree: int, mode: str = EXACT) -> "TruncatedSeries":
-        return cls({Word((i,)): 1}, degree, mode)
+    def letter(cls, i: int, degree: int) -> "TruncatedSeries":
+        return cls({Word((i,)): 1}, degree)
 
     # -- access ---------------------------------------------------------
 
-    def coefficient(self, w: Word) -> Scalar:
-        zero = Fraction(0) if self.mode == EXACT else 0.0
-        return self._coeffs.get(w, zero)
+    def coefficient(self, w: Word):
+        return self._coeffs.get(w, self._zero)
 
-    def items(self) -> Iterator[tuple[Word, Scalar]]:
+    def items(self) -> Iterator[tuple[Word, object]]:
         """Terms in canonical word order (scaled degree, length, letters)."""
-        for w in sorted(self._coeffs, key=lambda w: w.sort_key):
+        for w in self.support():
             yield w, self._coeffs[w]
 
     def support(self) -> list[Word]:
@@ -175,12 +151,6 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def min_scaled_degree(self) -> int:
-        """Smallest scaled degree in the support; degree + 1 for the zero series."""
-        if not self._coeffs:
-            return self.degree + 1
-        return min(w.scaled_degree for w in self._coeffs)
-
     # -- arithmetic -----------------------------------------------------
 
     def _check_compatible(self, other: "TruncatedSeries") -> None:
@@ -188,40 +158,37 @@ class TruncatedSeries:
             raise TruncationError(
                 f"truncation degrees differ: {self.degree} vs {other.degree}"
             )
-        if self.mode != other.mode:
-            raise ScalarModeError(f"scalar modes differ: {self.mode} vs {other.mode}")
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
         out = dict(self._coeffs)
         for w, a in other._coeffs.items():
             out[w] = out.get(w, 0) + a
-        return TruncatedSeries(out, self.degree, self.mode)
+        return self._like(out)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries({w: -a for w, a in self._coeffs.items()}, self.degree, self.mode)
+        return self._like({w: -a for w, a in self._coeffs.items()})
 
-    def scale(self, c: Scalar) -> "TruncatedSeries":
-        c = _coerce(c, self.mode)
-        return TruncatedSeries({w: c * a for w, a in self._coeffs.items()}, self.degree, self.mode)
+    def scale(self, c) -> "TruncatedSeries":
+        return self._like({w: a * c for w, a in self._coeffs.items()})
 
     def __mul__(self, other) -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return self.scale(other)
         self._check_compatible(other)
-        out: dict[Word, Scalar] = {}
+        out = {}
         m = self.degree
+        right = [(v, v.scaled_degree, b) for v, b in other._coeffs.items()]
         for u, a in self._coeffs.items():
             du = u.scaled_degree
-            for v, b in other._coeffs.items():
-                if du + v.scaled_degree > m:
-                    continue
-                w = u * v
-                out[w] = out.get(w, 0) + a * b
-        return TruncatedSeries(out, m, self.mode)
+            for v, dv, b in right:
+                if du + dv <= m:
+                    w = u * v
+                    out[w] = out.get(w, 0) + a * b
+        return self._like(out)
 
     def __rmul__(self, other) -> "TruncatedSeries":
         return self.scale(other)
@@ -230,169 +197,36 @@ class TruncatedSeries:
         return (
             isinstance(other, TruncatedSeries)
             and self.degree == other.degree
-            and self.mode == other.mode
             and self._coeffs == other._coeffs
         )
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.mode, frozenset(self._coeffs.items())))
-
-    def allclose(self, other: "TruncatedSeries", tol: float = 1e-12) -> bool:
-        self._check_compatible(other)
-        words = set(self._coeffs) | set(other._coeffs)
-        return all(abs(self.coefficient(w) - other.coefficient(w)) <= tol for w in words)
+        return hash((self.degree, frozenset(self._coeffs.items())))
 
     def __str__(self) -> str:
         if not self._coeffs:
             return "0"
         parts = []
         for w, a in self.items():
-            if w is EMPTY_WORD or not w.letters:
+            if not w.letters:
                 parts.append(str(a))
             else:
                 parts.append(f"({a}) {w}")
         return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return f"<TruncatedSeries m={self.degree} {self.mode}: {self}>"
-
-
-def mul(p: TruncatedSeries, q: TruncatedSeries) -> TruncatedSeries:
-    """Concatenation product restricted to words of scaled degree <= truncation."""
-    return p * q
+        return f"<TruncatedSeries m={self.degree}: {self}>"
 
 
 def exp(p: TruncatedSeries) -> TruncatedSeries:
     """exp(p) = 1 + sum p^k / k!, finite because p has no constant term."""
-    if p.coefficient(EMPTY_WORD) != 0:
+    if p.coefficient(EMPTY_WORD):
         raise ValueError("exp requires a series with zero constant term")
-    result = TruncatedSeries.one(p.degree, p.mode)
-    power = result
+    result = power = p._like({EMPTY_WORD: 1})
     k = 0
     while True:
         k += 1
         power = power * p
         if power.is_zero():
             return result
-        inv = Fraction(1, math.factorial(k)) if p.mode == EXACT else 1.0 / math.factorial(k)
-        result = result + power.scale(inv)
-
-
-def log(q: TruncatedSeries) -> TruncatedSeries:
-    """log(q) = sum (-1)^(k-1) (q-1)^k / k, finite because q - 1 has no constant term."""
-    if q.coefficient(EMPTY_WORD) != 1:
-        raise ValueError("log requires a series with constant term 1")
-    r = q - TruncatedSeries.one(q.degree, q.mode)
-    result = TruncatedSeries.zero(q.degree, q.mode)
-    power = TruncatedSeries.one(q.degree, q.mode)
-    k = 0
-    while True:
-        k += 1
-        power = power * r
-        if power.is_zero():
-            return result
-        sign = 1 if k % 2 == 1 else -1
-        inv = Fraction(sign, k) if q.mode == EXACT else sign / k
-        result = result + power.scale(inv)
-
-
-def project_jm(p: TruncatedSeries, m: int) -> TruncatedSeries:
-    """Drop every word of scaled degree > m.  Requires m <= p.degree."""
-    if m > p.degree:
-        raise TruncationError(f"cannot project to {m} above truncation {p.degree}")
-    kept = {w: a for w, a in p._coeffs.items() if w.scaled_degree <= m}
-    return TruncatedSeries(kept, p.degree, p.mode)
-
-
-def _sqrt_fraction(s: Fraction) -> Fraction:
-    num, den = s.numerator, s.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise ValueError(f"{s} is not a perfect square; use float mode for irrational rescaling")
-    return Fraction(rn, rd)
-
-
-def rescale_psi(p: TruncatedSeries, s: Scalar) -> TruncatedSeries:
-    """Multiply each homogeneous component of scaled degree k by s^(k/2)."""
-    if p.mode == EXACT:
-        s = _coerce(s, EXACT)
-        if s < 0:
-            raise ValueError("rescaling factor must be positive")
-        root = _sqrt_fraction(s)
-        factors = {k: s ** (k // 2) * (root if k % 2 else 1) for k in range(p.degree + 1)}
-    else:
-        s = float(s)
-        if s < 0:
-            raise ValueError("rescaling factor must be positive")
-        factors = {k: s ** (k / 2.0) for k in range(p.degree + 1)}
-    return TruncatedSeries(
-        {w: a * factors[w.scaled_degree] for w, a in p._coeffs.items()}, p.degree, p.mode
-    )
-
-
-def inner(p: TruncatedSeries, q: TruncatedSeries) -> Scalar:
-    """Euclidean pairing sum_w (p, w)(q, w) over the shared word basis."""
-    p._check_compatible(q)
-    small, large = (p, q) if len(p._coeffs) <= len(q._coeffs) else (q, p)
-    acc = Fraction(0) if p.mode == EXACT else 0.0
-    for w, a in small._coeffs.items():
-        b = large._coeffs.get(w)
-        if b is not None:
-            acc += a * b
-    return acc
-
-
-def norm2(p: TruncatedSeries) -> float:
-    return math.sqrt(float(inner(p, p)))
-
-
-class LieElement:
-    """A truncated series known, by construction, to be a Lie series.
-
-    Built from letters, linear combinations, brackets, and the BCH product;
-    those operations preserve the Lie property, which is not re-checked.
-    """
-
-    __slots__ = ("series",)
-
-    def __init__(self, series: TruncatedSeries):
-        object.__setattr__(self, "series", series)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LieElement is immutable")
-
-    @classmethod
-    def letter(cls, i: int, degree: int, mode: str = EXACT) -> "LieElement":
-        return cls(TruncatedSeries.letter(i, degree, mode))
-
-    @classmethod
-    def zero(cls, degree: int, mode: str = EXACT) -> "LieElement":
-        return cls(TruncatedSeries.zero(degree, mode))
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        return LieElement(self.series + other.series)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return LieElement(self.series - other.series)
-
-    def scale(self, c: Scalar) -> "LieElement":
-        return LieElement(self.series.scale(c))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LieElement) and self.series == other.series
-
-    def __hash__(self) -> int:
-        return hash(self.series)
-
-    def __repr__(self) -> str:
-        return f"LieElement({self.series!r})"
-
-
-def bracket(x: LieElement, y: LieElement) -> LieElement:
-    """[x, y] = xy - yx."""
-    return LieElement(x.series * y.series - y.series * x.series)
-
-
-def bch(z2: LieElement, z1: LieElement) -> LieElement:
-    """The product log(exp(z2) exp(z1)); a Lie element by Baker-Campbell-Hausdorff."""
-    return LieElement(log(exp(z2.series) * exp(z1.series)))
+        result = result + power.scale(Fraction(1, math.factorial(k)))

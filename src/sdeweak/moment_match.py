@@ -14,11 +14,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .freealg import EXACT, FLOAT, TruncatedSeries, Word, words_up_to
+from .freealg import TruncatedSeries, Word, exp, words_up_to
 
 Matrix = tuple[tuple, ...]
 
@@ -60,11 +61,48 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def _pairs(M: int) -> list[tuple[int, int]]:
+    """The index pairs i <= j of an M x M symmetric matrix, in row order."""
+    return [(i, j) for i in range(M) for j in range(i, M)]
+
+
+@lru_cache(maxsize=None)
+def _pairing_counts(powers: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """Every pairing-count matrix for ``powers``, as (d, prod d_ij!, sum d_ii).
+
+    d lists the symmetric nonnegative integer matrix (d_ij) over
+    :func:`_pairs` and satisfies the row condition
+    sum_{j<i} d_ji + 2 d_ii + sum_{j>i} d_ij = m_i.  Matrices come depth
+    first, each d_ij ascending; odd total degree admits none.
+    """
+    pairs = _pairs(len(powers))
+    out = []
+
+    def assign(k: int, remaining: list[int], dvec: list[int]) -> None:
+        if k == len(pairs):
+            if not any(remaining):
+                diag = sum(dv for (i, j), dv in zip(pairs, dvec) if i == j)
+                out.append((tuple(dvec), math.prod(math.factorial(dv) for dv in dvec), diag))
+            return
+        i, j = pairs[k]
+        top = remaining[i] // 2 if i == j else min(remaining[i], remaining[j])
+        for dval in range(top + 1):
+            remaining[i] -= 2 * dval if i == j else dval
+            if i != j:
+                remaining[j] -= dval
+            assign(k + 1, remaining, dvec + [dval])
+            remaining[i] += 2 * dval if i == j else dval
+            if i != j:
+                remaining[j] += dval
+
+    assign(0, list(powers), [])
+    return tuple(out)
+
+
 def gaussian_moment(spec: GaussianSpec, powers: Sequence[int]) -> Fraction | float:
     """E[Y_1^m_1 ... Y_M^m_M] by the closed-form sum over pairing-count matrices.
 
-    The sum runs over symmetric nonnegative integer matrices (d_ij), i <= j,
-    with row condition sum_{j<i} d_ji + 2 d_ii + sum_{j>i} d_ij = m_i; each
+    The sum runs over the matrices of :func:`_pairing_counts`; each
     contributes 2^(-sum d_ii) * prod(m_i!) / prod(d_ij!) * prod R_ij^d_ij.
     Odd total degree gives 0 by symmetry.
     """
@@ -75,40 +113,19 @@ def gaussian_moment(spec: GaussianSpec, powers: Sequence[int]) -> Fraction | flo
         raise ValueError(f"powers length {M} does not match covariance size {spec.M}")
     if any(p < 0 for p in m):
         raise ValueError("powers must be nonnegative")
-    if sum(m) % 2 == 1:
-        return Fraction(0) if _is_exact(itertools.chain.from_iterable(cov)) else 0.0
-
-    pairs = [(i, j) for i in range(M) for j in range(i, M)]
+    pairs = _pairs(M)
     numer = math.prod(math.factorial(p) for p in m)
     exact = _is_exact(itertools.chain.from_iterable(cov))
     total = Fraction(0) if exact else 0.0
-
-    def assign(k: int, remaining: list[int], dfact: int, diag: int, rprod) -> None:
-        nonlocal total
-        if k == len(pairs):
-            if all(r == 0 for r in remaining):
-                coeff = Fraction(numer, dfact * 2**diag) if exact else numer / (dfact * 2.0**diag)
-                total += coeff * rprod
-            return
-        i, j = pairs[k]
-        if i == j:
-            top = remaining[i] // 2
-        else:
-            top = min(remaining[i], remaining[j])
-        r = cov[i][j]
-        val = 1
-        for d in range(top + 1):
-            remaining[i] -= 2 * d if i == j else d
-            if i != j:
-                remaining[j] -= d
-            assign(k + 1, remaining, dfact * math.factorial(d), diag + (d if i == j else 0),
-                   rprod * val)
-            remaining[i] += 2 * d if i == j else d
-            if i != j:
-                remaining[j] += d
-            val = val * r
-
-    assign(0, list(m), 1, 0, Fraction(1) if exact else 1.0)
+    for dvec, dfact, diag in _pairing_counts(m):
+        coeff = Fraction(numer, dfact * 2**diag) if exact else numer / (dfact * 2.0**diag)
+        rprod = Fraction(1) if exact else 1.0
+        for (i, j), d in zip(pairs, dvec):
+            val = 1
+            for _ in range(d):
+                val = val * cov[i][j]
+            rprod = rprod * val
+        total += coeff * rprod
     return total
 
 
@@ -116,8 +133,9 @@ def gaussian_moment_pairings(spec: GaussianSpec, powers: Sequence[int]) -> Fract
     """Brute-force Isserlis oracle: sum over perfect matchings of the product terms.
 
     Enumerates every pairing of the multiset {Y_i repeated m_i times} and sums
-    the products of pairwise covariances.  Exponential cost; intended for
-    small total degree in tests and as the substitution rule of
+    the products of pairwise covariances.  Exponential cost; it shares no code
+    with :func:`gaussian_moment`, so it is the independent reference the
+    closed form is tested against, and the substitution rule of
     :func:`symbolic_expectation`.
     """
     cov = spec.covariance
@@ -152,6 +170,10 @@ def _is_exact(values) -> bool:
 
 UPPER = "upper"
 LOWER = "lower"
+
+# the scalar modes of a parameter set: Fraction arithmetic or floats
+EXACT = "exact"
+FLOAT = "float"
 
 
 @dataclass(frozen=True)
@@ -347,77 +369,72 @@ def target_coefficient(w: Word) -> Fraction:
 # Symbolic expectation (the brute-force oracle)
 # ---------------------------------------------------------------------------
 
-# A monomial in the Gaussian symbols S^i_j is a sorted tuple of (i, j) pairs
-# with multiplicity; a polynomial maps monomials to scalar coefficients.
-_Monomial = tuple[tuple[int, int], ...]
-_Poly = dict[_Monomial, Fraction]
+class _Poly:
+    """A polynomial in the Gaussian symbols S^i_j, the oracle's coefficient ring.
 
+    A monomial is the sorted tuple of its (i, j) factors, with multiplicity.
+    Sums and products keep terms in the order they are formed, so float
+    coefficients are always combined in the same order.
+    """
 
-def _poly_mul(a: _Poly, b: _Poly) -> _Poly:
-    out: _Poly = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            key = tuple(sorted(ma + mb))
-            out[key] = out.get(key, 0) + ca * cb
-    return out
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __bool__(self) -> bool:
+        return any(self.terms.values())
+
+    def __add__(self, other: "_Poly") -> "_Poly":
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            out[mono] = out.get(mono, 0) + c
+        return _Poly(out)
+
+    def __radd__(self, zero) -> "_Poly":
+        return self  # 0 + p: the start of a series coefficient's sum
+
+    def __mul__(self, other) -> "_Poly":
+        if not isinstance(other, _Poly):  # a scalar, commuting with every coefficient
+            return _Poly({mono: c * other for mono, c in self.terms.items()})
+        out = {}
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                key = tuple(sorted(ma + mb))
+                out[key] = out.get(key, 0) + ca * cb
+        return _Poly(out)
+
+    __rmul__ = __mul__
 
 
 def symbolic_expectation(params: SchemeParams, m: int, d: int) -> TruncatedSeries:
     """E[j_m(exp(Z_1) exp(Z_2))] by full symbolic expansion.
 
-    Expands the product of exponentials with the S^i_j kept as symbols, then
-    replaces every symbol monomial by its Gaussian moment computed by
-    brute-force pairing enumeration.  Exponentially slower than
-    :func:`scheme_coefficient`, and deliberately independent of it: this is
-    the oracle the closed form is tested against.
+    Expands exp(Z_1) exp(Z_2) as a series over :class:`_Poly`, with the
+    S^i_j kept as symbols, then replaces every symbol monomial by its
+    Gaussian moment computed by brute-force pairing enumeration.
+    Exponentially slower than :func:`scheme_coefficient`, and deliberately
+    independent of it and of :func:`gaussian_moment`: this is the oracle the
+    closed form is tested against.
     """
     exact = params.is_exact
     one = Fraction(1) if exact else 1.0
 
-    def z_series(j: int) -> dict[Word, _Poly]:
-        out: dict[Word, _Poly] = {Word((0,)): {(): params.c[j] * one}}
+    def z(j: int) -> TruncatedSeries:
+        terms = {Word((0,)): _Poly({(): params.c[j] * one})}
         for i in range(1, d + 1):
-            out[Word((i,))] = {((i, j + 1),): one}
-        return out
+            terms[Word((i,))] = _Poly({((i, j + 1),): one})
+        return TruncatedSeries({w: a for w, a in terms.items() if w.scaled_degree <= m}, m)
 
-    def series_mul(a: dict[Word, _Poly], b: dict[Word, _Poly]) -> dict[Word, _Poly]:
-        out: dict[Word, _Poly] = {}
-        for wa, pa in a.items():
-            da = wa.scaled_degree
-            for wb, pb in b.items():
-                if da + wb.scaled_degree > m:
-                    continue
-                w = wa * wb
-                prod = _poly_mul(pa, pb)
-                if w in out:
-                    tgt = out[w]
-                    for mono, coeff in prod.items():
-                        tgt[mono] = tgt.get(mono, 0) + coeff
-                else:
-                    out[w] = prod
-        return out
-
-    def series_exp(z: dict[Word, _Poly]) -> dict[Word, _Poly]:
-        result: dict[Word, _Poly] = {Word(()): {(): one}}
-        power: dict[Word, _Poly] = {Word(()): {(): one}}
-        for k in range(1, m + 1):
-            power = series_mul(power, z)
-            if not power:
-                break
-            inv = Fraction(1, math.factorial(k)) if exact else 1.0 / math.factorial(k)
-            for w, poly in power.items():
-                tgt = result.setdefault(w, {})
-                for mono, coeff in poly.items():
-                    tgt[mono] = tgt.get(mono, 0) + coeff * inv
-        return result
-
-    product = series_mul(series_exp(z_series(0)), series_exp(z_series(1)))
+    product = exp(z(0)) * exp(z(1))
     spec = params.gaussian_spec
 
     coeffs: dict[Word, Fraction | float] = {}
     for w, poly in product.items():
+        if not isinstance(poly, _Poly):  # the empty word, exp's unit squared
+            poly = _Poly({(): poly})
         acc = Fraction(0) if exact else 0.0
-        for mono, coeff in poly.items():
+        for mono, coeff in poly.terms.items():
             if coeff == 0:
                 continue
             factor = one
@@ -430,9 +447,8 @@ def symbolic_expectation(params: SchemeParams, m: int, d: int) -> TruncatedSerie
                 factor *= mom
             if factor != 0:
                 acc += coeff * factor
-        if acc != 0:
-            coeffs[w] = acc
-    return TruncatedSeries(coeffs, m, params.mode)
+        coeffs[w] = acc
+    return TruncatedSeries(coeffs, m, Fraction(0) if exact else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +473,6 @@ def moment_residuals(params: SchemeParams, m: int, d: int) -> dict[Word, object]
     return {w: r for w, _, _, r in residual_table(params, m, d)}
 
 
-def max_residual(params: SchemeParams, m: int, d: int) -> float:
-    return max(abs(float(r)) for r in moment_residuals(params, m, d).values())
-
-
 # ---------------------------------------------------------------------------
 # Best-effort infeasibility searches
 # ---------------------------------------------------------------------------
@@ -482,7 +494,7 @@ class _ResidualPolynomial:
         self.m = m
         self.M = M
         self.d = d
-        pairs = [(i, j) for i in range(M) for j in range(i, M)]
+        pairs = _pairs(M)
         self.nvars = M + len(pairs)
         pair_index = {p: M + k for k, p in enumerate(pairs)}
 
@@ -503,8 +515,12 @@ class _ResidualPolynomial:
                 c_exp = [0] * self.nvars
                 for j in range(M):
                     c_exp[j] = _segment_counts(letters, k, 0)[j]
-                per_letter = [self._moment_terms(_segment_counts(letters, k, p), pairs)
-                              for p in brownian]
+                per_letter = []
+                for p in brownian:
+                    powers = _segment_counts(letters, k, p)
+                    numer = math.prod(math.factorial(q) for q in powers)
+                    per_letter.append([(numer / (dfact * 2.0**diag), dvec)
+                                       for dvec, dfact, diag in _pairing_counts(powers)])
                 for combo in itertools.product(*per_letter):
                     e = list(c_exp)
                     const = base
@@ -519,35 +535,6 @@ class _ResidualPolynomial:
         self.exps = np.asarray(exps, dtype=np.int64)
         self.word_ids = np.asarray(word_ids, dtype=np.int64)
         self.targets = np.asarray([float(target_coefficient(w)) for w in words])
-
-    @staticmethod
-    def _moment_terms(powers: tuple[int, ...], pairs) -> list[tuple[float, tuple[int, ...]]]:
-        """Expansion of the Gaussian moment for `powers` as (constant, d_ij exponents)."""
-        if sum(powers) % 2 == 1:
-            return []
-        numer = math.prod(math.factorial(p) for p in powers)
-        out: list[tuple[float, tuple[int, ...]]] = []
-
-        def assign(k: int, remaining: list[int], dvec: list[int]) -> None:
-            if k == len(pairs):
-                if all(r == 0 for r in remaining):
-                    dfact = math.prod(math.factorial(dv) for dv in dvec)
-                    diag = sum(dv for (i, j), dv in zip(pairs, dvec) if i == j)
-                    out.append((numer / (dfact * 2.0**diag), tuple(dvec)))
-                return
-            i, j = pairs[k]
-            top = remaining[i] // 2 if i == j else min(remaining[i], remaining[j])
-            for dval in range(top + 1):
-                remaining[i] -= 2 * dval if i == j else dval
-                if i != j:
-                    remaining[j] -= dval
-                assign(k + 1, remaining, dvec + [dval])
-                remaining[i] += 2 * dval if i == j else dval
-                if i != j:
-                    remaining[j] += dval
-
-        assign(0, list(powers), [])
-        return out
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         terms = self.coeffs * np.prod(x[None, :] ** self.exps, axis=1)

@@ -159,18 +159,17 @@ def _first_nonfinite_stage(ks: list[np.ndarray]) -> int | None:
 
 
 def rk_step(integ: IntegrationScheme, W, y0: np.ndarray, s: float,
-            check: bool = True, step_index: int | None = None) -> np.ndarray:
+            step_index: int | None = None) -> np.ndarray:
     """One explicit step Y(y0; W, s) = y0 + s sum_i b_i W(Y_i).
 
     y0 may be a single state (N,) or a batch (P, N); W must broadcast
-    accordingly.  Neither y0 nor any output of W is written to.  With
-    check=True a non-finite value raises IntegrationFailure naming the first
-    non-finite stage, as if every stage were screened when evaluated.  The
-    screen runs once per step, on the result: a non-finite stage with a
-    nonzero weight always makes the result non-finite, so only zero-weight
-    stages are screened as they are evaluated.  A result that is non-finite
-    although every stage is finite (an overflowing sum) raises with stage
-    None.
+    accordingly.  Neither y0 nor any output of W is written to.  A non-finite
+    value raises IntegrationFailure naming the first non-finite stage, as if
+    every stage were screened when evaluated.  The screen runs once per step,
+    on the result: a non-finite stage with a nonzero weight always makes the
+    result non-finite, so only zero-weight stages are screened as they are
+    evaluated.  A result that is non-finite although every stage is finite
+    (an overflowing sum) raises with stage None.
     """
     y0 = np.asarray(y0, dtype=float)
     tmp = np.empty_like(y0)
@@ -178,29 +177,19 @@ def rk_step(integ: IntegrationScheme, W, y0: np.ndarray, s: float,
     for i, row in enumerate(integ._rows):
         ki = np.asarray(W(_combine(y0, ks, row, s, tmp)), dtype=float)
         ks.append(ki)
-        if check and i in integ._unweighted and not np.all(np.isfinite(ki)):
+        if i in integ._unweighted and not np.all(np.isfinite(ki)):
             raise IntegrationFailure(stage=_first_nonfinite_stage(ks), step=step_index)
     out = _combine(y0, ks, integ._weights, s, tmp)
-    if check and not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(out)):
         raise IntegrationFailure(stage=_first_nonfinite_stage(ks), step=step_index)
     return out
 
 
-def integrate(integ: IntegrationScheme, W, y0: np.ndarray, substeps: int = 1,
-              check: bool = True, step_index: int | None = None) -> np.ndarray:
-    """The time-1 flow approximation g(W)(y0), optionally split into substeps.
+def integrate(integ: IntegrationScheme, W, y0: np.ndarray,
+              step_index: int | None = None) -> np.ndarray:
+    """The time-1 flow approximation g(W)(y0): one step of size 1.
 
-    A single step is the scheme's defining form (the one-step error bound is
-    exactly what the splitting construction consumes); substeps > 1 exists for
-    diagnostics only.
+    A single step is the scheme's defining form; its one-step error bound is
+    exactly what the splitting construction consumes.
     """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    y = y0
-    h = 1.0 / substeps
-    for _ in range(substeps):
-        y = rk_step(integ, W, y, h, check=check, step_index=step_index)
-    return y
-
-
-DEFAULT_SCHEME_NAME = "rk5-butcher"
+    return rk_step(integ, W, y0, 1.0, step_index=step_index)

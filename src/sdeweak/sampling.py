@@ -135,12 +135,6 @@ def sobol_points(dim: int, start: int, count: int,
     return points.T
 
 
-def sobol_point(dim: int, index: int, path: str | None = None) -> np.ndarray:
-    """A single raw Sobol point; index 0 is the all-zeros point."""
-    V = _direction_matrix(dim, path)
-    return _gray_state(index, V).astype(np.float64) * _SOBOL_SCALE
-
-
 # ---------------------------------------------------------------------------
 # Philox pseudo-random stream
 # ---------------------------------------------------------------------------
@@ -206,9 +200,6 @@ class UniformSource:
             flat = philox_uniforms(self.seed, start * self.dimension, count * self.dimension)
             return flat.reshape(count, self.dimension)
         return sobol_points(self.dimension, self.skip + start, count)
-
-    def point(self, i: int) -> np.ndarray:
-        return self.block(i, 1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -238,15 +238,6 @@ def run_paths(plan: SchemeStepPlan, model: SDEModel, x0: Sequence[float], T: flo
     return x
 
 
-def run_path(plan: SchemeStepPlan, model: SDEModel, x0: Sequence[float], T: float,
-             uniforms: np.ndarray) -> np.ndarray:
-    """Single-path variant of :func:`run_paths`; uniforms has shape (dims,)."""
-    uniforms = np.asarray(uniforms, dtype=float)
-    if uniforms.ndim != 1:
-        raise ValueError("run_path expects a flat uniform vector")
-    return run_paths(plan, model, x0, T, uniforms[None, :])[0]
-
-
 def romberg(estimate_n: float, estimate_2n: float, p: int) -> float:
     """Cancel the leading 1/n^p error term of a weak order-p scheme.
 

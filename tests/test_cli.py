@@ -1,10 +1,17 @@
+import contextlib
+import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdeweak
 from sdeweak.cli import main
@@ -52,6 +59,38 @@ class TestVerifyMoments:
         with pytest.raises(SystemExit) as exc:
             main(["verify-moments", "--perturb", "c1=0.1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--m", "-1"], "--m must be an integer >= 1, got -1"),
+        (["--d", "-1"], "--d must be an integer >= 1, got -1"),
+        (["--m", "0"], "--m must be an integer >= 1, got 0"),
+        (["--d", "0"], "--d must be an integer >= 1, got 0"),
+    ], ids=["negative-m", "negative-d", "zero-m", "zero-d"])
+    def test_bad_argument_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "verify-moments", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"sdeweak verify-moments: error: {message}"]
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["--u", "5/8", "--branch", "lower"], 0,
+         "c9f4b4899c6cfebbac220cfc974a62570030673e2f71b7aa2405262a7dba3c08"),
+        (["--u", "5/8", "--branch", "upper"], 0,
+         "5d9412d943f17f58e4c7478355b71cfc781df863292ff5e336bd866b0894d311"),
+        # R_ij^3 terms: their rounding depends on how the power is formed
+        (["--u", "5/8", "--m", "8", "--d", "1"], 1,
+         "52eac8391dd1c60677cca460c438ae81d245f937144588bb1ef744fe705488a0"),
+        (["--u", "3/4", "--d", "3"], 0,
+         "db345ee7142a4caf6f675e36de35b40e3442309b7d1242947126a6f3e49cf5b4"),
+        (["--u", "3/4", "--m", "5", "--d", "6"], 0,
+         "ec06ecee37b526c214961d0c85ddb9f95085ea0ffc589fc6fe61c795a4e1414a"),
+    ], ids=["float-lower", "float-upper", "float-m8", "exact-d3", "exact-d6"])
+    def test_csv_bytes_pinned(self, capsys, argv, code, digest):
+        # sha256 of the CSV computed before the oracle and the moment
+        # recursion were rebuilt; the float cases pin rounding, not just values
+        got, out, _ = run_cli(capsys, "verify-moments", *argv)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerifyRkOrder:
@@ -221,11 +260,18 @@ class TestConverge:
         (lambda cfg: cfg.update(branch="middle"), "branch must be upper or lower, got 'middle'"),
         (lambda cfg: cfg.update(nn_tableau="rk9"), "nn_tableau: unknown tableau 'rk9'"),
         (lambda cfg: cfg.update(nv_tableau=[5]), "nv_tableau must be a tableau name, got [5]"),
+        (lambda cfg: cfg.update(cells=[{"scheme": "em", "n": 1e15, "samples": 10,
+                                        "mode": "mc"}]),
+         "out of memory: "),
+        (lambda cfg: cfg.update(cells=[{"scheme": "em", "n": 1e15, "samples": 10,
+                                        "mode": "qmc"}]),
+         "requested 2000000000000000 Sobol dimensions"),
     ], ids=["unknown-heston-key", "zero-samples", "non-integer-workers", "no-cells",
             "cell-not-object", "cells-not-list", "cell-without-n", "fractional-n", "boolean-n",
             "string-romberg", "unknown-scheme-romberg", "unknown-cell-key", "fractional-seed",
             "zero-sobol-skip", "unknown-top-level-key", "zero-denominator-u", "low-u",
-            "huge-u", "unknown-branch", "unknown-tableau", "non-string-tableau"])
+            "huge-u", "unknown-branch", "unknown-tableau", "non-string-tableau",
+            "huge-mc-n", "huge-qmc-n"])
     def test_bad_config_value_is_usage_error(self, capsys, config_file, edit, message):
         with open(config_file, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -308,3 +354,77 @@ class TestConverge:
         out = capsys.readouterr().out
         for name in ("verify-moments", "verify-rk-order", "price", "converge"):
             assert name in out
+
+
+# Generated converge configs: each key holds a valid value, or junk about one
+# time in eight, so runs that succeed, fail numerically and are rejected all
+# occur.  Sizes stay small (n <= 4, samples <= 64, workers <= 2), so no example
+# allocates much or starts many threads: junk numbers lie in [-2, 2], because an
+# integral float such as 1e300 is a valid count.
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.just({}),
+                  st.lists(st.integers(-1, 2), max_size=2), st.integers(-2, 0),
+                  st.floats(-2.0, 2.0), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def _or_junk(valid):
+    # junk on one value of eight; not on 0, which the simplest examples draw
+    return st.integers(0, 7).flatmap(lambda k: _JUNK if k == 5 else valid)
+
+
+def _grid(values):
+    return st.one_of(values, st.lists(values, min_size=1, max_size=2))
+
+
+def _or_unknown_key(mappings, key):
+    # the mapping with an unknown key added, about one time in eight
+    return st.tuples(mappings, st.integers(0, 7)).map(
+        lambda t: {**t[0], key: 1} if t[1] == 5 else t[0])
+
+
+_CELL = _or_unknown_key(st.fixed_dictionaries(
+    {"scheme": _or_junk(st.sampled_from(["nn", "em", "nv"])),
+     "n": _or_junk(_grid(st.integers(1, 4))),
+     "samples": _or_junk(_grid(st.sampled_from([10, 20, 64, 7.0])))},
+    optional={"mode": _or_junk(st.sampled_from(["qmc", "mc"])),
+              "romberg": _or_junk(st.booleans())}), "steps")
+
+_HESTON = st.fixed_dictionaries({}, optional={
+    **{key: _or_junk(st.floats(0.01, 3.0)) for key in
+       ("mu", "theta", "beta", "x1", "x2", "T", "K")},
+    "alpha": _or_junk(st.one_of(st.floats(0.01, 3.0), st.just(1e80))),  # 1e80 is stiff
+    "rho": _or_junk(st.floats(-1.0, 1.0)),
+})
+
+_TABLEAU = _or_junk(st.sampled_from(["rk5-butcher", "rk7-butcher", "rk9"]))
+
+_CONFIGS = _or_unknown_key(st.fixed_dictionaries(
+    {"cells": _or_junk(st.lists(_or_junk(_CELL), min_size=1, max_size=2))},
+    optional={
+        "heston": _or_junk(_HESTON),
+        "u": _or_junk(st.sampled_from(["3/4", "1/2", "5/8", "2", 0.75, "1/0", "1e300"])),
+        "branch": _or_junk(st.sampled_from(["lower", "upper"])),
+        "nn_tableau": _TABLEAU,
+        "nv_tableau": _TABLEAU,
+        "seed": _or_junk(st.integers(0, 2**70)),
+        "sobol_skip": _or_junk(st.integers(1, 2**33)),
+        "reference": _or_junk(st.floats(0.0, 1.0)),
+        "workers": _or_junk(st.integers(1, 2)),
+    }), "sobol_skp")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_CONFIGS)
+def test_converge_exit_codes_on_generated_configs(config):
+    # whatever the config holds, converge ends in success (0), a usage error
+    # (2) or a numerical failure (3), each reported without a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["converge", "--config", str(path)])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code:
+        [line] = err.getvalue().splitlines()
+        assert line.startswith("sdeweak converge: ")

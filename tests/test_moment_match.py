@@ -1,9 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sdeweak import moment_match
 from sdeweak.freealg import Word, words_up_to
 from sdeweak.moment_match import (
     DEFAULT_PARAMS,
@@ -15,7 +17,6 @@ from sdeweak.moment_match import (
     gaussian_moment,
     gaussian_moment_pairings,
     infeasibility_search,
-    max_residual,
     moment_residuals,
     scheme_coefficient,
     single_factor_search,
@@ -172,6 +173,40 @@ class TestSymbolicExpectation:
                 assert s.coefficient(w) == scheme_coefficient(params, w), str(w)
 
 
+    def test_independent_of_the_closed_form(self, monkeypatch):
+        # the oracle is what the closed form is checked against, so it must
+        # not reach the closed form or its pairing-count recursion
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached the closed form")
+
+        for name in ("product_coefficient", "scheme_coefficient", "gaussian_moment",
+                     "_pairing_counts"):
+            monkeypatch.setattr(moment_match, name, forbidden)
+        s = symbolic_expectation(DEFAULT_PARAMS, 4, 2)
+        assert s.coefficient(Word((1, 1))) == Fraction(1, 2)
+
+    # the reprs of the float oracle's coefficients, computed before it was
+    # rebuilt on TruncatedSeries; a reordered float sum changes them
+    FLOAT_LOWER = {
+        "1": "1.0", "v0": "1.0", "v1.v1": "0.5", "v2.v2": "0.5", "v3.v3": "0.5",
+        "v0.v0": "0.5000000000000001", "v0.v1.v1": "0.25", "v0.v2.v2": "0.25",
+        "v0.v3.v3": "0.25", "v1.v0.v1": "1.3877787807814457e-17", "v1.v1.v0": "0.25",
+        "v2.v0.v2": "1.3877787807814457e-17", "v2.v2.v0": "0.25",
+        "v3.v0.v3": "1.3877787807814457e-17", "v3.v3.v0": "0.25",
+        **{f"v{i}.v{i}.v{j}.v{j}": "0.125" for i in (1, 2, 3) for j in (1, 2, 3)},
+    }
+
+    def test_float_oracle_bits_pinned(self):
+        s = symbolic_expectation(solution_params(Fraction(5, 8), LOWER), 5, 3)
+        got = {str(w): repr(s.coefficient(w)) for w in words_up_to(5, 3)}
+        assert len(got) == 516
+        assert {w: r for w, r in got.items() if r != "0.0"} == self.FLOAT_LOWER
+        s = symbolic_expectation(solution_params(Fraction(5, 8), UPPER), 5, 3)
+        text = "\n".join(f"{w},{s.coefficient(w)!r}" for w in words_up_to(5, 3))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0e83edd6b0d559b13a73d1b352cc868d2f2767b371766a6c00407da3134335c8")
+
+
 class TestMomentResiduals:
     def test_exact_zero_at_level_five(self):
         res = moment_residuals(DEFAULT_PARAMS, 5, 2)
@@ -181,10 +216,11 @@ class TestMomentResiduals:
         for u in (Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2)):
             for branch in (UPPER, LOWER):
                 params = solution_params(u, branch)
+                worst = max(abs(r) for r in moment_residuals(params, 5, 2).values())
                 if params.is_exact:
-                    assert max_residual(params, 5, 2) == 0, (u, branch)
+                    assert worst == 0, (u, branch)
                 else:
-                    assert max_residual(params, 5, 2) <= 1e-12, (u, branch)
+                    assert worst <= 1e-12, (u, branch)
 
     def test_perturbed_r12_shows_in_brownian_square(self):
         params = DEFAULT_PARAMS.perturbed(r12=Fraction(1, 10))
@@ -198,7 +234,7 @@ class TestMomentResiduals:
 
     def test_residuals_nonzero_off_family(self):
         params = DEFAULT_PARAMS.perturbed(r22=Fraction(1, 5))
-        assert max_residual(params, 5, 2) > 0
+        assert any(r != 0 for r in moment_residuals(params, 5, 2).values())
 
 
 class TestResidualPolynomial:

@@ -9,7 +9,6 @@ from sdeweak.rk_integrator import (
     IntegrationScheme,
     VectorField,
     builtin_tableau,
-    integrate,
     rk_step,
     scheme,
 )
@@ -208,12 +207,3 @@ class TestConvergenceOrder:
         e7 = [rotation_error(RK7, n) for n in ns]
         assert decay_slope(ns, e5) >= 4.8
         assert decay_slope(ns, e7) >= 6.7
-
-    def test_substepping_helper(self):
-        one = integrate(RK5, ROTATE, np.array([1.0, 0.0]), substeps=4)
-        manual = np.array([1.0, 0.0])
-        for _ in range(4):
-            manual = rk_step(RK5, ROTATE, manual, 0.25)
-        assert np.array_equal(one, manual)
-        with pytest.raises(ValueError):
-            integrate(RK5, ROTATE, np.array([1.0, 0.0]), substeps=0)

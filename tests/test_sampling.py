@@ -23,7 +23,6 @@ from sdeweak.sampling import (
     load_direction_numbers,
     philox_raw,
     philox_uniforms,
-    sobol_point,
     sobol_points,
 )
 
@@ -78,7 +77,7 @@ class TestSobol:
         assert sobol_points(1, 1, 3).ravel().tolist() == [0.5, 0.75, 0.25]
 
     def test_index_zero_is_origin(self):
-        assert np.all(sobol_point(5, 0) == 0.0)
+        assert np.all(sobol_points(5, 0, 1) == 0.0)
 
     def test_dyadic_interval_property_on_aligned_blocks(self):
         # every aligned block of 2^k consecutive indices hits each dyadic
@@ -165,7 +164,7 @@ class TestPhilox:
         src = UniformSource(PSEUDO, dimension=5, seed=3)
         block = src.block(0, 8)
         assert block.shape == (8, 5)
-        assert np.array_equal(block[6], src.point(6))
+        assert np.array_equal(block[6], src.block(6, 1)[0])
         assert np.array_equal(block.ravel(), philox_uniforms(3, 0, 40))
 
     def test_seeds_differ(self):

@@ -17,7 +17,6 @@ from sdeweak.schemes import (
     nn_step,
     nv_step,
     romberg,
-    run_path,
     run_paths,
 )
 
@@ -231,7 +230,7 @@ class TestRunPaths:
         model = planar_drift_model()
         plan = SchemeStepPlan(NN, 1, params=DEFAULT_PARAMS, integrator=RK5)
         assert plan.uniform_dimension(model) == 4
-        run_path(plan, model, [1.0, 0.0], 1.0, np.full(4, 0.5))
+        run_paths(plan, model, [1.0, 0.0], 1.0, np.full((1, 4), 0.5))
 
     def test_em_consumes_dn(self):
         model = planar_drift_model()
@@ -247,7 +246,7 @@ class TestRunPaths:
         model = planar_drift_model()
         plan = SchemeStepPlan(EM, 3)
         with pytest.raises(ValueError):
-            run_path(plan, model, [1.0, 0.0], 1.0, np.full(5, 0.5))
+            run_paths(plan, model, [1.0, 0.0], 1.0, np.full((1, 5), 0.5))
 
     def test_replay_is_identical(self):
         model = linear_model()
@@ -266,7 +265,8 @@ class TestRunPaths:
             src = UniformSource(PSEUDO, plan.uniform_dimension(model), seed=17)
             block = src.block(0, 5)
             batch = run_paths(plan, model, [1.0], 1.0, block)
-            singles = np.vstack([run_path(plan, model, [1.0], 1.0, row) for row in block])
+            singles = np.vstack([run_paths(plan, model, [1.0], 1.0, row[None, :])
+                                 for row in block])
             assert np.allclose(batch, singles, atol=0, rtol=0), kind
 
     def test_block_layout_does_not_change_bits(self):
