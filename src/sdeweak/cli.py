@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .heston_bench import (
     BenchConfig,
-    BenchmarkResult,
     Cell,
     HestonParams,
     REFERENCE_PRICE,
@@ -33,6 +32,7 @@ from .moment_match import FLOAT, UPPER, LOWER, residual_table, solution_params
 from .rk_trees import ButcherTableau, check_order
 from .rk_integrator import IntegrationFailure, builtin_tableau
 from .sampling import MC, QMC
+from .schemes import KINDS
 
 FLOAT_TOL = 1e-12
 
@@ -78,12 +78,8 @@ def _perturbation(text: str) -> tuple[str, Fraction]:
     return key, _fraction(val.strip())
 
 
-def _open_out(path: str | None):
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
-
-
 def _emit(lines, path: str | None) -> None:
-    out = _open_out(path)
+    out = open(path, "w", encoding="utf-8") if path else sys.stdout
     try:
         for line in lines:
             print(line, file=out)
@@ -156,32 +152,40 @@ def cmd_verify_rk(args) -> int:
 
 
 _HESTON_KEYS = tuple(f.name for f in fields(HestonParams))
+#: QMC cannot draw more points than the Sobol index space holds
+_MAX_SAMPLES = 1 << 32
+
+
+def _check_keys(data: dict, allowed: tuple[str, ...], label: str) -> None:
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {label} {', '.join(unknown)}; "
+                         f"expected a subset of {', '.join(allowed)}")
 
 
 def _heston_from_mapping(data: dict) -> HestonParams:
     if not isinstance(data, dict):
         raise ValueError("heston must be a JSON object")
-    unknown = sorted(set(data) - set(_HESTON_KEYS))
-    if unknown:
-        raise ValueError(f"unknown heston key(s) {', '.join(unknown)}; "
-                         f"expected a subset of {', '.join(_HESTON_KEYS)}")
+    _check_keys(data, _HESTON_KEYS, "heston key(s)")
     for key, value in data.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"heston {key} must be a number, got {value!r}")
     return HestonParams(**data)
 
 
-def _count(value, what: str, least: int = 1) -> int:
-    """An integer >= least from the command line or a JSON config (2e5 is accepted)."""
+def _count(value, what: str, least: int = 1, most: int | None = None) -> int:
+    """An integer in [least, most] from the command line or a JSON config (2e5 is accepted)."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral or value < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{what} must be <= {most}, got {value!r}")
     return int(value)
 
 
-def _counts(value, what: str) -> list[int]:
+def _counts(value, what: str, most: int | None = None) -> list[int]:
     """One count or a list of counts (a cell's grid axis)."""
-    return [_count(v, what) for v in (value if isinstance(value, list) else [value])]
+    return [_count(v, what, most=most) for v in (value if isinstance(value, list) else [value])]
 
 
 def _load_config(path: str | None) -> dict:
@@ -210,20 +214,19 @@ def _reference(raw: dict, heston: HestonParams) -> float | None:
     if "reference" not in raw:
         return REFERENCE_PRICE if heston == HestonParams() else None
     value = raw["reference"]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"reference must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            not abs(value) <= sys.float_info.max:
+        raise ValueError(f"reference must be a finite number, got {value!r}")
     return float(value)
 
 
 _CONFIG_KEYS = ("heston", "u", "branch", "nn_tableau", "nv_tableau", "seed", "sobol_skip",
                 "reference", "workers", "cells")
+_FLAG_KEYS = ("u", "branch", "seed", "sobol_skip", "workers")
 
 
 def _config_from_mapping(raw: dict, args) -> BenchConfig:
-    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ValueError(f"unknown config key(s) {', '.join(unknown)}; "
-                         f"expected a subset of {', '.join(_CONFIG_KEYS)}")
+    _check_keys(raw, _CONFIG_KEYS, "config key(s)")
     branch = raw.get("branch", LOWER)
     if branch not in (UPPER, LOWER):
         raise ValueError(f"branch must be {UPPER} or {LOWER}, got {branch!r}")
@@ -240,19 +243,8 @@ def _config_from_mapping(raw: dict, args) -> BenchConfig:
         workers=raw.get("workers"),
     )
     # explicit flags override the file
-    overrides = {}
-    if getattr(args, "u", None) is not None:
-        overrides["u"] = args.u
-    if getattr(args, "branch", None) is not None:
-        overrides["branch"] = args.branch
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "sobol_skip", None) is not None:
-        overrides["sobol_skip"] = args.sobol_skip
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    cfg = replace(cfg, **{key: getattr(args, key) for key in _FLAG_KEYS
+                          if getattr(args, key) is not None})
     cfg = replace(cfg, seed=_count(cfg.seed, "seed", least=0),
                   sobol_skip=_count(cfg.sobol_skip, "sobol_skip"))
     if cfg.workers is not None:
@@ -266,11 +258,11 @@ def _reference_text(reference: float | None) -> str:
 
 def cmd_price(args) -> int:
     config = _config_from_mapping(_load_config(args.config), args)
-    cell = Cell(args.scheme, args.n, _count(args.samples, "--samples"), args.mode,
+    cell = Cell(args.scheme, _count(args.n, "--n"),
+                _count(args.samples, "--samples", most=_MAX_SAMPLES), args.mode,
                 use_romberg=args.romberg)
-    result = BenchmarkResult(config.reference, (price_cell(config, cell),))
-    _emit(result_rows(result, timings=args.timings), args.out)
-    c = result.cells[0]
+    c = price_cell(config, cell)
+    _emit(result_rows((c,), timings=args.timings), args.out)
     err = "n/a" if c.error is None else f"{c.error:.3e}"
     print(f"price: {c.kind} n={c.partitions} M={c.samples} {c.mode}"
           f"{' +romberg' if c.use_romberg else ''} estimate={c.estimate:.10f} "
@@ -280,23 +272,19 @@ def cmd_price(args) -> int:
 
 
 _CELL_KEYS = ("scheme", "n", "samples", "mode", "romberg")
-_SCHEMES = ("nn", "em", "nv")
 
 
 def _cell_grid(item) -> list[Cell]:
     """The cells of one config entry: every n crossed with every sample count."""
     if not isinstance(item, dict):
         raise ValueError(f"a cell must be a JSON object, got {item!r}")
-    unknown = sorted(set(item) - set(_CELL_KEYS))
-    if unknown:
-        raise ValueError(f"unknown key(s) {', '.join(unknown)}; "
-                         f"expected a subset of {', '.join(_CELL_KEYS)}")
+    _check_keys(item, _CELL_KEYS, "key(s)")
     missing = [key for key in ("scheme", "n", "samples") if key not in item]
     if missing:
         raise ValueError(f"missing key(s) {', '.join(missing)}")
     scheme = item["scheme"]
-    if scheme not in _SCHEMES:
-        raise ValueError(f"scheme must be one of {', '.join(_SCHEMES)}, got {scheme!r}")
+    if scheme not in KINDS:
+        raise ValueError(f"scheme must be one of {', '.join(KINDS)}, got {scheme!r}")
     mode = item.get("mode", QMC)
     if mode not in (QMC, MC):
         raise ValueError(f"mode must be {QMC} or {MC}, got {mode!r}")
@@ -304,7 +292,8 @@ def _cell_grid(item) -> list[Cell]:
     if not isinstance(romberg, bool):
         raise ValueError(f"romberg must be true or false, got {romberg!r}")
     return [Cell(scheme, n, m, mode, use_romberg=romberg)
-            for n in _counts(item["n"], "n") for m in _counts(item["samples"], "samples")]
+            for n in _counts(item["n"], "n")
+            for m in _counts(item["samples"], "samples", most=_MAX_SAMPLES)]
 
 
 def _cells_from_mapping(raw: dict) -> list[Cell]:
@@ -326,10 +315,10 @@ def cmd_converge(args) -> int:
     raw = _load_config(args.config)
     config = _config_from_mapping(raw, args)
     cells = _cells_from_mapping(raw)
-    result = convergence_study(config, cells)
-    _emit(result_rows(result, timings=args.timings), args.out)
-    total = sum(c.seconds for c in result.cells)
-    print(f"converge: {len(result.cells)} cells, "
+    results = convergence_study(config, cells)
+    _emit(result_rows(results, timings=args.timings), args.out)
+    total = sum(c.seconds for c in results)
+    print(f"converge: {len(results)} cells, "
           f"reference={_reference_text(config.reference)} [{total:.1f}s]", file=sys.stderr)
     return 0
 
@@ -380,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write CSV here instead of stdout")
 
     pr = sub.add_parser("price", help="price the Asian option with one scheme setting")
-    pr.add_argument("--scheme", choices=_SCHEMES, required=True)
+    pr.add_argument("--scheme", choices=KINDS, required=True)
     pr.add_argument("--n", type=int, required=True, help="partitions (fine level for Romberg)")
     pr.add_argument("--romberg", action="store_true",
                     help="combine runs at n and n/2 at the scheme's weak order")

@@ -11,6 +11,7 @@ variance coordinate was seen negative.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -46,11 +47,14 @@ class HestonParams:
     K: float = 1.05
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past floats
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if min(self.mu, self.alpha, self.theta, self.beta, self.x1, self.x2, self.T) <= 0:
             raise ValueError("mu, alpha, theta, beta, x1, x2, T must be positive")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [-1, 1]")
-        if 2.0 * self.alpha * self.theta - self.beta**2 <= 0:
+        if 2.0 * self.alpha * self.theta - self.beta * self.beta <= 0:
             raise ValueError("Feller condition 2 alpha theta - beta^2 > 0 violated")
 
     @property
@@ -277,12 +281,6 @@ class CellResult:
     guard_fraction: float
 
 
-@dataclass(frozen=True)
-class BenchmarkResult:
-    reference: float | None
-    cells: tuple[CellResult, ...]
-
-
 def _make_plan(config: BenchConfig, kind: str, n: int) -> SchemeStepPlan:
     params = config.scheme_params().as_float() if kind == NN else None
     return SchemeStepPlan(kind, n, params=params, integrator=config.integrator(kind))
@@ -301,59 +299,54 @@ def _run_estimate(config: BenchConfig, model: SDEModel, plan: SchemeStepPlan,
         states = run_paths(plan, model, params.x0, params.T, uniforms)
         return asian_payoff(states, params)
 
-    reference = config.reference if mode == QMC else None
-    return estimate(payoff, source, samples, mode, reference=reference,
-                    workers=config.workers)
+    return estimate(payoff, source, samples, mode, workers=config.workers)
 
 
 def price_cell(config: BenchConfig, cell: Cell) -> CellResult:
-    """Run one cell, including the two-level Romberg combination when asked.
+    """Run one cell: one estimate per level, combined into the cell's value.
 
-    Romberg runs the coarse n/2 and fine n levels as separate estimates over
-    the same source kind and seed and combines them at the scheme's weak
-    order; MC error bars come from combining the levels batch by batch.
+    A plain cell has the one level n.  A Romberg cell runs the coarse n/2 and
+    fine n levels over the same source kind and seed and combines them at the
+    scheme's weak order; its MC error bar combines the levels batch by batch.
     """
     guard = GuardCounter()
     model = heston_model(config.heston, guard)
     t0 = time.perf_counter()
-    if not cell.use_romberg:
-        rep = _run_estimate(config, model, _make_plan(config, cell.kind, cell.partitions),
-                            cell.samples, cell.mode)
-        return CellResult(cell.kind, cell.partitions, cell.samples, cell.mode, False,
-                          rep.estimate, rep.error, time.perf_counter() - t0, guard.fraction)
+    n = cell.partitions
+    reports = [_run_estimate(config, model, _make_plan(config, cell.kind, k), cell.samples,
+                             cell.mode)
+               for k in ((n // 2, n) if cell.use_romberg else (n,))]
 
-    p = ROMBERG_ORDER[cell.kind]
-    coarse = _run_estimate(config, model, _make_plan(config, cell.kind, cell.partitions // 2),
-                           cell.samples, cell.mode)
-    fine = _run_estimate(config, model, _make_plan(config, cell.kind, cell.partitions),
-                         cell.samples, cell.mode)
-    combined = romberg(coarse.estimate, fine.estimate, p)
+    def combine(values):
+        return romberg(*values, ROMBERG_ORDER[cell.kind]) if cell.use_romberg else values[0]
+
+    value = combine([r.estimate for r in reports])
     if cell.mode == QMC:
-        err = abs(combined - config.reference) if config.reference is not None else None
+        error = None if config.reference is None else abs(value - config.reference)
     else:
-        per_batch = [romberg(c, f, p) for c, f in zip(coarse.batch_means, fine.batch_means)]
-        err = 2.0 * float(np.std(per_batch, ddof=1))
-    return CellResult(cell.kind, cell.partitions, cell.samples, cell.mode, True,
-                      combined, err, time.perf_counter() - t0, guard.fraction)
+        per_batch = [combine(b) for b in zip(*(r.batch_means for r in reports))]
+        error = 2.0 * float(np.std(per_batch, ddof=1))
+    return CellResult(cell.kind, n, cell.samples, cell.mode, cell.use_romberg, value, error,
+                      time.perf_counter() - t0, guard.fraction)
 
 
-def convergence_study(config: BenchConfig, cells: Sequence[Cell]) -> BenchmarkResult:
+def convergence_study(config: BenchConfig, cells: Sequence[Cell]) -> tuple[CellResult, ...]:
     """Run every cell in order; deterministic for a fixed config."""
-    return BenchmarkResult(config.reference, tuple(price_cell(config, c) for c in cells))
+    return tuple(price_cell(config, c) for c in cells)
 
 
 CSV_HEADER = "scheme,n,samples,mode,romberg,estimate,error"
 CSV_HEADER_TIMED = CSV_HEADER + ",seconds"
 
 
-def result_rows(result: BenchmarkResult, timings: bool = False) -> list[str]:
-    """CSV lines for a benchmark result.
+def result_rows(cells: Sequence[CellResult], timings: bool = False) -> list[str]:
+    """CSV lines for priced cells.
 
     Timings are volatile and excluded by default so that identical configs
     yield byte-identical output regardless of worker count or load.
     """
     lines = [CSV_HEADER_TIMED if timings else CSV_HEADER]
-    for c in result.cells:
+    for c in cells:
         err = "" if c.error is None else repr(c.error)
         row = (f"{c.kind},{c.partitions},{c.samples},{c.mode},"
                f"{int(c.use_romberg)},{c.estimate!r},{err}")

@@ -274,7 +274,11 @@ def solution_params(u, branch: str = LOWER) -> SchemeParams:
         c1, c2 = half, 1 - half
         r22 = 1 + u - root
         r12 = -u + half
-    return SchemeParams(u, branch, c1, c2, u, r12, r22)
+    try:
+        return SchemeParams(u, branch, c1, c2, u, r12, r22)
+    except ValueError:
+        # the family's identities hold exactly; only float rounding at a large u breaks them
+        raise ValueError(f"u is too large for the closed form in floats, got {u!r}") from None
 
 
 DEFAULT_PARAMS = solution_params(Fraction(3, 4), LOWER)
@@ -285,14 +289,22 @@ DEFAULT_PARAMS = solution_params(Fraction(3, 4), LOWER)
 # ---------------------------------------------------------------------------
 
 
-def _segment_counts(letters: tuple[int, ...], k: tuple[int, ...], letter: int) -> tuple[int, ...]:
-    """Occurrences of `letter` within each of the consecutive length-k_j segments."""
-    counts = []
-    pos = 0
-    for kj in k:
-        counts.append(sum(1 for r in range(pos, pos + kj) if letters[r] == letter))
-        pos += kj
-    return tuple(counts)
+def _splits(letters: tuple[int, ...], M: int):
+    """Every split of a word into M consecutive segments k_1 + ... + k_M = |w|.
+
+    Yields (prod k_j!, the v0 count per segment, and for each Brownian letter
+    in ascending order its count per segment).
+    """
+    brownian = sorted(set(letters) - {0})
+    for k in _compositions(len(letters), M):
+        segments = []
+        pos = 0
+        for kj in k:
+            segments.append(letters[pos:pos + kj])
+            pos += kj
+        yield (math.prod(math.factorial(kj) for kj in k),
+               tuple(seg.count(0) for seg in segments),
+               [tuple(seg.count(p) for seg in segments) for p in brownian])
 
 
 def product_coefficient(c: Sequence, spec: GaussianSpec, w: Word):
@@ -310,23 +322,19 @@ def product_coefficient(c: Sequence, spec: GaussianSpec, w: Word):
         raise ValueError("c and covariance sizes differ")
     exact = _is_exact(c) and _is_exact(itertools.chain.from_iterable(spec.covariance))
     zero = Fraction(0) if exact else 0.0
-    brownian = sorted({i for i in letters if i != 0})
-    for p in brownian:
-        if sum(1 for i in letters if i == p) % 2 == 1:
-            return zero
+    if any(letters.count(p) % 2 for p in set(letters) - {0}):
+        return zero
 
     total = zero
-    for k in _compositions(len(letters), M):
-        kfact = math.prod(math.factorial(kj) for kj in k)
+    for kfact, n0, per_letter in _splits(letters, M):
         term = Fraction(1, kfact) if exact else 1.0 / kfact
-        for j in range(M):
-            n0 = _segment_counts(letters, k, 0)[j]
-            if n0:
-                term *= c[j] ** n0
+        for cj, nj in zip(c, n0):
+            if nj:
+                term *= cj ** nj
         if term == 0:
             continue
-        for p in brownian:
-            mom = gaussian_moment(spec, _segment_counts(letters, k, p))
+        for powers in per_letter:
+            mom = gaussian_moment(spec, powers)
             if mom == 0:
                 term = zero
                 break
@@ -335,10 +343,8 @@ def product_coefficient(c: Sequence, spec: GaussianSpec, w: Word):
     return total
 
 
-def scheme_coefficient(params: SchemeParams, w: Word, d: int | None = None):
+def scheme_coefficient(params: SchemeParams, w: Word):
     """C(w) = <E[exp(Z_1) exp(Z_2)], w> for the two-factor scheme."""
-    if d is not None and any(i > d for i in w.letters):
-        raise ValueError(f"word {w} uses letters beyond v{d}")
     return product_coefficient(params.c, params.gaussian_spec, w)
 
 
@@ -491,11 +497,7 @@ class _ResidualPolynomial:
     """
 
     def __init__(self, m: int, M: int, d: int = 2):
-        self.m = m
-        self.M = M
-        self.d = d
         pairs = _pairs(M)
-        self.nvars = M + len(pairs)
         pair_index = {p: M + k for k, p in enumerate(pairs)}
 
         words = []
@@ -508,16 +510,11 @@ class _ResidualPolynomial:
         exps: list[list[int]] = []
         word_ids: list[int] = []
         for wi, w in enumerate(words):
-            letters = w.letters
-            brownian = sorted({i for i in letters if i != 0})
-            for k in _compositions(len(letters), M):
-                base = 1.0 / math.prod(math.factorial(kj) for kj in k)
-                c_exp = [0] * self.nvars
-                for j in range(M):
-                    c_exp[j] = _segment_counts(letters, k, 0)[j]
+            for kfact, n0, counts in _splits(w.letters, M):
+                base = 1.0 / kfact
+                c_exp = list(n0) + [0] * len(pairs)
                 per_letter = []
-                for p in brownian:
-                    powers = _segment_counts(letters, k, p)
+                for powers in counts:
                     numer = math.prod(math.factorial(q) for q in powers)
                     per_letter.append([(numer / (dfact * 2.0**diag), dvec)
                                        for dvec, dfact, diag in _pairing_counts(powers)])
@@ -641,25 +638,3 @@ def infeasibility_search(m: int, M: int, d: int = 2, starts: int = 24, iters: in
             best_x = _theta_to_x(theta, M)
     return best_val, best_x
 
-
-def single_factor_search(m: int = 5, d: int = 2, grid: int = 41) -> float:
-    """Best residual norm at level m with a single factor (M = 1).
-
-    Grid scan over (c_1, R_11) followed by local polishing of the best cells.
-    """
-    poly = _ResidualPolynomial(m, 1, d)
-
-    def objective(theta: np.ndarray) -> float:
-        c1, ell = theta
-        return poly.norm(np.array([c1, ell * ell]))
-
-    cells = []
-    for c1 in np.linspace(-1.0, 2.0, grid):
-        for ell in np.linspace(0.0, 2.0, grid):
-            cells.append((objective(np.array([c1, ell])), c1, ell))
-    cells.sort(key=lambda t: t[0])
-    best = cells[0][0]
-    for val, c1, ell in cells[:5]:
-        _, polished = _nelder_mead(objective, np.array([c1, ell]), scale=0.1, iters=300)
-        best = min(best, polished)
-    return best

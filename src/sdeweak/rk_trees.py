@@ -83,15 +83,11 @@ def trees_of_order(m: int) -> tuple[Tree, ...]:
     return tuple(sorted(set(found), key=lambda t: t._key))
 
 
-def enumerate_trees(max_order: int) -> list[tuple[Tree, ...]]:
-    """Trees grouped by order 1..max_order; one representative per isomorphism class."""
+def trees_up_to(max_order: int) -> list[Tree]:
+    """Trees of order 1..max_order, by order; one representative per isomorphism class."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    return [trees_of_order(m) for m in range(1, max_order + 1)]
-
-
-def trees_up_to(max_order: int) -> list[Tree]:
-    return [t for group in enumerate_trees(max_order) for t in group]
+    return [t for m in range(1, max_order + 1) for t in trees_of_order(m)]
 
 
 @lru_cache(maxsize=None)
@@ -120,11 +116,6 @@ def alpha(t: Tree) -> int:
     num, den = math.factorial(t.order), sigma(t) * _density(t)
     assert num % den == 0, t
     return num // den
-
-
-def r(t: Tree) -> int:
-    """Vertex count."""
-    return t.order
 
 
 # ---------------------------------------------------------------------------

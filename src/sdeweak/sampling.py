@@ -17,7 +17,6 @@ in any order, in parallel, with bit-identical results.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,9 +64,9 @@ def load_direction_numbers(path: str | Path | None = None) -> list[tuple[int, in
 
 
 @lru_cache(maxsize=4)
-def _direction_matrix(dim: int, path: str | None = None) -> np.ndarray:
+def _direction_matrix(dim: int) -> np.ndarray:
     """uint32 matrix V[bit, coordinate]; V[k] is the k-th direction number * 2^32."""
-    rows = load_direction_numbers(path)
+    rows = load_direction_numbers()
     if dim > len(rows) + 1:
         raise ValueError(
             f"requested {dim} Sobol dimensions; direction table supports {len(rows) + 1}"
@@ -103,8 +102,7 @@ def _gray_state(index: int, V: np.ndarray) -> np.ndarray:
     return x
 
 
-def sobol_points(dim: int, start: int, count: int,
-                 path: str | None = None) -> np.ndarray:
+def sobol_points(dim: int, start: int, count: int) -> np.ndarray:
     """Points start .. start+count-1 of the Sobol sequence, shape (count, dim).
 
     Gray-code order: consecutive states differ by one direction row, so a
@@ -117,7 +115,7 @@ def sobol_points(dim: int, start: int, count: int,
         raise ValueError("start and count must be nonnegative")
     if start + count > 1 << _SOBOL_BITS:
         raise ValueError("Sobol index space exhausted (2^32 points)")
-    V = _direction_matrix(dim, path)
+    V = _direction_matrix(dim)
     if count == 0:
         return np.empty((0, dim))
     # column 0 holds the first state, column 1 + k the k-th direction numbers
@@ -348,68 +346,48 @@ class EstimatorReport:
     estimate: float
     error: float | None
     samples: int
-    seconds: float
-    mode: str
     batch_means: tuple[float, ...] | None = None
 
 
-def _chunk_ranges(lo: int, hi: int, chunk: int) -> list[tuple[int, int]]:
-    return [(a, min(a + chunk, hi)) for a in range(lo, hi, chunk)]
-
-
 def estimate(payoff: Callable[[np.ndarray], np.ndarray], source: UniformSource, samples: int,
-             mode: str, reference: float | None = None, workers: int | None = None,
-             chunk: int = CHUNK) -> EstimatorReport:
+             mode: str, reference: float | None = None,
+             workers: int | None = None) -> EstimatorReport:
     """Average ``payoff`` over ``samples`` source points.
 
     payoff maps a uniform block (count, D) to a value vector (count,).  Points
     are processed in fixed chunks whose sums are reduced in index order, so the
     result is bit-identical for every worker count.  MC mode requires the
-    sample count to be divisible by the fixed batch count (10).
+    sample count to be divisible by the fixed batch count (10); QMC is one
+    batch.  With at most one worker the chunks run on the calling thread.
     """
     if mode not in (MC, QMC):
         raise ValueError(f"mode must be 'mc' or 'qmc', got {mode!r}")
     if mode == MC and samples % MC_BATCHES != 0:
         raise ValueError(f"MC sample count must be divisible by {MC_BATCHES}")
 
-    t0 = time.perf_counter()
-    if mode == MC:
-        batch = samples // MC_BATCHES
-        bounds = [(b * batch, (b + 1) * batch) for b in range(MC_BATCHES)]
-        ranges = [rg for lo, hi in bounds for rg in _chunk_ranges(lo, hi, chunk)]
-    else:
-        ranges = _chunk_ranges(0, samples, chunk)
+    batches = MC_BATCHES if mode == MC else 1
+    size = samples // batches
+    # no chunk straddles a batch, so every batch is the same number of chunks
+    ranges = [(a, min(a + CHUNK, lo + size))
+              for lo in range(0, samples, size) for a in range(lo, lo + size, CHUNK)]
 
-    sums = np.zeros(len(ranges))
-
-    def work(item):
-        k, (lo, hi) = item
+    def chunk_sum(rg: tuple[int, int]) -> float:
+        lo, hi = rg
         vals = payoff(source.block(lo, hi - lo))
-        return k, float(np.add.reduce(np.asarray(vals, dtype=float)))
+        return float(np.add.reduce(np.asarray(vals, dtype=float)))
 
     if workers is not None and workers <= 1:
-        for it in enumerate(ranges):
-            k, s = work(it)
-            sums[k] = s
+        sums = np.array([chunk_sum(rg) for rg in ranges])
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for k, s in pool.map(work, enumerate(ranges)):
-                sums[k] = s
+            sums = np.array(list(pool.map(chunk_sum, ranges)))
 
-    total = float(np.add.reduce(sums))
-    mean = total / samples
-    seconds = time.perf_counter() - t0
-
+    mean = float(np.add.reduce(sums)) / samples
     if mode == QMC:
-        err = abs(mean - reference) if reference is not None else None
-        return EstimatorReport(mean, err, samples, seconds, mode)
-
-    batch_means = []
-    pos = 0
-    for lo, hi in bounds:
-        n_chunks = len(_chunk_ranges(lo, hi, chunk))
-        batch_sum = float(np.add.reduce(sums[pos:pos + n_chunks]))
-        batch_means.append(batch_sum / (hi - lo))
-        pos += n_chunks
-    sd = float(np.std(batch_means, ddof=1))
-    return EstimatorReport(mean, 2.0 * sd, samples, seconds, mode, tuple(batch_means))
+        return EstimatorReport(mean, None if reference is None else abs(mean - reference),
+                               samples)
+    per = len(ranges) // batches
+    batch_means = tuple(float(np.add.reduce(sums[k:k + per])) / size
+                        for k in range(0, len(ranges), per))
+    return EstimatorReport(mean, 2.0 * float(np.std(batch_means, ddof=1)), samples,
+                           batch_means)

@@ -27,7 +27,7 @@ from .sampling import correlate_pair, inv_normal_cdf
 NN = "nn"
 EM = "em"
 NV = "nv"
-_KINDS = (NN, EM, NV)
+KINDS = (NN, EM, NV)
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ class SchemeStepPlan:
     integrator: IntegrationScheme | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.partitions < 1:
             raise ValueError("partitions must be >= 1")
         if self.kind == NN and (self.params is None or self.integrator is None):
@@ -150,8 +150,9 @@ def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
             step_index: int | None = None) -> np.ndarray:
     """One N-V step: half drift, the d Gaussian flows, half drift.
 
-    The middle flows run in ascending Brownian order when the Bernoulli draw
-    is +1 and descending when -1.  This competitor is a reconstruction of the
+    The middle flows run in ascending Brownian order where the Bernoulli draw
+    is +1 and descending where -1; bernoulli holds one draw per path, or one
+    0-d draw for every path.  This competitor is a reconstruction of the
     well-known splitting method it is benchmarked against, included for
     comparison parity and excluded from exactness claims (see README).
     """
@@ -167,27 +168,19 @@ def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
 
     drift_half = [0.5 * s] + [0.0] * d
     x = flow(x, drift_half)
-    if bernoulli.ndim == 0:
-        order = range(1, d + 1) if bernoulli >= 0 else range(d, 0, -1)
-        for i in order:
-            coeffs = [0.0] * (d + 1)
-            coeffs[i] = root_s * etas[..., i - 1]
-            x = flow(x, coeffs)
-    else:
-        # flow position p runs V_p on ascending paths and V_{d+1-p} on
-        # descending ones, as one flow over all paths: each path's other
-        # coefficient is +0.0, which the combination treats like the scalar
-        # 0.0 of a flow of its own
-        asc = bernoulli >= 0
-        for p in range(1, d + 1):
-            q = d + 1 - p
-            coeffs = [0.0] * (d + 1)
-            if p == q:
-                coeffs[p] = root_s * etas[..., p - 1]
-            else:
-                coeffs[p] = np.where(asc, root_s * etas[..., p - 1], 0.0)
-                coeffs[q] = np.where(~asc, root_s * etas[..., q - 1], 0.0)
-            x = flow(x, coeffs)
+    # flow position p runs V_p on ascending paths and V_{d+1-p} on descending
+    # ones, as one flow over all paths: each path's other coefficient is +0.0,
+    # which the combination treats like the scalar 0.0 of a flow of its own
+    asc = bernoulli >= 0
+    for p in range(1, d + 1):
+        q = d + 1 - p
+        coeffs = [0.0] * (d + 1)
+        if p == q:
+            coeffs[p] = root_s * etas[..., p - 1]
+        else:
+            coeffs[p] = np.where(asc, root_s * etas[..., p - 1], 0.0)
+            coeffs[q] = np.where(~asc, root_s * etas[..., q - 1], 0.0)
+        x = flow(x, coeffs)
     return flow(x, drift_half)
 
 

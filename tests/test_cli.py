@@ -192,6 +192,19 @@ class TestPrice:
         assert err.splitlines() == ["sdeweak price: error: --samples must be an integer "
                                     ">= 1, got 0"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "0", "--samples", "10"], "--n must be an integer >= 1, got 0"),
+        (["--n", "2", "--samples", str(2**32 + 1)],
+         "--samples must be <= 4294967296, got 4294967297"),
+        (["--n", "2", "--samples", "10", "--u", "1e40"],
+         "u is too large for the closed form in floats, got 1e+40"),
+    ], ids=["zero-n", "huge-samples", "huge-u-closed-form"])
+    def test_bad_argument_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "price", "--scheme", "nn", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"sdeweak price: error: {message}"]
+
     def test_malformed_config_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -257,6 +270,8 @@ class TestConverge:
         (lambda cfg: cfg.update(u="1/0"), "u must be a rational number, got '1/0'"),
         (lambda cfg: cfg.update(u=0.25), "u must be >= 1/2, got 0.25"),
         (lambda cfg: cfg.update(u="1e400"), "u is too large for a float, got '1e400'"),
+        (lambda cfg: cfg.update(u="1e300"),
+         "u is too large for the closed form in floats, got 1e+300"),
         (lambda cfg: cfg.update(branch="middle"), "branch must be upper or lower, got 'middle'"),
         (lambda cfg: cfg.update(nn_tableau="rk9"), "nn_tableau: unknown tableau 'rk9'"),
         (lambda cfg: cfg.update(nv_tableau=[5]), "nv_tableau must be a tableau name, got [5]"),
@@ -266,12 +281,22 @@ class TestConverge:
         (lambda cfg: cfg.update(cells=[{"scheme": "em", "n": 1e15, "samples": 10,
                                         "mode": "qmc"}]),
          "requested 2000000000000000 Sobol dimensions"),
+        (lambda cfg: cfg["cells"][0].update(samples=1e300),
+         "cells[0]: samples must be <= 4294967296, got 1e+300"),
+        (lambda cfg: cfg["heston"].update(K=math.nan), "K must be finite, got nan"),
+        (lambda cfg: cfg["heston"].update(mu=math.nan), "mu must be finite, got nan"),
+        (lambda cfg: cfg["heston"].update(x1=10**400), "x1 must be finite, got 1000"),
+        (lambda cfg: cfg.update(reference=math.nan),
+         "reference must be a finite number, got nan"),
+        (lambda cfg: cfg.update(reference=-10**400),
+         "reference must be a finite number, got -1000"),
     ], ids=["unknown-heston-key", "zero-samples", "non-integer-workers", "no-cells",
             "cell-not-object", "cells-not-list", "cell-without-n", "fractional-n", "boolean-n",
             "string-romberg", "unknown-scheme-romberg", "unknown-cell-key", "fractional-seed",
             "zero-sobol-skip", "unknown-top-level-key", "zero-denominator-u", "low-u",
-            "huge-u", "unknown-branch", "unknown-tableau", "non-string-tableau",
-            "huge-mc-n", "huge-qmc-n"])
+            "huge-u", "huge-u-closed-form", "unknown-branch", "unknown-tableau",
+            "non-string-tableau", "huge-mc-n", "huge-qmc-n", "huge-samples", "nan-strike",
+            "nan-mu", "huge-int-price", "nan-reference", "huge-int-reference"])
     def test_bad_config_value_is_usage_error(self, capsys, config_file, edit, message):
         with open(config_file, encoding="utf-8") as fh:
             cfg = json.load(fh)

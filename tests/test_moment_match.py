@@ -19,7 +19,6 @@ from sdeweak.moment_match import (
     infeasibility_search,
     moment_residuals,
     scheme_coefficient,
-    single_factor_search,
     solution_params,
     symbolic_expectation,
     target_coefficient,
@@ -258,9 +257,6 @@ class TestResidualPolynomial:
 
 
 class TestInfeasibilitySearches:
-    def test_single_factor_floor(self):
-        assert single_factor_search(5) > 0.01
-
     def test_two_factor_level_five_is_feasible(self):
         # sanity check of the search itself: the known-solvable case reaches ~0
         val, _ = infeasibility_search(5, 2, starts=8, iters=500, seed=1)

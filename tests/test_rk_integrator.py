@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sdeweak.heston_bench import HestonParams, heston_model
+from sdeweak.heston_bench import HestonParams, decay_slope, heston_model
 from sdeweak.rk_integrator import (
     IntegrationFailure,
     IntegrationScheme,
@@ -42,14 +42,6 @@ def _out_of_place_rk_step(integ, W, y0, s):
         if bi != 0:
             out = out + (s * float(bi)) * ks[i]
     return out
-
-
-def decay_slope(ns, errors, floor=1e-13):
-    pts = [(math.log(n), math.log(e)) for n, e in zip(ns, errors) if e > floor]
-    assert len(pts) >= 2, "all errors at the floating-point floor"
-    xs, ys = zip(*pts)
-    slope, _ = np.polyfit(xs, ys, 1)
-    return -slope
 
 
 class TestBuiltins:

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -321,6 +322,30 @@ class TestEstimate:
         reps = [estimate(payoff, src, 50_000, MC, workers=w) for w in (1, 2, 4)]
         assert len({r.estimate for r in reps}) == 1
         assert len({r.error for r in reps}) == 1
+
+    def test_one_worker_runs_on_the_calling_thread(self):
+        # a pool of one thread would only add hand-off cost
+        threads = set()
+
+        def payoff(u):
+            threads.add(threading.get_ident())
+            return u[:, 0]
+
+        estimate(payoff, UniformSource(SOBOL, 2), 40_000, QMC, workers=1)
+        assert threads == {threading.get_ident()}
+
+    def test_chunks_never_straddle_an_mc_batch(self):
+        sizes = []
+
+        def payoff(u):
+            sizes.append(len(u))
+            return u[:, 0]
+
+        estimate(payoff, UniformSource(PSEUDO, 1), 200_000, MC, workers=1)
+        assert sizes == [16384, 3616] * 10
+        sizes.clear()
+        estimate(payoff, UniformSource(SOBOL, 1), 40_000, QMC, workers=1)
+        assert sizes == [16384, 16384, 7232]
 
     def test_repeat_call_bit_identical(self):
         src = UniformSource(SOBOL, 3)

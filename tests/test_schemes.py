@@ -182,6 +182,28 @@ class TestNVStep:
                 ref = _masked_split_nv_step(model, RK5, x, 0.05, bern, etas)
                 assert np.array_equal(out, ref), (name, bern[:4])
 
+    def test_zero_d_draw_gives_the_per_path_bits(self):
+        # one 0-d draw for every path flows like that draw given per path: the
+        # bits of the full batch, of each one-path batch and of flowing the
+        # paths of one ordering on their own
+        heston = heston_model(HestonParams(rho=-0.5))
+        generic = SDEModel(3, 2, heston.stratonovich, heston.ito_drift)
+        rng = np.random.default_rng(14)
+        paths = 40
+        x = np.asfortranarray(np.abs(rng.normal(size=(paths, 3))) * [1.0, 0.1, 1.0])
+        for name, model in (("heston", heston), ("generic", generic),
+                            ("three-factor", three_factor_model())):
+            etas = rng.normal(size=(paths, model.brownian_dim))
+            for sign in (1.0, -1.0):
+                out = nv_step(model, RK5, x, 0.05, np.float64(sign), etas)
+                drawn = np.full(paths, sign)
+                assert np.array_equal(out, nv_step(model, RK5, x, 0.05, drawn, etas))
+                assert np.array_equal(
+                    out, _masked_split_nv_step(model, RK5, x, 0.05, drawn, etas)), (name, sign)
+                for i in range(0, paths, 13):
+                    one = nv_step(model, RK5, x[i:i + 1], 0.05, np.array([sign]), etas[i:i + 1])
+                    assert np.array_equal(out[i:i + 1], one), (name, sign, i)
+
     def test_failure_in_a_middle_flow_names_the_step(self):
         # path 1 runs descending: V2 with eta 0, then V1 pushes it past 5
         zero = VectorField(1, lambda y: np.zeros_like(y))
