@@ -154,6 +154,8 @@ def cmd_verify_rk(args) -> int:
 _HESTON_KEYS = tuple(f.name for f in fields(HestonParams))
 #: QMC cannot draw more points than the Sobol index space holds
 _MAX_SAMPLES = 1 << 32
+#: far beyond any core count; every worker count gives the same bits
+_MAX_WORKERS = 256
 
 
 def _check_keys(data: dict, allowed: tuple[str, ...], label: str) -> None:
@@ -248,7 +250,7 @@ def _config_from_mapping(raw: dict, args) -> BenchConfig:
     cfg = replace(cfg, seed=_count(cfg.seed, "seed", least=0),
                   sobol_skip=_count(cfg.sobol_skip, "sobol_skip"))
     if cfg.workers is not None:
-        cfg = replace(cfg, workers=_count(cfg.workers, "workers"))
+        cfg = replace(cfg, workers=_count(cfg.workers, "workers", most=_MAX_WORKERS))
     return cfg
 
 
@@ -363,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--sobol-skip", dest="sobol_skip", type=int, default=None)
         p.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default: all cores; results identical)")
+                       help=f"worker threads, at most {_MAX_WORKERS} "
+                            "(default: all cores; results identical)")
         p.add_argument("--timings", action="store_true",
                        help="append a volatile seconds column to the CSV")
         p.add_argument("--out", help="write CSV here instead of stdout")

@@ -474,11 +474,6 @@ def residual_table(params: SchemeParams, m: int, d: int) -> list[tuple[Word, obj
     return rows
 
 
-def moment_residuals(params: SchemeParams, m: int, d: int) -> dict[Word, object]:
-    """Map word -> C(w) - target(w) over all words of scaled degree <= m."""
-    return {w: r for w, _, _, r in residual_table(params, m, d)}
-
-
 # ---------------------------------------------------------------------------
 # Best-effort infeasibility searches
 # ---------------------------------------------------------------------------
@@ -529,14 +524,16 @@ class _ResidualPolynomial:
                     exps.append(e)
                     word_ids.append(wi)
         self.coeffs = np.asarray(coeffs)
-        self.exps = np.asarray(exps, dtype=np.int64)
+        # the terms share few distinct monomials: evaluate each once, index per term
+        self.monos, self.mono_of = np.unique(np.asarray(exps, dtype=np.int64), axis=0,
+                                             return_inverse=True)
         self.word_ids = np.asarray(word_ids, dtype=np.int64)
         self.targets = np.asarray([float(target_coefficient(w)) for w in words])
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        terms = self.coeffs * np.prod(x[None, :] ** self.exps, axis=1)
-        vals = np.zeros(len(self.words))
-        np.add.at(vals, self.word_ids, terms)
+        terms = np.prod(x[None, :] ** self.monos, axis=1)[self.mono_of] * self.coeffs
+        # bincount sums each word's terms in index order from 0.0: the bits of a plain loop
+        vals = np.bincount(self.word_ids, weights=terms, minlength=len(self.words))
         return vals - self.targets
 
     def norm(self, x: np.ndarray) -> float:

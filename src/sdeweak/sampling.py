@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.random import Philox
 
 _SOBOL_BITS = 32
 _SOBOL_SCALE = 2.0 ** -_SOBOL_BITS
@@ -146,6 +145,8 @@ def philox_raw(seed: int, start: int, count: int) -> np.ndarray:
     """
     if count == 0:
         return np.empty(0, dtype=np.uint64)
+    from numpy.random import Philox  # deferred: numpy.random costs MBs of RSS Sobol runs never use
+
     block, offset = divmod(start, 4)
     bitgen = Philox(key=seed, counter=block)
     raw = bitgen.random_raw(offset + count)

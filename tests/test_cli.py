@@ -14,8 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdeweak
+from sdeweak import sampling
 from sdeweak.cli import main
 from sdeweak.heston_bench import REFERENCE_PRICE
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a rejected config must not reach the thread pool")
 
 
 def run_cli(capsys, *argv):
@@ -198,12 +203,23 @@ class TestPrice:
          "--samples must be <= 4294967296, got 4294967297"),
         (["--n", "2", "--samples", "10", "--u", "1e40"],
          "u is too large for the closed form in floats, got 1e+40"),
-    ], ids=["zero-n", "huge-samples", "huge-u-closed-form"])
-    def test_bad_argument_is_usage_error(self, capsys, argv, message):
+        (["--n", "2", "--samples", "10", "--workers", "100000"],
+         "workers must be <= 256, got 100000"),
+    ], ids=["zero-n", "huge-samples", "huge-u-closed-form", "huge-workers"])
+    def test_bad_argument_is_usage_error(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", _no_pool)
         code, out, err = run_cli(capsys, "price", "--scheme", "nn", *argv)
         assert code == 2
         assert out == ""
         assert err.splitlines() == [f"sdeweak price: error: {message}"]
+
+    def test_unparsable_workers_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", _no_pool)
+        with pytest.raises(SystemExit) as exc:
+            main(["price", "--scheme", "nn", "--n", "2", "--samples", "10",
+                  "--workers", "1e300"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_malformed_config_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -251,6 +267,8 @@ class TestConverge:
         (lambda cfg: cfg["heston"].update(kappa=1.0), "unknown heston key(s) kappa"),
         (lambda cfg: cfg["cells"][0].update(samples=0), "samples must be an integer >= 1"),
         (lambda cfg: cfg.update(workers="two"), "workers must be an integer >= 1"),
+        (lambda cfg: cfg.update(workers=1e300), "workers must be <= 256, got 1e+300"),
+        (lambda cfg: cfg.update(workers=100000), "workers must be <= 256, got 100000"),
         (lambda cfg: cfg.update(cells=[]), "config contains no cells"),
         (lambda cfg: cfg.update(cells=[1]), "cells[0]: a cell must be a JSON object, got 1"),
         (lambda cfg: cfg.update(cells=cfg["cells"][0]), "cells must be a list of objects"),
@@ -290,7 +308,8 @@ class TestConverge:
          "reference must be a finite number, got nan"),
         (lambda cfg: cfg.update(reference=-10**400),
          "reference must be a finite number, got -1000"),
-    ], ids=["unknown-heston-key", "zero-samples", "non-integer-workers", "no-cells",
+    ], ids=["unknown-heston-key", "zero-samples", "non-integer-workers", "huge-workers",
+            "many-workers", "no-cells",
             "cell-not-object", "cells-not-list", "cell-without-n", "fractional-n", "boolean-n",
             "string-romberg", "unknown-scheme-romberg", "unknown-cell-key", "fractional-seed",
             "zero-sobol-skip", "unknown-top-level-key", "zero-denominator-u", "low-u",
@@ -453,3 +472,14 @@ def test_converge_exit_codes_on_generated_configs(config):
     if code:
         [line] = err.getvalue().splitlines()
         assert line.startswith("sdeweak converge: ")
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random costs several MB of RSS; only a Philox draw imports it
+    src = str(Path(sdeweak.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sdeweak.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -17,7 +17,7 @@ from sdeweak.moment_match import (
     gaussian_moment,
     gaussian_moment_pairings,
     infeasibility_search,
-    moment_residuals,
+    residual_table,
     scheme_coefficient,
     solution_params,
     symbolic_expectation,
@@ -208,14 +208,15 @@ class TestSymbolicExpectation:
 
 class TestMomentResiduals:
     def test_exact_zero_at_level_five(self):
-        res = moment_residuals(DEFAULT_PARAMS, 5, 2)
+        res = {w: r for w, _, _, r in residual_table(DEFAULT_PARAMS, 5, 2)}
         assert all(r == 0 for r in res.values())
 
     def test_solution_family_members(self):
         for u in (Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2)):
             for branch in (UPPER, LOWER):
                 params = solution_params(u, branch)
-                worst = max(abs(r) for r in moment_residuals(params, 5, 2).values())
+                res = {w: r for w, _, _, r in residual_table(params, 5, 2)}
+                worst = max(abs(r) for r in res.values())
                 if params.is_exact:
                     assert worst == 0, (u, branch)
                 else:
@@ -223,17 +224,18 @@ class TestMomentResiduals:
 
     def test_perturbed_r12_shows_in_brownian_square(self):
         params = DEFAULT_PARAMS.perturbed(r12=Fraction(1, 10))
-        res = moment_residuals(params, 5, 2)
+        res = {w: r for w, _, _, r in residual_table(params, 5, 2)}
         assert res[Word((1, 1))] == Fraction(1, 10)
 
     def test_odd_parity_word_always_zero(self):
         params = DEFAULT_PARAMS.perturbed(r12=Fraction(1, 10))
-        res = moment_residuals(params, 5, 2)
+        res = {w: r for w, _, _, r in residual_table(params, 5, 2)}
         assert res[Word((1,))] == 0
 
     def test_residuals_nonzero_off_family(self):
         params = DEFAULT_PARAMS.perturbed(r22=Fraction(1, 5))
-        assert any(r != 0 for r in moment_residuals(params, 5, 2).values())
+        res = {w: r for w, _, _, r in residual_table(params, 5, 2)}
+        assert any(r != 0 for r in res.values())
 
 
 class TestResidualPolynomial:
@@ -249,11 +251,26 @@ class TestResidualPolynomial:
         params = SchemeParams(Fraction(3, 4), LOWER, Fraction(1, 3), Fraction(2, 3),
                               Fraction(1, 2), -Fraction(1, 8), Fraction(5, 8))
         x = np.array([1 / 3, 2 / 3, 1 / 2, -1 / 8, 5 / 8])
-        expected = [float(r) for w, r in moment_residuals(params, 5, d).items()
+        res = {w: r for w, _, _, r in residual_table(params, 5, d)}
+        expected = [float(r) for w, r in res.items()
                     if all(sum(1 for i in w.letters if i == p) % 2 == 0
                            for p in range(1, d + 1))]
         got = poly.residuals(x)
         assert np.allclose(sorted(got), sorted(expected), atol=1e-13)
+
+    @pytest.mark.parametrize("m, M, d", [(7, 3, 2), (7, 3, 1), (5, 2, 3)])
+    def test_same_bits_as_per_term_evaluation(self, m, M, d):
+        # one evaluation per distinct monomial and a bincount reduction give the
+        # bits of raising x to every term's exponents and reducing with np.add.at
+        poly = _ResidualPolynomial(m, M, d)
+        exps = poly.monos[poly.mono_of]
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            x = rng.uniform(-2.0, 2.0, size=exps.shape[1])
+            terms = poly.coeffs * np.prod(x[None, :] ** exps, axis=1)
+            vals = np.zeros(len(poly.words))
+            np.add.at(vals, poly.word_ids, terms)
+            assert poly.residuals(x).tobytes() == (vals - poly.targets).tobytes()
 
 
 class TestInfeasibilitySearches:
@@ -266,6 +283,12 @@ class TestInfeasibilitySearches:
         # with d=1 the m=7 / M=3 system is solvable; only mixed words rule it out
         val, _ = infeasibility_search(7, 3, d=1, starts=40, iters=1200, seed=42)
         assert val < 1e-6
+
+    def test_benchmark_search_bits(self):
+        # the certify benchmark's search: its best norm and point are pinned bit for bit
+        val, x = infeasibility_search(7, 3, d=2, starts=2, iters=600, seed=0)
+        assert repr(val) == "0.04028384468247156"
+        assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == "287097662dcef91c"
 
     @pytest.mark.slow
     def test_three_factor_level_seven_floor(self):
