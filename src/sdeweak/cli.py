@@ -3,16 +3,19 @@
 Machine-first output: CSV goes to stdout (or --out), a short human summary to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 usage error (a
 malformed argument or config, or a run too large to allocate), 3 numerical
-failure (a non-finite Runge-Kutta state; the message names the stage and the
-step).  With identical arguments and seed every subcommand's primary output
-is byte-identical; wall-clock timings are therefore excluded from the CSV
-unless --timings is passed.
+failure (a non-finite Runge-Kutta state; the message names the stage, the
+step, the first failing path and the cell).  Exits 2 and 3 print one
+``sdeweak <command>: ...`` line on stderr.  With identical arguments and
+seed every subcommand's primary output is byte-identical; wall-clock timings
+are therefore excluded from the CSV unless --timings is passed.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -61,6 +64,27 @@ def _u_fraction(value) -> Fraction:
     return u
 
 
+def _count_text(text: str) -> int | float:
+    """A count as typed: an integer, or a number a float holds exactly, such as 2e5.
+
+    :func:`_count` checks it where it is used, as it checks a config's counts
+    (so ``2.5`` and ``0`` get the config's messages); ``1e300`` is refused
+    here, because no float holds 10^300.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+        if math.isfinite(value) and Fraction(text) == value:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected an integer or a number a float holds exactly, got {text!r}")
+
+
 def _u_value(text: str) -> Fraction:
     try:
         return _u_fraction(text)
@@ -101,14 +125,12 @@ def cmd_verify_moments(args) -> int:
         params = params.perturbed(**{key: value})
     rows = residual_table(params, m, d)
     tol = FLOAT_TOL if params.mode == FLOAT else 0
-    lines = ["word,coefficient,target,residual"]
-    worst = 0.0
-    for word, coeff, target, residual in rows:
-        lines.append(f"{word},{coeff},{target},{residual}")
-        worst = max(worst, abs(float(residual)))
-    _emit(lines, args.out)
+    worst = max(abs(float(residual)) for *_, residual in rows)
+    _emit(itertools.chain(["word,coefficient,target,residual"],
+                          (f"{word},{coeff},{target},{residual}"
+                           for word, coeff, target, residual in rows)), args.out)
     status = "PASS" if worst <= tol else "FAIL"
-    print(f"verify-moments: u={args.u} branch={args.branch} m={args.m} d={args.d} "
+    print(f"verify-moments: u={args.u} branch={args.branch} m={m} d={d} "
           f"mode={params.mode} words={len(rows)} max|residual|={worst:.3e} {status}",
           file=sys.stderr)
     return 0 if worst <= tol else 1
@@ -132,8 +154,8 @@ def _load_tableau(spec: str) -> ButcherTableau:
 
 
 def cmd_verify_rk(args) -> int:
-    tableau = args.tableau
-    report = check_order(tableau, args.order)
+    tableau, order = args.tableau, _count(args.order, "--order")
+    report = check_order(tableau, order)
     lines = ["tree,vertices,lhs,rhs,pass"]
     for cond in report:
         lines.append(f"{cond.tree},{cond.tree.order},{cond.lhs},{cond.rhs},"
@@ -141,7 +163,7 @@ def cmd_verify_rk(args) -> int:
     _emit(lines, args.out)
     failures = sum(1 for c in report if not c.passed)
     status = "PASS" if failures == 0 else "FAIL"
-    print(f"verify-rk-order: tableau={tableau.name or 'custom'} order={args.order} "
+    print(f"verify-rk-order: tableau={tableau.name or 'custom'} order={order} "
           f"conditions={len(report)} failures={failures} {status}", file=sys.stderr)
     return 0 if failures == 0 else 1
 
@@ -330,8 +352,16 @@ def cmd_converge(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``add_subparsers`` its subparsers, whose every
+    error is one ``<prog>: error: ...`` line and exit 2, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sdeweak",
         description="Moment-matched splitting scheme for weak SDE approximation: "
                     "symbolic verification, certified Runge-Kutta order checks, and "
@@ -344,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     vm.add_argument("--u", type=_u_value, default=Fraction(3, 4),
                     help="family parameter, a rational >= 1/2 (default 3/4)")
     vm.add_argument("--branch", choices=(UPPER, LOWER), default=LOWER)
-    vm.add_argument("--m", type=int, default=5, help="truncation degree (default 5)")
-    vm.add_argument("--d", type=int, default=2, help="Brownian dimension (default 2)")
+    vm.add_argument("--m", type=_count_text, default=5, help="truncation degree (default 5)")
+    vm.add_argument("--d", type=_count_text, default=2, help="Brownian dimension (default 2)")
     vm.add_argument("--perturb", type=_perturbation, action="append", default=[],
                     metavar="KEY=DELTA", help="shift an R entry, e.g. R12=+0.1")
     vm.add_argument("--out", help="write CSV here instead of stdout")
@@ -354,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     vr = sub.add_parser("verify-rk-order", help="certify a Butcher tableau by rooted trees")
     vr.add_argument("--tableau", required=True, type=_load_tableau,
                     help="builtin name (rk5-butcher, rk7-butcher) or a JSON file")
-    vr.add_argument("--order", type=int, required=True)
+    vr.add_argument("--order", type=_count_text, required=True)
     vr.add_argument("--out", help="write CSV here instead of stdout")
     vr.set_defaults(func=cmd_verify_rk)
 
@@ -362,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--u", type=_u_value, default=None)
         p.add_argument("--branch", choices=(UPPER, LOWER), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--sobol-skip", dest="sobol_skip", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None,
+        p.add_argument("--seed", type=_count_text, default=None)
+        p.add_argument("--sobol-skip", dest="sobol_skip", type=_count_text, default=None)
+        p.add_argument("--workers", type=_count_text, default=None,
                        help=f"worker threads, at most {_MAX_WORKERS} "
                             "(default: all cores; results identical)")
         p.add_argument("--timings", action="store_true",
@@ -373,11 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("price", help="price the Asian option with one scheme setting")
     pr.add_argument("--scheme", choices=KINDS, required=True)
-    pr.add_argument("--n", type=int, required=True, help="partitions (fine level for Romberg)")
+    pr.add_argument("--n", type=_count_text, required=True,
+                    help="partitions (fine level for Romberg)")
     pr.add_argument("--romberg", action="store_true",
                     help="combine runs at n and n/2 at the scheme's weak order")
     pr.add_argument("--mode", choices=(QMC, MC), default=QMC)
-    pr.add_argument("--samples", type=int, required=True)
+    pr.add_argument("--samples", type=_count_text, required=True)
     add_run_flags(pr)
     pr.set_defaults(func=cmd_price)
 
@@ -389,9 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    # the top-level parser reports unknown arguments without the command's name
+    prog = f"{parser.prog} {args.command}"
+    if extra:
+        parser.exit(2, f"{prog}: error: unrecognized arguments: {' '.join(extra)}\n")
     if args.command == "converge" and not args.config:
-        parser.error("converge requires --config")
+        parser.exit(2, f"{prog}: error: --config is required\n")
     try:
         with warnings.catch_warnings():
             # numpy's overflow / invalid-value warnings would precede the
@@ -400,15 +435,15 @@ def main(argv=None) -> int:
                                     category=RuntimeWarning)
             return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"sdeweak {args.command}: error: {exc}", file=sys.stderr)
+        print(f"{prog}: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         # a request no machine can hold, such as a Monte Carlo cell with 1e15 steps
         detail = f": {exc}" if str(exc) else ""
-        print(f"sdeweak {args.command}: error: out of memory{detail}", file=sys.stderr)
+        print(f"{prog}: error: out of memory{detail}", file=sys.stderr)
         return 2
     except IntegrationFailure as exc:
-        print(f"sdeweak {args.command}: numerical failure: {exc}", file=sys.stderr)
+        print(f"{prog}: numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

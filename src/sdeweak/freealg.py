@@ -71,20 +71,32 @@ class Word:
 EMPTY_WORD = Word()
 
 
+def _word(letters: tuple[int, ...]) -> Word:
+    """A Word from a tuple of nonnegative ints, taken as it is: no copy, no check."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    object.__setattr__(w, "_hash", hash(letters))
+    return w
+
+
 def words_up_to(max_degree: int, d: int) -> list[Word]:
-    """All words over {v0, ..., vd} with scaled degree <= max_degree, canonically ordered."""
-    out = [EMPTY_WORD]
-    frontier = [EMPTY_WORD]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(d + 1):
-                ext = Word(w.letters + (i,))
-                if ext.scaled_degree <= max_degree:
-                    nxt.append(ext)
-        out.extend(nxt)
-        frontier = nxt
-    return sorted(out, key=lambda w: w.sort_key)
+    """All words over {v0, ..., vd} with scaled degree <= max_degree, canonically ordered.
+
+    ``by_shape[n, z]`` lists the letter tuples of length n with z zeros in
+    lexicographic order: 0 before each tuple of ``by_shape[n-1, z-1]``, then
+    each letter 1..d before each tuple of ``by_shape[n-1, z]``.  Only shapes
+    with scaled degree n + z <= max_degree are built, and the canonical order
+    (scaled degree, length, letters) reads them off shape by shape.
+    """
+    by_shape = {(0, 0): [()]}
+    for n in range(1, max_degree + 1):
+        for z in range(min(n, max_degree - n) + 1):
+            with_zero = by_shape.get((n - 1, z - 1), ())
+            without = by_shape.get((n - 1, z), ())
+            by_shape[n, z] = [(0,) + t for t in with_zero] + \
+                [(i,) + t for i in range(1, d + 1) for t in without]
+    return [_word(t) for k in range(max_degree + 1)
+            for n in range((k + 1) // 2, k + 1) for t in by_shape[n, k - n]]
 
 
 class TruncatedSeries:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .moment_match import LOWER, SchemeParams, solution_params
-from .rk_integrator import IntegrationScheme, VectorField, scheme
+from .rk_integrator import IntegrationFailure, IntegrationScheme, VectorField, scheme
 from .sampling import PSEUDO, QMC, SOBOL, EstimatorReport, UniformSource, estimate
 from .schemes import EM, NN, NV, SDEModel, SchemeStepPlan, romberg, run_paths
 
@@ -308,14 +308,23 @@ def price_cell(config: BenchConfig, cell: Cell) -> CellResult:
     A plain cell has the one level n.  A Romberg cell runs the coarse n/2 and
     fine n levels over the same source kind and seed and combines them at the
     scheme's weak order; its MC error bar combines the levels batch by batch.
+    An IntegrationFailure leaves with the cell, and for a Romberg cell the
+    level, named.
     """
     guard = GuardCounter()
     model = heston_model(config.heston, guard)
     t0 = time.perf_counter()
     n = cell.partitions
-    reports = [_run_estimate(config, model, _make_plan(config, cell.kind, k), cell.samples,
-                             cell.mode)
-               for k in ((n // 2, n) if cell.use_romberg else (n,))]
+    reports = []
+    for k in (n // 2, n) if cell.use_romberg else (n,):
+        try:
+            reports.append(_run_estimate(config, model, _make_plan(config, cell.kind, k),
+                                         cell.samples, cell.mode))
+        except IntegrationFailure as exc:
+            exc.cell = f"{cell.kind} n={n} {cell.mode}"
+            if cell.use_romberg:
+                exc.cell += f" +romberg, level n={k}"
+            raise
 
     def combine(values):
         return romberg(*values, ROMBERG_ORDER[cell.kind]) if cell.use_romberg else values[0]

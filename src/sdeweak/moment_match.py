@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -202,7 +202,7 @@ class SchemeParams:
         if self.r11 < 0 or self.r22 < 0 or self.r11 * self.r22 - self.r12**2 < -tol:
             raise ValueError("R must be positive semidefinite")
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
         return _is_exact((self.u, self.c1, self.c2, self.r11, self.r12, self.r22))
 
@@ -218,7 +218,7 @@ class SchemeParams:
     def covariance(self) -> Matrix:
         return ((self.r11, self.r12), (self.r12, self.r22))
 
-    @property
+    @cached_property
     def gaussian_spec(self) -> GaussianSpec:
         return GaussianSpec(self.covariance)
 
@@ -289,6 +289,11 @@ DEFAULT_PARAMS = solution_params(Fraction(3, 4), LOWER)
 # ---------------------------------------------------------------------------
 
 
+def _odd_brownian(letters: tuple[int, ...]) -> bool:
+    """Whether some Brownian letter occurs an odd number of times: then C(w) = 0."""
+    return any(letters.count(p) % 2 for p in set(letters) if p)
+
+
 def _splits(letters: tuple[int, ...], M: int):
     """Every split of a word into M consecutive segments k_1 + ... + k_M = |w|.
 
@@ -322,7 +327,7 @@ def product_coefficient(c: Sequence, spec: GaussianSpec, w: Word):
         raise ValueError("c and covariance sizes differ")
     exact = _is_exact(c) and _is_exact(itertools.chain.from_iterable(spec.covariance))
     zero = Fraction(0) if exact else 0.0
-    if any(letters.count(p) % 2 for p in set(letters) - {0}):
+    if _odd_brownian(letters):
         return zero
 
     total = zero
@@ -463,12 +468,21 @@ def symbolic_expectation(params: SchemeParams, m: int, d: int) -> TruncatedSerie
 
 
 def residual_table(params: SchemeParams, m: int, d: int) -> list[tuple[Word, object, object, object]]:
-    """Rows (word, C(w), target, residual) for every word of scaled degree <= m."""
+    """Rows (word, C(w), target, residual) for every word of scaled degree <= m.
+
+    A word with a Brownian letter an odd number of times has C(w) = target = 0;
+    all such rows share one zero of the parameters' mode.
+    """
+    exact = params.is_exact
+    zero = Fraction(0) if exact else 0.0
     rows = []
     for w in words_up_to(m, d):
+        if _odd_brownian(w.letters):
+            rows.append((w, zero, zero, zero))
+            continue
         cw = scheme_coefficient(params, w)
         tw = target_coefficient(w)
-        if not params.is_exact:
+        if not exact:
             tw = float(tw)
         rows.append((w, cw, tw, cw - tw))
     return rows
@@ -495,10 +509,7 @@ class _ResidualPolynomial:
         pairs = _pairs(M)
         pair_index = {p: M + k for k, p in enumerate(pairs)}
 
-        words = []
-        for w in words_up_to(m, d):
-            if all(sum(1 for i in w.letters if i == p) % 2 == 0 for p in range(1, d + 1)):
-                words.append(w)
+        words = [w for w in words_up_to(m, d) if not _odd_brownian(w.letters)]
         self.words = words
 
         coeffs: list[float] = []

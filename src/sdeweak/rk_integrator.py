@@ -23,14 +23,24 @@ class IntegrationFailure(RuntimeError):
 
     ``stage`` is the 1-based index of the first non-finite stage, or None when
     every stage was finite and the step's final combination overflowed.
+    ``path`` is the first row of a batch that is non-finite there (None for a
+    single state); the estimator turns it into a path index.  ``cell`` names
+    the pricing cell, once ``price_cell`` has added it.
     """
 
-    def __init__(self, stage: int | None, step: int | None = None):
+    def __init__(self, stage: int | None, step: int | None = None, path: int | None = None):
+        super().__init__(stage, step, path)
         self.stage = stage
         self.step = step
-        where = "the step combination" if stage is None else f"stage {stage}"
-        where += f", step {step}" if step is not None else ""
-        super().__init__(f"non-finite state in Runge-Kutta {where}")
+        self.path = path
+        self.cell: str | None = None
+
+    def __str__(self) -> str:
+        where = "the step combination" if self.stage is None else f"stage {self.stage}"
+        where += f", step {self.step}" if self.step is not None else ""
+        where += f", path {self.path}" if self.path is not None else ""
+        where += f"; cell {self.cell}" if self.cell is not None else ""
+        return f"non-finite state in Runge-Kutta {where}"
 
 
 @dataclass(frozen=True)
@@ -151,11 +161,16 @@ def _combine(y0: np.ndarray, ks: list[np.ndarray], terms, s: float,
     return acc
 
 
-def _first_nonfinite_stage(ks: list[np.ndarray]) -> int | None:
-    for i, k in enumerate(ks):
-        if not np.all(np.isfinite(k)):
-            return i + 1
-    return None
+def _failure(ks: list[np.ndarray], out: np.ndarray | None,
+             step_index: int | None) -> IntegrationFailure:
+    """The failure of a step: its first non-finite stage (else the result ``out``)
+    and that array's first non-finite row."""
+    stage = next((i + 1 for i, k in enumerate(ks) if not np.all(np.isfinite(k))), None)
+    bad = out if stage is None else ks[stage - 1]
+    path = None
+    if bad.ndim > 1:
+        path = int(np.flatnonzero(~np.isfinite(bad).reshape(len(bad), -1).all(axis=1))[0])
+    return IntegrationFailure(stage, step_index, path)
 
 
 def rk_step(integ: IntegrationScheme, W, y0: np.ndarray, s: float,
@@ -165,9 +180,10 @@ def rk_step(integ: IntegrationScheme, W, y0: np.ndarray, s: float,
     y0 may be a single state (N,) or a batch (P, N); W must broadcast
     accordingly.  Neither y0 nor any output of W is written to.  A non-finite
     value raises IntegrationFailure naming the first non-finite stage, as if
-    every stage were screened when evaluated.  The screen runs once per step,
-    on the result: a non-finite stage with a nonzero weight always makes the
-    result non-finite, so only zero-weight stages are screened as they are
+    every stage were screened when evaluated, and that stage's first
+    non-finite row.  The screen runs once per step, on the result: a
+    non-finite stage with a nonzero weight always makes the result
+    non-finite, so only zero-weight stages are screened as they are
     evaluated.  A result that is non-finite although every stage is finite
     (an overflowing sum) raises with stage None.
     """
@@ -178,10 +194,10 @@ def rk_step(integ: IntegrationScheme, W, y0: np.ndarray, s: float,
         ki = np.asarray(W(_combine(y0, ks, row, s, tmp)), dtype=float)
         ks.append(ki)
         if i in integ._unweighted and not np.all(np.isfinite(ki)):
-            raise IntegrationFailure(stage=_first_nonfinite_stage(ks), step=step_index)
+            raise _failure(ks, None, step_index)
     out = _combine(y0, ks, integ._weights, s, tmp)
     if not np.all(np.isfinite(out)):
-        raise IntegrationFailure(stage=_first_nonfinite_stage(ks), step=step_index)
+        raise _failure(ks, out, step_index)
     return out
 
 

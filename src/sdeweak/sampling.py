@@ -26,6 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .rk_integrator import IntegrationFailure
+
 _SOBOL_BITS = 32
 _SOBOL_SCALE = 2.0 ** -_SOBOL_BITS
 DIRECTION_FILE = "joe_kuo_directions.txt"
@@ -359,7 +361,9 @@ def estimate(payoff: Callable[[np.ndarray], np.ndarray], source: UniformSource, 
     are processed in fixed chunks whose sums are reduced in index order, so the
     result is bit-identical for every worker count.  MC mode requires the
     sample count to be divisible by the fixed batch count (10); QMC is one
-    batch.  With at most one worker the chunks run on the calling thread.
+    batch.  With at most one worker the chunks run on the calling thread.  An
+    IntegrationFailure from payoff leaves with its row turned into a path
+    index.
     """
     if mode not in (MC, QMC):
         raise ValueError(f"mode must be 'mc' or 'qmc', got {mode!r}")
@@ -374,7 +378,12 @@ def estimate(payoff: Callable[[np.ndarray], np.ndarray], source: UniformSource, 
 
     def chunk_sum(rg: tuple[int, int]) -> float:
         lo, hi = rg
-        vals = payoff(source.block(lo, hi - lo))
+        try:
+            vals = payoff(source.block(lo, hi - lo))
+        except IntegrationFailure as exc:
+            if exc.path is not None:
+                exc.path += lo  # row r of this chunk is path lo + r
+            raise
         return float(np.add.reduce(np.asarray(vals, dtype=float)))
 
     if workers is not None and workers <= 1:

@@ -221,6 +221,35 @@ class TestPrice:
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
+    def test_counts_read_like_config_counts(self, capsys):
+        # 1e2 on the command line is the count it is in a config
+        code, out, _ = run_cli(capsys, "price", "--scheme", "nn", "--n", "2e0",
+                               "--mode", "qmc", "--samples", "1e2", "--workers", "1")
+        assert code == 0
+        assert out.splitlines()[1].startswith("nn,2,100,qmc,0,")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["verify-moments", "--m", "2.5"],
+         "sdeweak verify-moments: error: --m must be an integer >= 1, got 2.5"),
+        (["verify-rk-order", "--tableau", "rk5-butcher", "--order", "0"],
+         "sdeweak verify-rk-order: error: --order must be an integer >= 1, got 0"),
+        (["price", "--scheme", "nn", "--n", "2", "--samples", "10", "--frobnicate"],
+         "sdeweak price: error: unrecognized arguments: --frobnicate"),
+        (["price", "--scheme", "nn", "--n", "two", "--samples", "10"],
+         "sdeweak price: error: argument --n: expected an integer or a number a float "
+         "holds exactly, got 'two'"),
+        (["converge"], "sdeweak converge: error: --config is required"),
+    ], ids=["fractional-m", "zero-order", "unknown-flag", "word-n", "no-config"])
+    def test_usage_error_is_one_line(self, capsys, argv, line):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [line]
+
     def test_malformed_config_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -357,7 +386,22 @@ class TestConverge:
         assert code == 3
         assert out == ""
         assert err.splitlines() == ["sdeweak converge: numerical failure: "
-                                    "non-finite state in Runge-Kutta stage 5, step 0"]
+                                    "non-finite state in Runge-Kutta stage 5, step 0, "
+                                    "path 0; cell nn n=2 qmc"]
+
+    def test_numerical_failure_names_the_romberg_level(self, capsys, tmp_path):
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(
+            {"heston": {"alpha": 1e80},
+             "cells": [{"scheme": "nv", "n": 4, "samples": 40000, "mode": "mc",
+                        "romberg": True}]}))
+        for workers in ("1", "3"):
+            code, out, err = run_cli(capsys, "converge", "--config", str(path),
+                                     "--workers", workers)
+            assert code == 3
+            assert err.splitlines() == ["sdeweak converge: numerical failure: "
+                                        "non-finite state in Runge-Kutta stage 5, step 0, "
+                                        "path 0; cell nv n=4 mc +romberg, level n=2"]
 
     @pytest.mark.parametrize("config, code", [
         ({"sobol_skp": 5}, 2),

@@ -38,6 +38,47 @@ class TestWord:
         assert ws[3] == Word((0,))
 
 
+def _frontier_words(max_degree, d):
+    """The canonical word list by the plain method: extend every word by every
+    letter while the scaled degree allows, then sort."""
+    out = frontier = [EMPTY_WORD]
+    while frontier:
+        frontier = [ext for w in frontier for i in range(d + 1)
+                    if (ext := Word(w.letters + (i,))).scaled_degree <= max_degree]
+        out = out + frontier
+    return sorted(out, key=lambda w: w.sort_key)
+
+
+class TestWordsUpTo:
+    @pytest.mark.parametrize("m, d", [(0, 2), (3, 1), (5, 2), (5, 6), (7, 2), (7, 3)])
+    def test_same_words_in_the_same_order(self, m, d):
+        got = words_up_to(m, d)
+        assert type(got) is list
+        assert [w.letters for w in got] == [w.letters for w in _frontier_words(m, d)]
+
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    def test_count_recurrence(self, d):
+        # a word of scaled degree k ends in a Brownian letter after a word of
+        # degree k - 1, or in v0 after a word of degree k - 2
+        a = [1, d]
+        for _ in range(2, 8):
+            a.append(d * a[-1] + a[-2])
+        degrees = [w.scaled_degree for w in words_up_to(7, d)]
+        assert [degrees.count(k) for k in range(8)] == a
+
+    def test_certify_size(self):
+        assert len(words_up_to(5, 6)) == 10335
+
+    def test_fast_words_are_plain_words(self):
+        for w in words_up_to(4, 2):
+            plain = Word(list(w.letters))
+            assert w == plain and hash(w) == hash(plain) and repr(w) == repr(plain)
+            assert type(w.letters) is tuple
+            with pytest.raises(AttributeError):
+                w.letters = (1,)
+            assert {w: 1}[plain] == 1
+
+
 class TestMul:
     def test_distributes(self):
         one = TruncatedSeries.one(2)

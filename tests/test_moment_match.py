@@ -238,6 +238,33 @@ class TestMomentResiduals:
         assert any(r != 0 for r in res.values())
 
 
+    @pytest.mark.parametrize("params, m, d", [
+        (DEFAULT_PARAMS, 5, 3),
+        (solution_params(Fraction(5, 8), UPPER), 6, 2),
+        (DEFAULT_PARAMS.perturbed(r12=Fraction(1, 100), r22=Fraction(-1, 7)), 5, 3),
+        (solution_params(Fraction(5, 8)).perturbed(r11=0.01), 5, 2),
+    ], ids=["exact", "float", "perturbed-exact", "perturbed-float"])
+    def test_rows_equal_the_per_word_path(self, params, m, d):
+        rows = residual_table(params, m, d)
+        assert [w for w, *_ in rows] == words_up_to(m, d)
+        zeros = set()
+        for w, cw, tw, rw in rows:
+            want_c = scheme_coefficient(params, w)
+            want_t = target_coefficient(w) if params.is_exact else float(target_coefficient(w))
+            want = (want_c, want_t, want_c - want_t)
+            assert (cw, tw, rw) == want, w
+            assert [str(v) for v in (cw, tw, rw)] == [str(v) for v in want], w
+            assert [type(v) for v in (cw, tw, rw)] == [type(v) for v in want], w
+            if moment_match._odd_brownian(w.letters):
+                zeros.update(id(v) for v in (cw, tw, rw))
+        assert len(zeros) == 1  # every odd-word row holds one shared zero
+
+    def test_parity_predicate(self):
+        odd = moment_match._odd_brownian
+        assert not odd(()) and not odd((0,)) and not odd((1, 0, 1)) and not odd((2, 1, 1, 2))
+        assert odd((1,)) and odd((0, 2)) and odd((1, 1, 2)) and odd((3, 1, 3, 0))
+
+
 class TestResidualPolynomial:
     def test_matches_fraction_path_on_solution(self):
         for d in (1, 2):

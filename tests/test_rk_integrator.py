@@ -151,6 +151,31 @@ class TestRkStep:
             rk_step(RK5, bad, np.array([[0.1], [1.4], [0.2]]), 5.0, step_index=7)
         assert (exc.value.stage, exc.value.step) == (2, 7)
 
+    def test_failure_names_the_first_nonfinite_row(self):
+        bad = VectorField(1, lambda y: np.where(y > 1.5, np.nan, y))
+        batch = np.asfortranarray([[0.1], [0.2], [1.4], [1.45], [0.3]])
+        with pytest.raises(IntegrationFailure) as exc:
+            rk_step(RK5, bad, batch, 5.0, step_index=2)
+        assert (exc.value.stage, exc.value.step, exc.value.path) == (2, 2, 2)
+        assert str(exc.value) == "non-finite state in Runge-Kutta stage 2, step 2, path 2"
+        with pytest.raises(IntegrationFailure) as exc:
+            rk_step(RK5, bad, np.array([1.4]), 5.0)
+        assert exc.value.path is None
+
+    def test_failure_row_is_the_stages_not_the_results(self):
+        # row 0 stays finite in every stage but overflows in the combination;
+        # row 1 turns NaN in stage 3, which is the failure to report
+        calls = []
+
+        def field(y):
+            calls.append(None)
+            return np.array([[1e308], [np.nan if len(calls) >= 3 else 1.0]])
+
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(IntegrationFailure) as exc:
+            rk_step(RK5, VectorField(1, field), np.zeros((2, 1)), 2.0)
+        assert (exc.value.stage, exc.value.path) == (3, 1)
+
     def test_failure_in_a_zero_weight_stage(self):
         # b_1 = 0 in RK7: stage 1 never reaches the result, so it is screened
         # as it is evaluated

@@ -4,7 +4,9 @@ import threading
 import numpy as np
 import pytest
 
+from sdeweak.rk_integrator import IntegrationFailure, VectorField, rk_step, scheme
 from sdeweak.sampling import (
+    CHUNK,
     MC,
     PSEUDO,
     QMC,
@@ -26,6 +28,8 @@ from sdeweak.sampling import (
     philox_uniforms,
     sobol_points,
 )
+
+RK5 = scheme("rk5-butcher")
 
 # frozen Philox4x64-10 stream head for key=12345: the documented generator
 # contract; any change here is a reproducibility break, not a refactor
@@ -322,6 +326,19 @@ class TestEstimate:
         reps = [estimate(payoff, src, 50_000, MC, workers=w) for w in (1, 2, 4)]
         assert len({r.estimate for r in reps}) == 1
         assert len({r.error for r in reps}) == 1
+
+    def test_integration_failure_names_the_path(self):
+        # the first point with both coordinates near 1 lies past the first chunk
+        src = UniformSource(SOBOL, 2)
+        near_one = lambda u: (u[:, :1] > 0.999) & (u[:, 1:] > 0.99)
+        field = VectorField(2, lambda y: np.where(near_one(y), np.nan, 0.0))
+        first = int(np.flatnonzero(near_one(src.block(0, 60_000))[:, 0])[0])
+        assert first >= CHUNK
+        for workers in (1, 3):
+            with pytest.raises(IntegrationFailure) as exc:
+                estimate(lambda u: rk_step(RK5, field, u, 1.0)[:, 0], src, 60_000, QMC,
+                         workers=workers)
+            assert (exc.value.stage, exc.value.path) == (1, first)
 
     def test_one_worker_runs_on_the_calling_thread(self):
         # a pool of one thread would only add hand-off cost
