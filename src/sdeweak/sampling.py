@@ -103,11 +103,34 @@ def _gray_state(index: int, V: np.ndarray) -> np.ndarray:
     return x
 
 
+_TILE_BITS = 8
+_TILE = 1 << _TILE_BITS
+_FLOAT_GROUP = 16  # coordinates whose uint32 states exist at one time
+
+
+def _ruler(first: int, stop: int) -> np.ndarray:
+    """ctz(k) for k = first .. stop-1 (first >= 1): the direction row index k flips."""
+    k = np.arange(first, stop, dtype=np.uint64)
+    return np.log2((k & (~k + np.uint64(1))).astype(np.float64)).astype(np.intp)
+
+
+@lru_cache(maxsize=4)
+def _tile_states(dim: int) -> np.ndarray:
+    """uint32 states of indices 0 .. 255, shape (dim, 256): one XOR scan of ruler rows."""
+    rows = np.zeros((_TILE, dim), dtype=np.uint32)
+    rows[1:] = _direction_matrix(dim)[_ruler(1, _TILE)]
+    np.bitwise_xor.accumulate(rows, axis=0, out=rows)
+    return np.ascontiguousarray(rows.T)
+
+
 def sobol_points(dim: int, start: int, count: int) -> np.ndarray:
     """Points start .. start+count-1 of the Sobol sequence, shape (count, dim).
 
-    Gray-code order: consecutive states differ by one direction row, so a
-    block is one XOR prefix scan seeded by the directly computed first state.
+    Gray-code order.  Index 256 m + j has gray code gray(256 m) ^ gray(j), so
+    its state is B[m] ^ T[j]: T, the states of 0 .. 255, is cached per
+    dimension, and the tile bases follow B[m+1] = B[m] ^ V[7] ^ V[8 + ctz(m+1)]
+    from the directly computed B[m0].  A block is one broadcast XOR over the
+    tiles that cover it, converted to float a few coordinates at a time.
     Random access and streaming agree bit for bit.  The block is stored
     dimension-major (a transposed view of a (dim, count) array), so the
     uniforms of one coordinate, and of one scheme step, lie contiguous.
@@ -119,18 +142,19 @@ def sobol_points(dim: int, start: int, count: int) -> np.ndarray:
     V = _direction_matrix(dim)
     if count == 0:
         return np.empty((0, dim))
-    # column 0 holds the first state, column 1 + k the k-th direction numbers
-    table = np.empty((dim, _SOBOL_BITS + 1), dtype=np.uint32)
-    table[:, 0] = _gray_state(start, V)
-    table[:, 1:] = V.T
-    idx = np.arange(start + 1, start + count, dtype=np.uint64)
-    low = (idx & (~idx + np.uint64(1))).astype(np.float64)  # lowest set bit
-    pick = np.zeros(count, dtype=np.int64)
-    pick[1:] = np.log2(low).astype(np.int64) + 1
-    cols = np.take(table, pick, axis=1)
-    np.bitwise_xor.accumulate(cols, axis=1, out=cols)
-    points = cols.astype(np.float64)
-    points *= _SOBOL_SCALE
+    T = _tile_states(dim)
+    m0, m1 = start >> _TILE_BITS, (start + count - 1) >> _TILE_BITS
+    # B[:, k] is the state of index 256 (m0 + k)
+    B = np.empty((dim, m1 - m0 + 1), dtype=np.uint32)
+    B[:, 0] = _gray_state(m0 << _TILE_BITS, V)
+    B[:, 1:] = (V[_TILE_BITS - 1] ^ V[_TILE_BITS + _ruler(m0 + 1, m1 + 1)]).T
+    np.bitwise_xor.accumulate(B, axis=1, out=B)
+    lo = start - (m0 << _TILE_BITS)
+    points = np.empty((dim, count))
+    for g in range(0, dim, _FLOAT_GROUP):
+        h = min(g + _FLOAT_GROUP, dim)
+        states = np.bitwise_xor(B[g:h, :, None], T[g:h, None, :]).reshape(h - g, -1)
+        np.multiply(states[:, lo:lo + count], _SOBOL_SCALE, out=points[g:h])
     return points.T
 
 
@@ -241,7 +265,12 @@ _INV_BLOCK = 1 << 16
 
 
 def _inv_normal_block(flat: np.ndarray, out: np.ndarray) -> None:
-    """AS241 on one flat block; central regime computed unconditionally, tails fixed up."""
+    """AS241 on one flat block; central regime computed unconditionally, tails fixed up.
+
+    The near-tail ratio runs on the whole tail when no value there is far
+    (sqrt(-log(min(u, 1-u))) > 5), with no mask; otherwise near and far
+    values are split by a boolean mask.
+    """
     q = flat - 0.5
     r = q * q
     np.subtract(0.180625, r, out=r)
@@ -250,23 +279,28 @@ def _inv_normal_block(flat: np.ndarray, out: np.ndarray) -> None:
     np.divide(num, _poly(_B, r, out=out), out=out)
     out *= q
 
-    # the tails are a scattered ~15% of the block: gather and scatter them
-    # through one index list, not a boolean mask per pass
-    tail = np.flatnonzero(np.abs(q) > 0.425)
+    # the tails are a scattered ~15% of the block, exactly where r < 0
+    # (|q| > 0.425): gather and scatter them through one index list
+    tail = np.flatnonzero(r < 0.0)
     if tail.size:
-        qt = q[tail]
         ft = flat[tail]
-        rt = np.where(qt < 0, ft, 1.0 - ft)
+        qt = ft - 0.5
+        rt = np.minimum(ft, 1.0 - ft)
         np.log(rt, out=rt)
         np.negative(rt, out=rt)
         np.sqrt(rt, out=rt)
-        val = np.empty_like(rt)
-        near = rt <= 5.0
-        if near.any():
-            rn = rt[near] - 1.6
-            val[near] = _poly(_C, rn) / _poly(_D, rn)
-        far = ~near
-        if far.any():
+        if rt.max() <= 5.0:
+            # always so for Sobol: u >= 2^-32 gives rt <= 4.72
+            rt -= 1.6
+            val = _poly(_C, rt)
+            val /= _poly(_D, rt)
+        else:
+            val = np.empty_like(rt)
+            near = rt <= 5.0
+            if near.any():
+                rn = rt[near] - 1.6
+                val[near] = _poly(_C, rn) / _poly(_D, rn)
+            far = ~near
             rf = rt[far] - 5.0
             val[far] = _poly(_E, rf) / _poly(_F, rf)
         np.copysign(val, qt, out=val)
@@ -278,16 +312,18 @@ def inv_normal_cdf(u):
 
     Wichura's AS241 rational approximation: a central regime in q = u - 1/2
     and two tail regimes in sqrt(-log(min(u, 1-u))).  Accepts scalars or
-    arrays; raises on values outside the open interval.  Large inputs are
-    processed in cache-sized blocks.  A Fortran-ordered input, such as one
-    step's columns of a dimension-major Sobol block, is read where it lies
-    through its C-ordered transpose and gives a Fortran-ordered result.
+    arrays; raises ValueError on values outside the open interval, NaN
+    included.  Large inputs are processed in cache-sized blocks.  A
+    Fortran-ordered input, such as one step's columns of a dimension-major
+    Sobol block, is read where it lies through its C-ordered transpose and
+    gives a Fortran-ordered result.
     """
     arr = np.asarray(u, dtype=float)
     fortran = arr.flags.f_contiguous and not arr.flags.c_contiguous
     src = arr.T if fortran else arr
     flat = src.ravel()
-    if flat.size and (np.any(flat <= 0.0) or np.any(flat >= 1.0)):
+    # one min/max pair, which a NaN also fails
+    if flat.size and not (flat.min() > 0.0 and flat.max() < 1.0):
         raise ValueError("inv_normal_cdf requires 0 < u < 1")
     out = np.empty_like(flat)
     for lo in range(0, flat.size, _INV_BLOCK):
@@ -361,14 +397,18 @@ def estimate(payoff: Callable[[np.ndarray], np.ndarray], source: UniformSource, 
     are processed in fixed chunks whose sums are reduced in index order, so the
     result is bit-identical for every worker count.  MC mode requires the
     sample count to be divisible by the fixed batch count (10); QMC is one
-    batch.  With at most one worker the chunks run on the calling thread.  An
-    IntegrationFailure from payoff leaves with its row turned into a path
-    index.
+    batch.  A Sobol source whose skip + samples passes 2^32 is refused before
+    any chunk runs.  With at most one worker the chunks run on the calling
+    thread.  An IntegrationFailure from payoff leaves with its row turned into
+    a path index.
     """
     if mode not in (MC, QMC):
         raise ValueError(f"mode must be 'mc' or 'qmc', got {mode!r}")
     if mode == MC and samples % MC_BATCHES != 0:
         raise ValueError(f"MC sample count must be divisible by {MC_BATCHES}")
+    if source.kind == SOBOL and source.skip + samples > 1 << _SOBOL_BITS:
+        raise ValueError(f"sobol_skip + samples must be <= 2^32 (the Sobol index space), "
+                         f"got sobol_skip {source.skip} and samples {samples}")
 
     batches = MC_BATCHES if mode == MC else 1
     size = samples // batches

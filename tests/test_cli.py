@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdeweak
-from sdeweak import sampling
+from sdeweak import heston_bench, sampling
 from sdeweak.cli import main
 from sdeweak.heston_bench import REFERENCE_PRICE
 
@@ -212,6 +212,24 @@ class TestPrice:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [f"sdeweak price: error: {message}"]
+
+    @pytest.mark.parametrize("argv, skip, samples", [
+        (["--samples", "40000", "--sobol-skip", "4294937296"], 4294937296, 40000),
+        (["--samples", "4294967296"], 1, 4294967296),
+    ], ids=["skip-near-the-end", "full-index-space"])
+    def test_sobol_index_space_refused_before_any_path(self, capsys, monkeypatch, argv,
+                                                      skip, samples):
+        def no_paths(*args, **kwargs):
+            raise AssertionError("a refused QMC cell must not run a path")
+
+        monkeypatch.setattr(heston_bench, "run_paths", no_paths)
+        code, out, err = run_cli(capsys, "price", "--scheme", "nn", "--n", "2",
+                                 "--mode", "qmc", "--workers", "1", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "sdeweak price: error: sobol_skip + samples must be <= 2^32 (the Sobol index "
+            f"space), got sobol_skip {skip} and samples {samples}"]
 
     def test_unparsable_workers_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", _no_pool)

@@ -21,8 +21,10 @@ from sdeweak.sampling import (
     _D,
     _E,
     _F,
+    _INV_BLOCK,
     _direction_matrix,
     _gray_state,
+    _tile_states,
     load_direction_numbers,
     philox_raw,
     philox_uniforms,
@@ -77,6 +79,12 @@ def _boolean_mask_as241(u):
     return out.reshape(np.shape(u))
 
 
+def _ulp_sweep(centre, ulps=200):
+    """The doubles from `ulps` steps below a positive `centre` to `ulps` above it."""
+    bits = np.float64(centre).view(np.int64) + np.arange(-ulps, ulps + 1)
+    return bits.view(np.float64)
+
+
 class TestSobol:
     def test_first_coordinate_is_van_der_corput(self):
         assert sobol_points(1, 1, 3).ravel().tolist() == [0.5, 0.75, 0.25]
@@ -110,15 +118,33 @@ class TestSobol:
             assert np.array_equal(sobol_points(d, 0, 256), ref)
 
     @pytest.mark.parametrize("dim", [1, 2, 40, 400])
-    @pytest.mark.parametrize("start", [0, 1, 12345])
+    @pytest.mark.parametrize("start", [0, 1, 12345, 255, 256, 257, 2**32 - 1000])
     def test_matches_row_major_scan(self, dim, start):
-        for count in (0, 1, 2, 3, 1000):
+        # tile edges: a block may begin or end on either side of a 256-index tile
+        for count in (0, 1, 2, 3, 255, 256, 257, 1000, 16384):
+            if start + count > 2**32:
+                continue
             pts = sobol_points(dim, start, count)
             assert pts.shape == (count, dim)
             assert np.array_equal(pts, _row_major_sobol(dim, start, count))
             if count > 1:
                 # dimension-major storage: one step's uniforms are one slab
                 assert pts.flags.f_contiguous
+
+    @pytest.mark.parametrize("dim", [1, 2, 40, 400])
+    def test_tile_states_are_the_first_256_states(self, dim):
+        V = _direction_matrix(dim)
+        T = _tile_states(dim)
+        assert T.shape == (dim, 256) and T.dtype == np.uint32
+        for j in range(256):
+            assert np.array_equal(T[:, j], _gray_state(j, V)), j
+
+    def test_index_space_errors(self):
+        for start, count in ((2**32 - 1, 2), (2**32, 1), (0, 2**32 + 1)):
+            with pytest.raises(ValueError, match="exhausted"):
+                sobol_points(7, start, count)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sobol_points(7, -1, 1)
 
     def test_dimension_beyond_table_rejected(self):
         with pytest.raises(ValueError):
@@ -198,10 +224,17 @@ class TestInvNormal:
         dev = np.abs(inv_normal_cdf(1.0 - us) + inv_normal_cdf(us))
         assert np.max(dev) <= 1e-12
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1, math.nan])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             inv_normal_cdf(bad)
+
+    def test_nan_inside_an_array_rejected(self):
+        u = np.full(3 * _INV_BLOCK, 0.3)
+        u[_INV_BLOCK + 5] = np.nan
+        for view in (u, u.reshape(3, -1), np.asfortranarray(u.reshape(-1, 3))):
+            with pytest.raises(ValueError):
+                inv_normal_cdf(view)
 
     def test_array_shape_preserved(self):
         u = np.full((3, 4), 0.25)
@@ -244,6 +277,28 @@ class TestInvNormal:
         for name, view in {"c": lambda a: a, "fortran": np.asfortranarray,
                            "strided": lambda a: a[::3, 1::2]}.items():
             assert np.array_equal(inv_normal_cdf(view(u)), _boolean_mask_as241(view(u))), name
+        more = {
+            # a scheme step's slice of a Sobol block: every tail value near
+            "sobol step slice": sobol_points(400, 1, 16384)[:, 10:12],
+            "philox": philox_uniforms(4, 0, 100_000),
+            "tail all far": np.concatenate([10.0 ** np.linspace(-300, -11, 500),
+                                            1.0 - 2.0 ** -np.arange(37, 54)]),
+            "boundary sweeps": np.concatenate([_ulp_sweep(c) for c in
+                                               (0.075, 0.925, 0.5 - 0.425, 0.5 + 0.425)]),
+        }
+        for name, v in more.items():
+            assert np.array_equal(inv_normal_cdf(v), _boolean_mask_as241(v)), name
+
+    def test_tail_mask_is_the_central_r_sign(self):
+        # the tail is read off r = 0.180625 - q*q, which the central regime
+        # already holds: r < 0 exactly where |q| > 0.425
+        for centre in (0.075, 0.925, 0.5 - 0.425, 0.5 + 0.425):
+            q = _ulp_sweep(centre) - 0.5
+            assert np.array_equal(0.180625 - q * q < 0, np.abs(q) > 0.425), centre
+        q = _ulp_sweep(0.425)
+        assert np.array_equal(0.180625 - q * q < 0, np.abs(q) > 0.425)
+        # no double squares to 0.180625, so `r < 0` and `r <= 0` are one mask
+        assert not np.any(0.180625 - q * q == 0)
 
     def test_zero_and_one_dimensional_inputs(self):
         us = np.array([1e-300, 0.02, 0.3, 0.5, 0.97, 1.0 - 2.0**-53])
@@ -363,6 +418,17 @@ class TestEstimate:
         sizes.clear()
         estimate(payoff, UniformSource(SOBOL, 1), 40_000, QMC, workers=1)
         assert sizes == [16384, 16384, 7232]
+
+    def test_sobol_index_space_bounds_the_samples(self):
+        src = UniformSource(SOBOL, 2, skip=2**32 - 10)
+        rep = estimate(lambda u: u[:, 0], src, 10, QMC, workers=1)
+        assert rep.samples == 10
+
+        def payoff(u):
+            raise AssertionError("a refused estimate must not call the payoff")
+
+        with pytest.raises(ValueError, match="sobol_skip .* samples"):
+            estimate(payoff, src, 11, QMC, workers=1)
 
     def test_repeat_call_bit_identical(self):
         src = UniformSource(SOBOL, 3)
