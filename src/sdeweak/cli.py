@@ -34,7 +34,7 @@ from .heston_bench import (
 from .moment_match import FLOAT, UPPER, LOWER, residual_table, solution_params
 from .rk_trees import ButcherTableau, check_order
 from .rk_integrator import IntegrationFailure, builtin_tableau
-from .sampling import MC, QMC
+from .sampling import MC, QMC, check_sobol_span
 from .schemes import KINDS
 
 FLOAT_TOL = 1e-12
@@ -285,6 +285,7 @@ def cmd_price(args) -> int:
     cell = Cell(args.scheme, _count(args.n, "--n"),
                 _count(args.samples, "--samples", most=_MAX_SAMPLES), args.mode,
                 use_romberg=args.romberg)
+    _check_span(cell, config.sobol_skip)
     c = price_cell(config, cell)
     _emit(result_rows((c,), timings=args.timings), args.out)
     err = "n/a" if c.error is None else f"{c.error:.3e}"
@@ -320,14 +321,23 @@ def _cell_grid(item) -> list[Cell]:
             for m in _counts(item["samples"], "samples", most=_MAX_SAMPLES)]
 
 
-def _cells_from_mapping(raw: dict) -> list[Cell]:
+def _check_span(cell: Cell, sobol_skip: int) -> None:
+    """estimate's index-space check, made on a QMC cell as it is read, so no cell runs first."""
+    if cell.mode == QMC:
+        check_sobol_span(sobol_skip, cell.samples)
+
+
+def _cells_from_mapping(raw: dict, sobol_skip: int) -> list[Cell]:
     items = raw.get("cells", [])
     if not isinstance(items, list):
         raise ValueError("cells must be a list of objects")
     cells = []
     for i, item in enumerate(items):
         try:
-            cells.extend(_cell_grid(item))
+            grid = _cell_grid(item)
+            for cell in grid:
+                _check_span(cell, sobol_skip)
+            cells.extend(grid)
         except ValueError as exc:
             raise ValueError(f"cells[{i}]: {exc}") from None
     if not cells:
@@ -338,7 +348,7 @@ def _cells_from_mapping(raw: dict) -> list[Cell]:
 def cmd_converge(args) -> int:
     raw = _load_config(args.config)
     config = _config_from_mapping(raw, args)
-    cells = _cells_from_mapping(raw)
+    cells = _cells_from_mapping(raw, config.sobol_skip)
     results = convergence_study(config, cells)
     _emit(result_rows(results, timings=args.timings), args.out)
     total = sum(c.seconds for c in results)

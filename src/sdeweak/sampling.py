@@ -265,12 +265,7 @@ _INV_BLOCK = 1 << 16
 
 
 def _inv_normal_block(flat: np.ndarray, out: np.ndarray) -> None:
-    """AS241 on one flat block; central regime computed unconditionally, tails fixed up.
-
-    The near-tail ratio runs on the whole tail when no value there is far
-    (sqrt(-log(min(u, 1-u))) > 5), with no mask; otherwise near and far
-    values are split by a boolean mask.
-    """
+    """AS241 on one flat block; central regime computed unconditionally, tails fixed up."""
     q = flat - 0.5
     r = q * q
     np.subtract(0.180625, r, out=r)
@@ -289,19 +284,15 @@ def _inv_normal_block(flat: np.ndarray, out: np.ndarray) -> None:
         np.log(rt, out=rt)
         np.negative(rt, out=rt)
         np.sqrt(rt, out=rt)
-        if rt.max() <= 5.0:
-            # always so for Sobol: u >= 2^-32 gives rt <= 4.72
-            rt -= 1.6
-            val = _poly(_C, rt)
-            val /= _poly(_D, rt)
-        else:
-            val = np.empty_like(rt)
-            near = rt <= 5.0
-            if near.any():
-                rn = rt[near] - 1.6
-                val[near] = _poly(_C, rn) / _poly(_D, rn)
-            far = ~near
-            rf = rt[far] - 5.0
+        # the near-tail ratio is finite on the whole tail (rt <= 27.3 and D > 0
+        # there), so it runs unmasked and the few far values (none for Sobol:
+        # u >= 2^-32 gives rt <= 4.72) are overwritten by index
+        far = np.flatnonzero(rt > 5.0)
+        rf = rt[far] - 5.0
+        rt -= 1.6
+        val = _poly(_C, rt)
+        val /= _poly(_D, rt)
+        if far.size:
             val[far] = _poly(_E, rf) / _poly(_F, rf)
         np.copysign(val, qt, out=val)
         out[tail] = val
@@ -388,6 +379,13 @@ class EstimatorReport:
     batch_means: tuple[float, ...] | None = None
 
 
+def check_sobol_span(skip: int, samples: int) -> None:
+    """Raise ValueError if Sobol points skip .. skip + samples - 1 pass the index space."""
+    if skip + samples > 1 << _SOBOL_BITS:
+        raise ValueError(f"sobol_skip + samples must be <= 2^32 (the Sobol index space), "
+                         f"got sobol_skip {skip} and samples {samples}")
+
+
 def estimate(payoff: Callable[[np.ndarray], np.ndarray], source: UniformSource, samples: int,
              mode: str, reference: float | None = None,
              workers: int | None = None) -> EstimatorReport:
@@ -406,9 +404,8 @@ def estimate(payoff: Callable[[np.ndarray], np.ndarray], source: UniformSource, 
         raise ValueError(f"mode must be 'mc' or 'qmc', got {mode!r}")
     if mode == MC and samples % MC_BATCHES != 0:
         raise ValueError(f"MC sample count must be divisible by {MC_BATCHES}")
-    if source.kind == SOBOL and source.skip + samples > 1 << _SOBOL_BITS:
-        raise ValueError(f"sobol_skip + samples must be <= 2^32 (the Sobol index space), "
-                         f"got sobol_skip {source.skip} and samples {samples}")
+    if source.kind == SOBOL:
+        check_sobol_span(source.skip, samples)
 
     batches = MC_BATCHES if mode == MC else 1
     size = samples // batches

@@ -376,6 +376,36 @@ class TestConverge:
         assert line.startswith("sdeweak converge: error: ")
         assert message in line
 
+    def test_sobol_index_space_refused_before_any_cell(self, capsys, monkeypatch, config_file):
+        # the first cell fits; the second would pass 2^32, so neither may run
+        def no_paths(*args, **kwargs):
+            raise AssertionError("a refused config must not run a path")
+
+        with open(config_file, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        cfg["sobol_skip"] = 2**32 - 10000
+        cfg["cells"][1]["samples"] = [10000, 10001]
+        with open(config_file, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        monkeypatch.setattr(heston_bench, "run_paths", no_paths)
+        code, out, err = run_cli(capsys, "converge", "--config", config_file, "--workers", "1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "sdeweak converge: error: cells[1]: sobol_skip + samples must be <= 2^32 (the "
+            "Sobol index space), got sobol_skip 4294957296 and samples 10001"]
+
+    def test_sobol_index_space_does_not_bound_mc_cells(self, capsys, config_file):
+        with open(config_file, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        cfg["sobol_skip"] = 2**32 - 10
+        cfg["cells"] = [{"scheme": "em", "n": 1, "samples": 100, "mode": "mc"}]
+        with open(config_file, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        code, out, _ = run_cli(capsys, "converge", "--config", config_file, "--workers", "1")
+        assert code == 0
+        assert len(out.splitlines()) == 2
+
     @pytest.mark.parametrize("extra, reference", [
         ({}, REFERENCE_PRICE),
         ({"heston": {"alpha": 3.0}}, None),
