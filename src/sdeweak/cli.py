@@ -22,6 +22,7 @@ from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
+from .freealg import words_per_degree
 from .heston_bench import (
     BenchConfig,
     Cell,
@@ -117,8 +118,23 @@ def _emit(lines, path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: verify-moments builds and holds every word up to --m (--m 7 --d 6 is 392,464)
+_MAX_WORDS = 1 << 20
+
+
+def _check_word_count(m: int, d: int) -> None:
+    """Refuse an --m/--d pair with too many words, before any word is built."""
+    total = 0
+    for count in itertools.islice(words_per_degree(d), m + 1):
+        total += count
+        if total > _MAX_WORDS:
+            raise ValueError(f"--m {m} --d {d} has more than {_MAX_WORDS} words "
+                             f"(2^20), the most verify-moments builds")
+
+
 def cmd_verify_moments(args) -> int:
     m, d = _count(args.m, "--m"), _count(args.d, "--d")
+    _check_word_count(m, d)
     params = solution_params(args.u, args.branch)
     for key, delta in args.perturb:
         value = delta if params.is_exact else float(delta)
@@ -145,7 +161,7 @@ def _load_tableau(spec: str) -> ButcherTableau:
     if Path(spec).suffix == ".json" or Path(spec).exists():
         try:
             return ButcherTableau.from_json_file(spec)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise argparse.ArgumentTypeError(f"cannot load tableau file {spec}: {exc}") from exc
     try:
         return builtin_tableau(spec)
@@ -289,8 +305,8 @@ def cmd_price(args) -> int:
     c = price_cell(config, cell)
     _emit(result_rows((c,), timings=args.timings), args.out)
     err = "n/a" if c.error is None else f"{c.error:.3e}"
-    print(f"price: {c.kind} n={c.partitions} M={c.samples} {c.mode}"
-          f"{' +romberg' if c.use_romberg else ''} estimate={c.estimate:.10f} "
+    print(f"price: {cell.kind} n={cell.partitions} M={cell.samples} {cell.mode}"
+          f"{' +romberg' if cell.use_romberg else ''} estimate={c.estimate:.10f} "
           f"error={err} reference={_reference_text(config.reference)} [{c.seconds:.1f}s]",
           file=sys.stderr)
     return 0

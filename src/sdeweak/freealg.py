@@ -99,6 +99,19 @@ def words_up_to(max_degree: int, d: int) -> list[Word]:
             for n in range((k + 1) // 2, k + 1) for t in by_shape[n, k - n]]
 
 
+def words_per_degree(d: int) -> Iterator[int]:
+    """How many words of scaled degree 0, 1, 2, ... there are over {v0, ..., vd}.
+
+    The shape recurrence of :func:`words_up_to` summed over lengths: a word of
+    degree k is a letter 1..d before a word of degree k - 1, or v0 before one
+    of degree k - 2.  Counts come without end and no word is built.
+    """
+    before, count = 0, 1
+    while True:
+        yield count
+        before, count = count, d * count + before
+
+
 class TruncatedSeries:
     """A finitely supported map Word -> coefficient, truncated at a fixed scaled degree.
 

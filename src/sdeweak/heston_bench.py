@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .moment_match import LOWER, SchemeParams, solution_params
-from .rk_integrator import IntegrationFailure, IntegrationScheme, VectorField, scheme
-from .sampling import PSEUDO, QMC, SOBOL, EstimatorReport, UniformSource, estimate
+from .moment_match import LOWER, solution_params
+from .rk_integrator import IntegrationFailure, VectorField, scheme
+from .sampling import QMC, UniformSource, estimate
 from .schemes import EM, NN, NV, SDEModel, SchemeStepPlan, romberg, run_paths
 
 #: the benchmark's target value, computed by extrapolated QMC at n = 96+48
@@ -242,16 +242,6 @@ class BenchConfig:
     workers: int | None = None
     reference: float | None = REFERENCE_PRICE
 
-    def scheme_params(self) -> SchemeParams:
-        return solution_params(self.u, self.branch)
-
-    def integrator(self, kind: str) -> IntegrationScheme | None:
-        if kind == NN:
-            return scheme(self.nn_tableau)
-        if kind == NV:
-            return scheme(self.nv_tableau)
-        return None
-
 
 @dataclass(frozen=True)
 class Cell:
@@ -270,11 +260,7 @@ class Cell:
 
 @dataclass(frozen=True)
 class CellResult:
-    kind: str
-    partitions: int
-    samples: int
-    mode: str
-    use_romberg: bool
+    cell: Cell
     estimate: float
     error: float | None
     seconds: float
@@ -282,24 +268,11 @@ class CellResult:
 
 
 def _make_plan(config: BenchConfig, kind: str, n: int) -> SchemeStepPlan:
-    params = config.scheme_params().as_float() if kind == NN else None
-    return SchemeStepPlan(kind, n, params=params, integrator=config.integrator(kind))
-
-
-def _run_estimate(config: BenchConfig, model: SDEModel, plan: SchemeStepPlan,
-                  samples: int, mode: str) -> EstimatorReport:
-    dim = plan.uniform_dimension(model)
-    if mode == QMC:
-        source = UniformSource(SOBOL, dim, skip=config.sobol_skip)
-    else:
-        source = UniformSource(PSEUDO, dim, seed=config.seed)
-    params = config.heston
-
-    def payoff(uniforms: np.ndarray) -> np.ndarray:
-        states = run_paths(plan, model, params.x0, params.T, uniforms)
-        return asian_payoff(states, params)
-
-    return estimate(payoff, source, samples, mode, workers=config.workers)
+    if kind == EM:
+        return SchemeStepPlan(EM, n)
+    params = solution_params(config.u, config.branch) if kind == NN else None
+    tableau = config.nn_tableau if kind == NN else config.nv_tableau
+    return SchemeStepPlan(kind, n, params=params, integrator=scheme(tableau))
 
 
 def price_cell(config: BenchConfig, cell: Cell) -> CellResult:
@@ -313,13 +286,21 @@ def price_cell(config: BenchConfig, cell: Cell) -> CellResult:
     """
     guard = GuardCounter()
     model = heston_model(config.heston, guard)
+    heston = config.heston
     t0 = time.perf_counter()
     n = cell.partitions
     reports = []
     for k in (n // 2, n) if cell.use_romberg else (n,):
+        plan = _make_plan(config, cell.kind, k)
+        source = UniformSource(cell.mode, plan.uniform_dimension(model), seed=config.seed,
+                               skip=config.sobol_skip)
+
+        def payoff(uniforms: np.ndarray) -> np.ndarray:
+            states = run_paths(plan, model, heston.x0, heston.T, uniforms)
+            return asian_payoff(states, heston)
+
         try:
-            reports.append(_run_estimate(config, model, _make_plan(config, cell.kind, k),
-                                         cell.samples, cell.mode))
+            reports.append(estimate(payoff, source, cell.samples, workers=config.workers))
         except IntegrationFailure as exc:
             exc.cell = f"{cell.kind} n={n} {cell.mode}"
             if cell.use_romberg:
@@ -333,10 +314,11 @@ def price_cell(config: BenchConfig, cell: Cell) -> CellResult:
     if cell.mode == QMC:
         error = None if config.reference is None else abs(value - config.reference)
     else:
+        # 2 x the standard deviation of the 10 batch means, deliberately not
+        # divided by sqrt(10)
         per_batch = [combine(b) for b in zip(*(r.batch_means for r in reports))]
         error = 2.0 * float(np.std(per_batch, ddof=1))
-    return CellResult(cell.kind, n, cell.samples, cell.mode, cell.use_romberg, value, error,
-                      time.perf_counter() - t0, guard.fraction)
+    return CellResult(cell, value, error, time.perf_counter() - t0, guard.fraction)
 
 
 def convergence_study(config: BenchConfig, cells: Sequence[Cell]) -> tuple[CellResult, ...]:
@@ -355,12 +337,13 @@ def result_rows(cells: Sequence[CellResult], timings: bool = False) -> list[str]
     yield byte-identical output regardless of worker count or load.
     """
     lines = [CSV_HEADER_TIMED if timings else CSV_HEADER]
-    for c in cells:
-        err = "" if c.error is None else repr(c.error)
+    for r in cells:
+        c = r.cell
+        err = "" if r.error is None else repr(r.error)
         row = (f"{c.kind},{c.partitions},{c.samples},{c.mode},"
-               f"{int(c.use_romberg)},{c.estimate!r},{err}")
+               f"{int(c.use_romberg)},{r.estimate!r},{err}")
         if timings:
-            row += f",{c.seconds:.3f}"
+            row += f",{r.seconds:.3f}"
         lines.append(row)
     return lines
 

@@ -178,15 +178,13 @@ FLOAT = "float"
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """The (u, branch, c, R) tuple defining the scheme's Gaussian family.
+    """The (c, R) pair defining the scheme's Gaussian family.
 
     c1 + c2 must equal 1 and R must be a valid covariance.  Instances built by
     :func:`solution_params` additionally satisfy the m=5 / M=2 matching
     identities; hand-built or perturbed instances need not.
     """
 
-    u: Fraction | float
-    branch: str
     c1: Fraction | float
     c2: Fraction | float
     r11: Fraction | float
@@ -194,8 +192,6 @@ class SchemeParams:
     r22: Fraction | float
 
     def __post_init__(self):
-        if self.branch not in (UPPER, LOWER):
-            raise ValueError(f"branch must be 'upper' or 'lower', got {self.branch!r}")
         tol = 0 if self.is_exact else 1e-12
         if abs(self.c1 + self.c2 - 1) > tol:
             raise ValueError("c1 + c2 must equal 1")
@@ -204,7 +200,7 @@ class SchemeParams:
 
     @cached_property
     def is_exact(self) -> bool:
-        return _is_exact((self.u, self.c1, self.c2, self.r11, self.r12, self.r22))
+        return _is_exact((self.c1, self.c2, self.r11, self.r12, self.r22))
 
     @property
     def mode(self) -> str:
@@ -230,13 +226,7 @@ class SchemeParams:
             if k not in fields:
                 raise ValueError(f"only R entries can be perturbed, got {key!r}")
             fields[k] = fields[k] + delta
-        return SchemeParams(self.u, self.branch, self.c1, self.c2, **fields)
-
-    def as_float(self) -> "SchemeParams":
-        return SchemeParams(
-            float(self.u), self.branch, float(self.c1), float(self.c2),
-            float(self.r11), float(self.r12), float(self.r22),
-        )
+        return SchemeParams(self.c1, self.c2, **fields)
 
 
 def solution_params(u, branch: str = LOWER) -> SchemeParams:
@@ -275,7 +265,7 @@ def solution_params(u, branch: str = LOWER) -> SchemeParams:
         r22 = 1 + u - root
         r12 = -u + half
     try:
-        return SchemeParams(u, branch, c1, c2, u, r12, r22)
+        return SchemeParams(c1, c2, u, r12, r22)
     except ValueError:
         # the family's identities hold exactly; only float rounding at a large u breaks them
         raise ValueError(f"u is too large for the closed form in floats, got {u!r}") from None

@@ -152,6 +152,8 @@ class ButcherTableau:
     @classmethod
     def from_mapping(cls, data: dict) -> "ButcherTableau":
         """Build from a JSON-style dict with rational strings such as "11/64"."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a tableau must be a JSON object, got {type(data).__name__}")
         a = tuple(tuple(Fraction(str(x)) for x in row) for row in data["a"])
         b = tuple(Fraction(str(x)) for x in data["b"])
         return cls(a=a, b=b, declared_order=int(data["order"]), name=data.get("name", ""))

@@ -1,12 +1,12 @@
 """Uniform-variate sources, the inverse normal transform, and estimators.
 
-Two interchangeable sources drive the Monte Carlo machinery:
+A source's kind is the estimate's mode, and each mode has one generator:
 
-* ``pseudo``: the Philox4x64-10 counter-based generator (numpy's ``Philox``)
+* ``mc``: the Philox4x64-10 counter-based generator (numpy's ``Philox``)
   viewed as one global uniform stream; path ``i`` of a D-dimensional problem
   owns stream words ``i*D .. (i+1)*D - 1``.  Uniforms are
   ``((raw >> 11) + 0.5) * 2**-53``, strictly inside (0, 1).
-* ``sobol``: an own Sobol low-discrepancy implementation (Gray-code order)
+* ``qmc``: an own Sobol low-discrepancy implementation (Gray-code order)
   with Joe-Kuo direction numbers loaded from a bundled data file; raw index 0
   is the all-zeros point and is skipped by default.
 
@@ -193,17 +193,18 @@ def philox_uniforms(seed: int, start: int, count: int) -> np.ndarray:
 # Uniform sources
 # ---------------------------------------------------------------------------
 
-PSEUDO = "pseudo"
-SOBOL = "sobol"
+MC = "mc"
+QMC = "qmc"
 
 
 @dataclass(frozen=True)
 class UniformSource:
     """A random-access source of points in (0,1)^dimension.
 
-    ``seed`` applies to the pseudo kind; ``skip`` shifts the Sobol enumeration
-    and defaults to 1 so the all-zeros point never appears (its inverse-normal
-    image is -infinity).
+    ``kind`` is the estimate's mode: ``mc`` reads the Philox stream of
+    ``seed``, ``qmc`` the Sobol sequence from index ``skip``, which defaults
+    to 1 so the all-zeros point never appears (its inverse-normal image is
+    -infinity).
     """
 
     kind: str
@@ -212,16 +213,16 @@ class UniformSource:
     skip: int = 1
 
     def __post_init__(self):
-        if self.kind not in (PSEUDO, SOBOL):
-            raise ValueError(f"kind must be 'pseudo' or 'sobol', got {self.kind!r}")
+        if self.kind not in (MC, QMC):
+            raise ValueError(f"kind must be 'mc' or 'qmc', got {self.kind!r}")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if self.kind == SOBOL and self.skip < 1:
+        if self.kind == QMC and self.skip < 1:
             raise ValueError("sobol skip must be >= 1 (index 0 is the zero point)")
 
     def block(self, start: int, count: int) -> np.ndarray:
         """Points start .. start+count-1 as an array of shape (count, dimension)."""
-        if self.kind == PSEUDO:
+        if self.kind == MC:
             flat = philox_uniforms(self.seed, start * self.dimension, count * self.dimension)
             return flat.reshape(count, self.dimension)
         return sobol_points(self.dimension, self.skip + start, count)
@@ -358,25 +359,16 @@ def correlate_pair(z: np.ndarray, cov: Sequence[Sequence[float]]) -> np.ndarray:
 # Estimation
 # ---------------------------------------------------------------------------
 
-MC = "mc"
-QMC = "qmc"
 MC_BATCHES = 10
 CHUNK = 16384
 
 
 @dataclass(frozen=True)
 class EstimatorReport:
-    """Point estimate with the error metric of its mode.
-
-    MC error is 2 x the sample standard deviation of the 10 contiguous batch
-    means ("2 sigma of 10 batches", deliberately not divided by sqrt(10));
-    QMC error is |estimate - reference| when a reference is supplied, else None.
-    """
+    """The mean of every sample, and the means of 10 contiguous MC batches or one QMC batch."""
 
     estimate: float
-    error: float | None
-    samples: int
-    batch_means: tuple[float, ...] | None = None
+    batch_means: tuple[float, ...]
 
 
 def check_sobol_span(skip: int, samples: int) -> None:
@@ -387,27 +379,23 @@ def check_sobol_span(skip: int, samples: int) -> None:
 
 
 def estimate(payoff: Callable[[np.ndarray], np.ndarray], source: UniformSource, samples: int,
-             mode: str, reference: float | None = None,
              workers: int | None = None) -> EstimatorReport:
     """Average ``payoff`` over ``samples`` source points.
 
     payoff maps a uniform block (count, D) to a value vector (count,).  Points
     are processed in fixed chunks whose sums are reduced in index order, so the
-    result is bit-identical for every worker count.  MC mode requires the
+    result is bit-identical for every worker count.  An MC source requires the
     sample count to be divisible by the fixed batch count (10); QMC is one
-    batch.  A Sobol source whose skip + samples passes 2^32 is refused before
+    batch.  A QMC source whose skip + samples passes 2^32 is refused before
     any chunk runs.  With at most one worker the chunks run on the calling
     thread.  An IntegrationFailure from payoff leaves with its row turned into
     a path index.
     """
-    if mode not in (MC, QMC):
-        raise ValueError(f"mode must be 'mc' or 'qmc', got {mode!r}")
-    if mode == MC and samples % MC_BATCHES != 0:
+    batches = MC_BATCHES if source.kind == MC else 1
+    if samples % batches != 0:
         raise ValueError(f"MC sample count must be divisible by {MC_BATCHES}")
-    if source.kind == SOBOL:
+    if source.kind == QMC:
         check_sobol_span(source.skip, samples)
-
-    batches = MC_BATCHES if mode == MC else 1
     size = samples // batches
     # no chunk straddles a batch, so every batch is the same number of chunks
     ranges = [(a, min(a + CHUNK, lo + size))
@@ -429,12 +417,7 @@ def estimate(payoff: Callable[[np.ndarray], np.ndarray], source: UniformSource, 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             sums = np.array(list(pool.map(chunk_sum, ranges)))
 
-    mean = float(np.add.reduce(sums)) / samples
-    if mode == QMC:
-        return EstimatorReport(mean, None if reference is None else abs(mean - reference),
-                               samples)
     per = len(ranges) // batches
     batch_means = tuple(float(np.add.reduce(sums[k:k + per])) / size
                         for k in range(0, len(ranges), per))
-    return EstimatorReport(mean, 2.0 * float(np.std(batch_means, ddof=1)), samples,
-                           batch_means)
+    return EstimatorReport(float(np.add.reduce(sums)) / samples, batch_means)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdeweak
-from sdeweak import heston_bench, sampling
+from sdeweak import freealg, heston_bench, moment_match, sampling
 from sdeweak.cli import main
 from sdeweak.heston_bench import REFERENCE_PRICE
 
@@ -77,6 +77,23 @@ class TestVerifyMoments:
         assert out == ""
         assert err.splitlines() == [f"sdeweak verify-moments: error: {message}"]
 
+    @pytest.mark.parametrize("argv", [["--m", "5", "--d", "1000"],
+                                      ["--m", "1000000000", "--d", "1"]],
+                             ids=["wide-alphabet", "huge-degree"])
+    def test_too_many_words_refused_before_any_is_built(self, capsys, monkeypatch, argv):
+        # --m 5 --d 1000 has 1,001,005,004,006,003 words
+        def no_words(*args, **kwargs):
+            raise AssertionError("a refused run must not build a word")
+
+        monkeypatch.setattr(freealg, "words_up_to", no_words)
+        monkeypatch.setattr(moment_match, "words_up_to", no_words)
+        code, out, err = run_cli(capsys, "verify-moments", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"sdeweak verify-moments: error: --m {argv[1]} --d {argv[3]} has more than "
+            "1048576 words (2^20), the most verify-moments builds"]
+
     @pytest.mark.parametrize("argv, code, digest", [
         (["--u", "5/8", "--branch", "lower"], 0,
          "c9f4b4899c6cfebbac220cfc974a62570030673e2f71b7aa2405262a7dba3c08"),
@@ -130,6 +147,23 @@ class TestVerifyRkOrder:
         with pytest.raises(SystemExit) as exc:
             main(["verify-rk-order", "--tableau", "rk9-mystery", "--order", "9"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("content, reason", [
+        ({"order": 1, "a": [["1/0"]], "b": ["1"]}, "Fraction(1, 0)"),
+        ({"order": 1, "a": 5, "b": ["1"]}, "'int' object is not iterable"),
+        ([1, 2], "a tableau must be a JSON object, got list"),
+    ], ids=["zero-denominator", "non-list-a", "top-level-list"])
+    def test_bad_tableau_file_is_usage_error(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(content))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-rk-order", "--tableau", str(path), "--order", "1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "sdeweak verify-rk-order: error: argument --tableau: "
+            f"cannot load tableau file {path}: {reason}"]
 
 
 class TestPrice:

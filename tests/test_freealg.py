@@ -66,6 +66,12 @@ class TestWordsUpTo:
         degrees = [w.scaled_degree for w in words_up_to(7, d)]
         assert [degrees.count(k) for k in range(8)] == a
 
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    def test_words_per_degree_counts_the_built_words(self, d):
+        degrees = [w.scaled_degree for w in words_up_to(7, d)]
+        counts = [c for _, c in zip(range(8), fa.words_per_degree(d))]
+        assert counts == [degrees.count(k) for k in range(8)]
+
     def test_certify_size(self):
         assert len(words_up_to(5, 6)) == 10335
 

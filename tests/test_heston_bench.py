@@ -275,6 +275,7 @@ class TestBenchmark:
     def test_convergence_study_rows(self):
         cells = [Cell("nn", 1, 10_000, "qmc"), Cell("em", 4, 10_000, "qmc")]
         result = convergence_study(CFG, cells)
+        assert [r.cell for r in result] == cells
         lines = result_rows(result)
         assert lines[0] == "scheme,n,samples,mode,romberg,estimate,error"
         assert len(lines) == 3
@@ -293,6 +294,17 @@ class TestBenchmark:
     def test_mc_mode_reports_batch_error(self):
         res = price_cell(CFG, Cell("nn", 2, 20_000, "mc"))
         assert res.error is not None and res.error > 0
+
+    @pytest.mark.parametrize("cell, estimate, error", [
+        (Cell("em", 4, 2000, "mc", use_romberg=True),
+         "0.06055868354569188", "0.01541928157070072"),
+        (Cell("nv", 2, 2000, "mc"), "0.05739503996545826", "0.012178585148163343"),
+    ], ids=["em-romberg", "nv"])
+    def test_small_mc_error_bars_pinned(self, cell, estimate, error):
+        # no benchmark digest covers an MC Romberg or an MC N-V cell; the
+        # Romberg error bar combines the two levels batch by batch
+        res = price_cell(CFG, cell)
+        assert (repr(res.estimate), repr(res.error)) == (estimate, error)
 
     @pytest.mark.slow
     def test_em_romberg_qmc_matches_table_accuracy(self):

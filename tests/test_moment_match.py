@@ -102,12 +102,12 @@ class TestSolutionParams:
 
     def test_c_sum_enforced(self):
         with pytest.raises(ValueError):
-            SchemeParams(Fraction(3, 4), LOWER, Fraction(1, 2), Fraction(1, 3),
+            SchemeParams(Fraction(1, 2), Fraction(1, 3),
                          Fraction(3, 4), -Fraction(1, 4), Fraction(3, 4))
 
     def test_psd_enforced(self):
         with pytest.raises(ValueError):
-            SchemeParams(Fraction(3, 4), LOWER, Fraction(1, 2), Fraction(1, 2),
+            SchemeParams(Fraction(1, 2), Fraction(1, 2),
                          Fraction(1, 4), Fraction(2), Fraction(1, 4))
 
 
@@ -166,7 +166,7 @@ class TestSymbolicExpectation:
             c1 = Fraction(rng.randint(-2, 3), rng.randint(1, 3))
             spec = random_psd(rng, 2)
             (r11, r12), (_, r22) = spec.covariance
-            params = SchemeParams(Fraction(3, 4), LOWER, c1, 1 - c1, r11, r12, r22)
+            params = SchemeParams(c1, 1 - c1, r11, r12, r22)
             s = symbolic_expectation(params, 5, 2)
             for w in words_up_to(5, 2):
                 assert s.coefficient(w) == scheme_coefficient(params, w), str(w)
@@ -275,7 +275,7 @@ class TestResidualPolynomial:
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_fraction_path_off_solution(self, d):
         poly = _ResidualPolynomial(5, 2, d)
-        params = SchemeParams(Fraction(3, 4), LOWER, Fraction(1, 3), Fraction(2, 3),
+        params = SchemeParams(Fraction(1, 3), Fraction(2, 3),
                               Fraction(1, 2), -Fraction(1, 8), Fraction(5, 8))
         x = np.array([1 / 3, 2 / 3, 1 / 2, -1 / 8, 5 / 8])
         res = {w: r for w, _, _, r in residual_table(params, 5, d)}

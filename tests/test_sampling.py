@@ -8,9 +8,7 @@ from sdeweak.rk_integrator import IntegrationFailure, VectorField, rk_step, sche
 from sdeweak.sampling import (
     CHUNK,
     MC,
-    PSEUDO,
     QMC,
-    SOBOL,
     UniformSource,
     correlate_pair,
     estimate,
@@ -157,7 +155,7 @@ class TestSobol:
         assert (s, a, ms) == (1, 0, [1])
 
     def test_source_emits_open_interval(self):
-        src = UniformSource(SOBOL, dimension=16)
+        src = UniformSource(QMC, dimension=16)
         pts = src.block(0, 4096)
         assert pts.min() > 0.0 and pts.max() < 1.0
 
@@ -171,9 +169,9 @@ class TestSobol:
             t3 = prods.sum() / n**2
             return math.sqrt(t1 - t2 + t3)
 
-        sob = l2_star(UniformSource(SOBOL, 2).block(0, 1024))
+        sob = l2_star(UniformSource(QMC, 2).block(0, 1024))
         pseudo = np.median([
-            l2_star(UniformSource(PSEUDO, 2, seed=s).block(0, 1024)) for s in range(10)
+            l2_star(UniformSource(MC, 2, seed=s).block(0, 1024)) for s in range(10)
         ])
         assert sob < pseudo
 
@@ -192,7 +190,7 @@ class TestPhilox:
         assert u.min() > 0.0 and u.max() < 1.0
 
     def test_block_layout_by_path(self):
-        src = UniformSource(PSEUDO, dimension=5, seed=3)
+        src = UniformSource(MC, dimension=5, seed=3)
         block = src.block(0, 8)
         assert block.shape == (8, 5)
         assert np.array_equal(block[6], src.block(6, 1)[0])
@@ -344,54 +342,57 @@ class TestCorrelatePair:
 
 class TestEstimate:
     def test_constant_payoff(self):
-        src = UniformSource(PSEUDO, 3, seed=0)
-        rep = estimate(lambda u: np.ones(len(u)), src, 1000, MC)
+        src = UniformSource(MC, 3, seed=0)
+        rep = estimate(lambda u: np.ones(len(u)), src, 1000)
         assert rep.estimate == 1.0
-        assert rep.error == 0.0
-        assert rep.samples == 1000
+        assert rep.batch_means == (1.0,) * 10
 
     def test_first_coordinate_mean_qmc(self):
-        src = UniformSource(SOBOL, 4)
-        rep = estimate(lambda u: u[:, 0], src, 1 << 16, QMC, reference=0.5)
-        assert rep.error is not None and rep.error < 1e-4
+        src = UniformSource(QMC, 4)
+        rep = estimate(lambda u: u[:, 0], src, 1 << 16)
+        assert abs(rep.estimate - 0.5) < 1e-4
 
-    def test_qmc_without_reference_has_no_error(self):
-        src = UniformSource(SOBOL, 2)
-        rep = estimate(lambda u: u[:, 0], src, 256, QMC)
-        assert rep.error is None
+    def test_qmc_is_one_batch(self):
+        src = UniformSource(QMC, 2)
+        rep = estimate(lambda u: u[:, 0], src, 256)
+        assert rep.batch_means == (rep.estimate,)
 
     def test_mc_error_scales_like_clt(self):
-        src = UniformSource(PSEUDO, 1, seed=5)
-        e1 = estimate(lambda u: u[:, 0], src, 40_000, MC).error
-        e2 = estimate(lambda u: u[:, 0], src, 160_000, MC).error
+        src = UniformSource(MC, 1, seed=5)
+        e1 = np.std(estimate(lambda u: u[:, 0], src, 40_000).batch_means, ddof=1)
+        e2 = np.std(estimate(lambda u: u[:, 0], src, 160_000).batch_means, ddof=1)
         ratio = e1 / e2
         assert 2 / 1.5 <= ratio <= 2 * 1.5
 
     def test_mc_requires_divisible_samples(self):
-        src = UniformSource(PSEUDO, 1)
+        src = UniformSource(MC, 1)
         with pytest.raises(ValueError):
-            estimate(lambda u: u[:, 0], src, 1001, MC)
+            estimate(lambda u: u[:, 0], src, 1001)
+
+    def test_kind_is_the_mode(self):
+        with pytest.raises(ValueError, match="'mc' or 'qmc'"):
+            UniformSource("sobol", 2)
 
     def test_worker_count_does_not_change_bits(self):
-        src = UniformSource(PSEUDO, 6, seed=9)
+        src = UniformSource(MC, 6, seed=9)
 
         def payoff(u):
             return np.sin(u).sum(axis=1)
 
-        reps = [estimate(payoff, src, 50_000, MC, workers=w) for w in (1, 2, 4)]
+        reps = [estimate(payoff, src, 50_000, workers=w) for w in (1, 2, 4)]
         assert len({r.estimate for r in reps}) == 1
-        assert len({r.error for r in reps}) == 1
+        assert len({r.batch_means for r in reps}) == 1
 
     def test_integration_failure_names_the_path(self):
         # the first point with both coordinates near 1 lies past the first chunk
-        src = UniformSource(SOBOL, 2)
+        src = UniformSource(QMC, 2)
         near_one = lambda u: (u[:, :1] > 0.999) & (u[:, 1:] > 0.99)
         field = VectorField(2, lambda y: np.where(near_one(y), np.nan, 0.0))
         first = int(np.flatnonzero(near_one(src.block(0, 60_000))[:, 0])[0])
         assert first >= CHUNK
         for workers in (1, 3):
             with pytest.raises(IntegrationFailure) as exc:
-                estimate(lambda u: rk_step(RK5, field, u, 1.0)[:, 0], src, 60_000, QMC,
+                estimate(lambda u: rk_step(RK5, field, u, 1.0)[:, 0], src, 60_000,
                          workers=workers)
             assert (exc.value.stage, exc.value.path) == (1, first)
 
@@ -403,7 +404,7 @@ class TestEstimate:
             threads.add(threading.get_ident())
             return u[:, 0]
 
-        estimate(payoff, UniformSource(SOBOL, 2), 40_000, QMC, workers=1)
+        estimate(payoff, UniformSource(QMC, 2), 40_000, workers=1)
         assert threads == {threading.get_ident()}
 
     def test_chunks_never_straddle_an_mc_batch(self):
@@ -413,25 +414,25 @@ class TestEstimate:
             sizes.append(len(u))
             return u[:, 0]
 
-        estimate(payoff, UniformSource(PSEUDO, 1), 200_000, MC, workers=1)
+        estimate(payoff, UniformSource(MC, 1), 200_000, workers=1)
         assert sizes == [16384, 3616] * 10
         sizes.clear()
-        estimate(payoff, UniformSource(SOBOL, 1), 40_000, QMC, workers=1)
+        estimate(payoff, UniformSource(QMC, 1), 40_000, workers=1)
         assert sizes == [16384, 16384, 7232]
 
     def test_sobol_index_space_bounds_the_samples(self):
-        src = UniformSource(SOBOL, 2, skip=2**32 - 10)
-        rep = estimate(lambda u: u[:, 0], src, 10, QMC, workers=1)
-        assert rep.samples == 10
+        src = UniformSource(QMC, 2, skip=2**32 - 10)
+        rep = estimate(lambda u: u[:, 0], src, 10, workers=1)
+        assert rep.estimate == float(np.add.reduce(src.block(0, 10)[:, 0])) / 10
 
         def payoff(u):
             raise AssertionError("a refused estimate must not call the payoff")
 
         with pytest.raises(ValueError, match="sobol_skip .* samples"):
-            estimate(payoff, src, 11, QMC, workers=1)
+            estimate(payoff, src, 11, workers=1)
 
     def test_repeat_call_bit_identical(self):
-        src = UniformSource(SOBOL, 3)
-        a = estimate(lambda u: u.prod(axis=1), src, 30_000, QMC)
-        b = estimate(lambda u: u.prod(axis=1), src, 30_000, QMC)
+        src = UniformSource(QMC, 3)
+        a = estimate(lambda u: u.prod(axis=1), src, 30_000)
+        b = estimate(lambda u: u.prod(axis=1), src, 30_000)
         assert a.estimate == b.estimate

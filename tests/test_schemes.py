@@ -6,7 +6,7 @@ import pytest
 from sdeweak.moment_match import DEFAULT_PARAMS
 from sdeweak.rk_integrator import IntegrationFailure, VectorField, integrate, scheme
 from sdeweak.heston_bench import BenchConfig, Cell, HestonParams, heston_model, price_cell
-from sdeweak.sampling import MC, PSEUDO, QMC, SOBOL, UniformSource
+from sdeweak.sampling import MC, QMC, UniformSource
 from sdeweak.schemes import (
     EM,
     NN,
@@ -75,7 +75,7 @@ class TestNNStep:
         a, b, s, x0 = 1.0, 0.5, 0.04, 1.0
         model = linear_model(a, b)
         plan = SchemeStepPlan(NN, 1, params=DEFAULT_PARAMS, integrator=RK5)
-        src = UniformSource(PSEUDO, plan.uniform_dimension(model), seed=21)
+        src = UniformSource(MC, plan.uniform_dimension(model), seed=21)
         m = 100_000
         states = run_paths(plan, model, [x0], s, src.block(0, m))
         vals = states[:, 0] ** 2
@@ -122,7 +122,7 @@ class TestEMStep:
         ident = VectorField(1, lambda y: y)
         model = SDEModel(1, 1, (zero, ident), zero)
         plan = SchemeStepPlan(EM, 8)
-        src = UniformSource(PSEUDO, plan.uniform_dimension(model), seed=4)
+        src = UniformSource(MC, plan.uniform_dimension(model), seed=4)
         m = 200_000
         states = run_paths(plan, model, [1.0], 1.0, src.block(0, m))
         sem = states[:, 0].std(ddof=1) / math.sqrt(m)
@@ -273,7 +273,7 @@ class TestRunPaths:
     def test_replay_is_identical(self):
         model = linear_model()
         plan = SchemeStepPlan(NN, 4, params=DEFAULT_PARAMS, integrator=RK5)
-        src = UniformSource(PSEUDO, plan.uniform_dimension(model), seed=8)
+        src = UniformSource(MC, plan.uniform_dimension(model), seed=8)
         block = src.block(0, 64)
         a = run_paths(plan, model, [1.0], 1.0, block)
         b = run_paths(plan, model, [1.0], 1.0, block)
@@ -284,7 +284,7 @@ class TestRunPaths:
         for kind, kwargs in ((NN, dict(params=DEFAULT_PARAMS, integrator=RK5)),
                              (EM, {}), (NV, dict(integrator=RK5))):
             plan = SchemeStepPlan(kind, 2, **kwargs)
-            src = UniformSource(PSEUDO, plan.uniform_dimension(model), seed=17)
+            src = UniformSource(MC, plan.uniform_dimension(model), seed=17)
             block = src.block(0, 5)
             batch = run_paths(plan, model, [1.0], 1.0, block)
             singles = np.vstack([run_paths(plan, model, [1.0], 1.0, row[None, :])
@@ -296,7 +296,7 @@ class TestRunPaths:
         for kind, kwargs in ((NN, dict(params=DEFAULT_PARAMS, integrator=RK5)),
                              (EM, {}), (NV, dict(integrator=RK5))):
             plan = SchemeStepPlan(kind, 3, **kwargs)
-            block = UniformSource(SOBOL, plan.uniform_dimension(model)).block(0, 300)
+            block = UniformSource(QMC, plan.uniform_dimension(model)).block(0, 300)
             c = run_paths(plan, model, (1.0, 0.09, 0.0), 1.0, np.ascontiguousarray(block))
             f = run_paths(plan, model, (1.0, 0.09, 0.0), 1.0, np.asfortranarray(block))
             assert np.array_equal(c, f), kind
