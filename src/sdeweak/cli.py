@@ -32,7 +32,7 @@ from .heston_bench import (
     price_cell,
     result_rows,
 )
-from .moment_match import FLOAT, UPPER, LOWER, residual_table, solution_params
+from .moment_match import FLOAT, UPPER, LOWER, SchemeParams, residual_table, solution_params
 from .rk_trees import ButcherTableau, check_order
 from .rk_integrator import IntegrationFailure, builtin_tableau
 from .sampling import MC, QMC, check_sobol_span
@@ -289,7 +289,24 @@ def _config_from_mapping(raw: dict, args) -> BenchConfig:
                   sobol_skip=_count(cfg.sobol_skip, "sobol_skip"))
     if cfg.workers is not None:
         cfg = replace(cfg, workers=_count(cfg.workers, "workers", most=_MAX_WORKERS))
+    _check_float_family(cfg.u, cfg.branch)
     return cfg
+
+
+def _check_float_family(u: Fraction, branch: str) -> None:
+    """Refuse a u whose closed-form parameters fail SchemeParams' checks in floats.
+
+    The pricing path steps with the parameters as floats, where an exact
+    family can still cancel: u = 664613997892457936451903530140172289/2 gives
+    c1 = 2^59 and float c1 + c2 = 0.  verify-moments works in the rationals
+    and keeps such a u.
+    """
+    params = solution_params(u, branch)
+    try:
+        SchemeParams(*(float(v) for v in (params.c1, params.c2, params.r11, params.r12,
+                                          params.r22)))
+    except ValueError:
+        raise ValueError(f"u is too large for the closed form in floats, got {u}") from None
 
 
 def _reference_text(reference: float | None) -> str:

@@ -82,6 +82,11 @@ class GuardCounter:
         return self.negative / self.total if self.total else 0.0
 
 
+def _positive_zero(b) -> bool:
+    """b is the float +0.0 (not -0.0, not an array)."""
+    return type(b) is float and b == 0.0 and math.copysign(1.0, b) > 0.0
+
+
 def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDEModel:
     """The three-dimensional (price, variance, running integral) model, d = 2.
 
@@ -90,6 +95,7 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
         V1 = (y1 sqrt(y2), rho beta sqrt(y2), 0)
         V2 = (0, beta sqrt((1 - rho^2) y2), 0)
     Ito drift (mu y1, alpha (theta - y2), y1) with diffusion columns V1, V2.
+    The fields read only (y1, y2), so the model declares read_dim = 2.
     """
     mu, al, th, be, rho = params.mu, params.alpha, params.theta, params.beta, params.rho
     rb = rho * be
@@ -148,9 +154,33 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
         a, b1, b2 = coeffs
         y1 = y[..., 0]
         y2 = y[..., 1]
-        q = vol(y2)
         out = np.empty_like(y)
         o0, o1, o2 = out[..., 0], out[..., 1], out[..., 2]
+        if _positive_zero(b1) and _positive_zero(b2) and y2.size and \
+                0.0 < y2.min() and y2.max() < math.inf:
+            # a drift flow (N-V's half drifts), with the general kernel's
+            # bits.  Every variance is positive and finite, so q is too and
+            # b1 q = +0.0.  b2 orth = +0.0 (orth >= 0), so b1 rho beta + b2
+            # orth = +0.0 whatever the sign of rho, and its product with q
+            # is +0.0.  So the general kernel adds +0.0 to each of the first
+            # two columns (in out1 on the left; addition commutes).  Adding
+            # +0.0 changes nothing but a -0.0, which it turns into +0.0, so
+            # it is kept.  vol would count no clamp.
+            guard.record(0, y2.size)
+            np.multiply(y2, 0.5, out=o0)
+            np.subtract(mu, o0, out=o0)
+            o0 -= rb4
+            o0 *= a
+            o0 += 0.0
+            o0 *= y1
+            np.subtract(th, y2, out=o1)
+            o1 *= al
+            o1 -= be2_4
+            o1 *= a
+            o1 += 0.0
+            np.multiply(y1, a, out=o2)
+            return out
+        q = vol(y2)
         np.multiply(y2, 0.5, out=o0)
         np.subtract(mu, o0, out=o0)
         o0 -= rb4
@@ -213,7 +243,7 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
     fields = tuple(VectorField(3, f) for f in (v0, v1, v2))
     model = SDEModel(dim=3, brownian_dim=2, stratonovich=fields,
                      ito_drift=VectorField(3, drift), fused_combination=fused,
-                     fused_euler=euler)
+                     fused_euler=euler, read_dim=2)
     return model
 
 

@@ -146,18 +146,23 @@ def scheme(name: str) -> IntegrationScheme:
 
 
 def _combine(y0: np.ndarray, ks: list[np.ndarray], terms, s: float,
-             tmp: np.ndarray) -> np.ndarray:
-    """y0 + (s c_1) k_1 + (s c_2) k_2 + ..., left to right, as one fresh array.
+             tmp: np.ndarray, cols: int) -> np.ndarray:
+    """y0 + (s c_1) k_1 + (s c_2) k_2 + ..., left to right, over the leading
+    ``cols`` coordinates, as one fresh array shaped like y0.
 
-    tmp is scratch for each product; y0 and the ks are only read.
+    Its later coordinates are left unset; with no terms y0 itself is
+    returned.  tmp is scratch for each product; y0 and the ks are only read.
     """
-    acc = y0
-    for j, cj in terms:
-        np.multiply(ks[j], s * cj, out=tmp)
-        if acc is y0:
-            acc = y0 + tmp
+    if not terms:
+        return y0
+    acc = np.empty_like(y0)
+    head, part = acc[..., :cols], tmp[..., :cols]
+    for n, (j, cj) in enumerate(terms):
+        np.multiply(ks[j][..., :cols], s * cj, out=part)
+        if n:
+            head += part
         else:
-            acc += tmp
+            np.add(y0[..., :cols], part, out=head)
     return acc
 
 
@@ -174,11 +179,14 @@ def _failure(ks: list[np.ndarray], out: np.ndarray | None,
 
 
 def rk_step(integ: IntegrationScheme, W, y0: np.ndarray, s: float,
-            step_index: int | None = None) -> np.ndarray:
+            step_index: int | None = None, read_dim: int | None = None) -> np.ndarray:
     """One explicit step Y(y0; W, s) = y0 + s sum_i b_i W(Y_i).
 
     y0 may be a single state (N,) or a batch (P, N); W must broadcast
-    accordingly.  Neither y0 nor any output of W is written to.  A non-finite
+    accordingly.  Neither y0 nor any output of W is written to.  When W
+    reads only the first ``read_dim`` coordinates of its input, each stage
+    input Y_i is formed over those only and the rest of it is unspecified;
+    the result covers all N (None: W reads every coordinate).  A non-finite
     value raises IntegrationFailure naming the first non-finite stage, as if
     every stage were screened when evaluated, and that stage's first
     non-finite row.  The screen runs once per step, on the result: a
@@ -189,23 +197,26 @@ def rk_step(integ: IntegrationScheme, W, y0: np.ndarray, s: float,
     """
     y0 = np.asarray(y0, dtype=float)
     tmp = np.empty_like(y0)
+    dim = y0.shape[-1]
+    cols = dim if read_dim is None else read_dim
     ks: list[np.ndarray] = []
     for i, row in enumerate(integ._rows):
-        ki = np.asarray(W(_combine(y0, ks, row, s, tmp)), dtype=float)
+        ki = np.asarray(W(_combine(y0, ks, row, s, tmp, cols)), dtype=float)
         ks.append(ki)
         if i in integ._unweighted and not np.all(np.isfinite(ki)):
             raise _failure(ks, None, step_index)
-    out = _combine(y0, ks, integ._weights, s, tmp)
+    out = _combine(y0, ks, integ._weights, s, tmp, dim)
     if not np.all(np.isfinite(out)):
         raise _failure(ks, out, step_index)
     return out
 
 
 def integrate(integ: IntegrationScheme, W, y0: np.ndarray,
-              step_index: int | None = None) -> np.ndarray:
+              step_index: int | None = None, read_dim: int | None = None) -> np.ndarray:
     """The time-1 flow approximation g(W)(y0): one step of size 1.
 
     A single step is the scheme's defining form; its one-step error bound is
-    exactly what the splitting construction consumes.
+    exactly what the splitting construction consumes.  ``read_dim`` is
+    :func:`rk_step`'s.
     """
-    return rk_step(integ, W, y0, 1.0, step_index=step_index)
+    return rk_step(integ, W, y0, 1.0, step_index=step_index, read_dim=read_dim)

@@ -46,6 +46,14 @@ class SDEModel:
     Euler-Maruyama step x + s drift(x) + sum_i dB^i V_i(x) in one call; it
     must give the per-field :func:`em_step` bits, for per-path (P, d) and
     scalar (d,) increments and any layout of x.
+
+    ``read_dim``, when given, declares that the Stratonovich fields and
+    ``fused_combination`` read only the first ``read_dim`` coordinates of
+    their input (None: every coordinate).  The Runge-Kutta flows then form
+    each stage input over those coordinates only, and the value of a later
+    coordinate of a stage input is unspecified, so a field must not read it;
+    it must still return every coordinate.  Each flow's result covers every
+    coordinate.
     """
 
     dim: int
@@ -54,6 +62,7 @@ class SDEModel:
     ito_drift: VectorField
     fused_combination: Callable | None = None
     fused_euler: Callable | None = None
+    read_dim: int | None = None
 
     def __post_init__(self):
         if len(self.stratonovich) != self.brownian_dim + 1:
@@ -61,6 +70,8 @@ class SDEModel:
         if any(f.dimension != self.dim for f in self.stratonovich) or \
                 self.ito_drift.dimension != self.dim:
             raise ValueError("field dimensions disagree with the state dimension")
+        if self.read_dim is not None and not 1 <= self.read_dim <= self.dim:
+            raise ValueError(f"read_dim must lie in [1, {self.dim}], got {self.read_dim}")
 
     def combination(self, y: np.ndarray, coeffs: Sequence) -> np.ndarray:
         """sum_k coeffs[k] V_k(y); scalar or per-path (P,) coefficients."""
@@ -126,7 +137,7 @@ def nn_step(model: SDEModel, params: SchemeParams, rk: IntegrationScheme, x: np.
         coeffs = [s * c[j]] + [root_s * gaussians[..., i, j]
                                for i in range(model.brownian_dim)]
         w = lambda y, coeffs=coeffs: model.combination(y, coeffs)
-        x = integrate(rk, w, x, step_index=step_index)
+        x = integrate(rk, w, x, step_index=step_index, read_dim=model.read_dim)
     return x
 
 
@@ -164,7 +175,7 @@ def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
 
     def flow(y, coeffs):
         return integrate(rk, lambda z: model.combination(z, coeffs), y,
-                         step_index=step_index)
+                         step_index=step_index, read_dim=model.read_dim)
 
     drift_half = [0.5 * s] + [0.0] * d
     x = flow(x, drift_half)

@@ -23,6 +23,14 @@ def _no_pool(*args, **kwargs):
     raise AssertionError("a rejected config must not reach the thread pool")
 
 
+def _no_paths(*args, **kwargs):
+    raise AssertionError("a refused run must not run a path")
+
+
+# 2(2u - 1) = 2^120: c1 = 2^59 and c2 = 1 - 2^59 are exact, but float c1 + c2 = 0
+CANCELLING_U = "664613997892457936451903530140172289/2"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -42,6 +50,13 @@ class TestVerifyMoments:
     def test_rational_u_spelling(self, capsys):
         code, out, _ = run_cli(capsys, "verify-moments", "--u", "3/4")
         assert code == 0
+
+    def test_cancelling_u_keeps_its_exact_check(self, capsys):
+        # the exact family is rational; only the pricing path's floats cancel
+        code, out, err = run_cli(capsys, "verify-moments", "--u", CANCELLING_U)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 119
+        assert "mode=exact" in err and "PASS" in err
 
     def test_perturbation_fails_with_named_row(self, capsys):
         code, out, err = run_cli(capsys, "verify-moments", "--u", "0.75",
@@ -265,6 +280,18 @@ class TestPrice:
             "sdeweak price: error: sobol_skip + samples must be <= 2^32 (the Sobol index "
             f"space), got sobol_skip {skip} and samples {samples}"]
 
+    @pytest.mark.parametrize("branch", ["lower", "upper"])
+    def test_cancelling_u_refused_before_any_path(self, capsys, monkeypatch, branch):
+        monkeypatch.setattr(heston_bench, "run_paths", _no_paths)
+        code, out, err = run_cli(capsys, "price", "--scheme", "nn", "--n", "2",
+                                 "--samples", "10", "--workers", "1", "--branch", branch,
+                                 "--u", CANCELLING_U)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "sdeweak price: error: u is too large for the closed form in floats, "
+            f"got {CANCELLING_U}"]
+
     def test_unparsable_workers_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", _no_pool)
         with pytest.raises(SystemExit) as exc:
@@ -429,6 +456,21 @@ class TestConverge:
             "sdeweak converge: error: cells[1]: sobol_skip + samples must be <= 2^32 (the "
             "Sobol index space), got sobol_skip 4294957296 and samples 10001"]
 
+    def test_cancelling_u_refused_before_any_cell(self, capsys, monkeypatch, config_file):
+        with open(config_file, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        cfg["u"] = CANCELLING_U
+        cfg["cells"].reverse()  # an em cell first, which does not read u
+        with open(config_file, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        monkeypatch.setattr(heston_bench, "run_paths", _no_paths)
+        code, out, err = run_cli(capsys, "converge", "--config", config_file, "--workers", "1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "sdeweak converge: error: u is too large for the closed form in floats, "
+            f"got {CANCELLING_U}"]
+
     def test_sobol_index_space_does_not_bound_mc_cells(self, capsys, config_file):
         with open(config_file, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -530,7 +572,9 @@ class TestConverge:
 # time in eight, so runs that succeed, fail numerically and are rejected all
 # occur.  Sizes stay small (n <= 4, samples <= 64, workers <= 2), so no example
 # allocates much or starts many threads: junk numbers lie in [-2, 2], because an
-# integral float such as 1e300 is a valid count.
+# integral float such as 1e300 is a valid count.  The sample counts 1e300 and
+# 2**33, and the u whose float parameters cancel, must be refused before any
+# cell runs.
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.just({}),
                   st.lists(st.integers(-1, 2), max_size=2), st.integers(-2, 0),
                   st.floats(-2.0, 2.0), st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -554,7 +598,7 @@ def _or_unknown_key(mappings, key):
 _CELL = _or_unknown_key(st.fixed_dictionaries(
     {"scheme": _or_junk(st.sampled_from(["nn", "em", "nv"])),
      "n": _or_junk(_grid(st.integers(1, 4))),
-     "samples": _or_junk(_grid(st.sampled_from([10, 20, 64, 7.0])))},
+     "samples": _or_junk(_grid(st.sampled_from([10, 20, 64, 7.0, 1e300, 2**33])))},
     optional={"mode": _or_junk(st.sampled_from(["qmc", "mc"])),
               "romberg": _or_junk(st.booleans())}), "steps")
 
@@ -571,7 +615,8 @@ _CONFIGS = _or_unknown_key(st.fixed_dictionaries(
     {"cells": _or_junk(st.lists(_or_junk(_CELL), min_size=1, max_size=2))},
     optional={
         "heston": _or_junk(_HESTON),
-        "u": _or_junk(st.sampled_from(["3/4", "1/2", "5/8", "2", 0.75, "1/0", "1e300"])),
+        "u": _or_junk(st.sampled_from(["3/4", "1/2", "5/8", "2", 0.75, "1/0", "1e300",
+                                       CANCELLING_U])),
         "branch": _or_junk(st.sampled_from(["lower", "upper"])),
         "nn_tableau": _TABLEAU,
         "nv_tableau": _TABLEAU,

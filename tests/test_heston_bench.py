@@ -37,6 +37,17 @@ def _column_expressions(p, y, coeffs):
     return out
 
 
+def _drift_expressions(p, y, a):
+    """Reference: the drift-only kernel, a V0 plus the +0.0 of the zero diffusion terms."""
+    rb4 = p.rho * p.beta / 4.0
+    y1, y2 = y[..., 0], y[..., 1]
+    out = np.empty_like(y)
+    out[..., 0] = ((p.mu - 0.5 * y2 - rb4) * a + 0.0) * y1
+    out[..., 1] = (p.alpha * (p.theta - y2) - p.beta * p.beta / 4.0) * a + 0.0
+    out[..., 2] = y1 * a
+    return out
+
+
 def _per_field_em_step(model, x, s, increments):
     """Reference: the Euler-Maruyama step as the drift plus one term per field."""
     out = x + s * model.ito_drift(x)
@@ -151,6 +162,98 @@ class TestHestonFields:
         assert np.all(np.isfinite(out))
         assert guard.negative == 1 and guard.total == 2
         assert guard.fraction == 0.5
+
+
+class TestReadColumns:
+    def test_declares_the_price_and_variance(self):
+        assert heston_model(HestonParams()).read_dim == 2
+
+    def test_unread_integral_does_not_change_the_fields(self):
+        # the Runge-Kutta stage inputs leave the integral coordinate unset
+        model = heston_model(HestonParams(rho=-0.5))
+        rng = np.random.default_rng(4)
+        y = np.asfortranarray(np.abs(rng.normal(size=(50, 3))) * [1.0, 0.1, 1.0])
+        y[::7, 1] *= -1.0
+        nan = y.copy(order="F")
+        nan[:, 2] = np.nan
+        for coeffs in ([0.02, rng.normal(size=50), rng.normal(size=50)], [0.02, 0.0, 0.0]):
+            assert _same_bits(model.combination(nan, coeffs), model.combination(y, coeffs))
+        for f in model.stratonovich:
+            assert _same_bits(f(nan), f(y))
+            assert _same_bits(f(nan[5]), f(y[5]))
+
+
+class TestDriftFlow:
+    """The fused kernel's drift-only branch (both diffusion coefficients +0.0)."""
+
+    P = HestonParams(alpha=1.7, rho=-0.5)
+
+    @classmethod
+    def _states(cls):
+        rng = np.random.default_rng(31)
+        y = np.abs(rng.normal(size=(60, 3))) * [1.0, 0.1, 1.0] + [0.0, 0.001, 0.0]
+        y[0:2, 0] = [0.0, -0.0]
+        y[2:4, 2] = -0.0
+        y[4, 0] = -1e300
+        y[5, 1] = 1e300  # large variance: mu - y2/2 - rb4 and theta - y2 negative
+        y[6, 1] = 0.2
+        y[7, 0] = 1e300
+        return y
+
+    def _check(self, state, coeffs):
+        guard = GuardCounter()
+        out = heston_model(self.P, guard).combination(state, coeffs)
+        want = _column_expressions(self.P, state, coeffs)
+        assert _same_bits(out, want)
+        y2 = state[..., 1]
+        assert (guard.negative, guard.total) == (np.count_nonzero(y2 < 0.0), y2.size)
+        return want
+
+    @pytest.mark.parametrize("a", [0.013, 0.0, -0.0, -0.7, 1e300, np.linspace(-1, 1, 60)],
+                             ids=["small", "zero", "negative-zero", "negative", "huge",
+                                  "per-path"])
+    def test_matches_the_general_kernel(self, a):
+        y = self._states()
+        states = [np.asfortranarray(y), np.ascontiguousarray(y)]
+        if not isinstance(a, np.ndarray):
+            states += [y[row].copy() for row in range(8)]
+        for state in states:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = self._check(state, [a, 0.0, 0.0])
+                assert _same_bits(_drift_expressions(self.P, state, a), want)
+
+    def test_drift_flow_takes_no_square_root(self, monkeypatch):
+        model = heston_model(self.P)
+        y = np.asfortranarray(self._states())
+        calls = []
+        sqrt = np.sqrt
+        monkeypatch.setattr(np, "sqrt", lambda *args, **kw: calls.append(1) or sqrt(*args, **kw))
+        model.combination(y, [0.013, 0.0, 0.0])
+        assert calls == []
+        model.combination(y, [0.013, np.zeros(60), 0.0])
+        assert calls == [1]
+
+    @pytest.mark.parametrize("special", [0.0, -0.0, -0.01, np.nan, np.inf],
+                             ids=["zero", "negative-zero", "negative", "nan", "inf"])
+    def test_other_variances_take_the_general_kernel(self, special):
+        y = self._states()
+        y[9, 1] = special
+        for state in (np.asfortranarray(y), y[9].copy()):
+            for a in (0.013, 0.0):
+                with np.errstate(invalid="ignore"):
+                    self._check(state, [a, 0.0, 0.0])
+
+    @pytest.mark.parametrize("coeffs, differs", [
+        ([-0.0, -0.0, 0.0], True),   # out0: -0.0 + -0.0 keeps the sign
+        ([-0.0, 0.0, -0.0], True),   # out1: rho < 0 makes b1 rho beta + b2 orth -0.0
+        ([-0.0, np.float64(0.0), 0.0], False),
+        ([-0.0, np.full(60, -0.0), np.zeros(60)], True),
+    ], ids=["negative-zero-b1", "negative-zero-b2", "numpy-zero", "zero-arrays"])
+    def test_other_coefficients_take_the_general_kernel(self, coeffs, differs):
+        y = np.asfortranarray(self._states())
+        want = self._check(y, coeffs)
+        # the first two cases would come out otherwise in the drift-only branch
+        assert _same_bits(_drift_expressions(self.P, y, coeffs[0]), want) != differs
 
 
 class TestVarianceSqrt:

@@ -217,6 +217,71 @@ class TestRkStep:
             assert np.array_equal(y0, before)
 
 
+class TestReadColumns:
+    """Stage inputs formed over the leading coordinates a field reads."""
+
+    @staticmethod
+    def _leading_field(calls=None):
+        # reads (y1, y2) and writes a third coordinate, like the Heston V0
+        def f(y):
+            if calls is not None:
+                calls.append(None)
+            y1, y2 = y[..., 0], y[..., 1]
+            return np.stack([y2 * np.sin(y1), -y1 * y2, y1 - 0.3 * y2], axis=-1)
+        return VectorField(3, f)
+
+    @pytest.mark.parametrize("integ", [RK5, RK7], ids=["rk5", "rk7"])
+    def test_same_bytes_with_and_without_a_read_count(self, integ):
+        model = heston_model(HestonParams(rho=-0.5))
+        rng = np.random.default_rng(6)
+        y = np.abs(rng.normal(size=(129, 3))) * [1.0, 0.1, 1.0]
+        y[::11, 1] *= -1.0
+        coeffs = {"per-path": [0.02, 0.3 * rng.normal(size=129), 0.3 * rng.normal(size=129)],
+                  "drift": [0.02, 0.0, 0.0]}
+        for layout, y0 in (("C", np.ascontiguousarray(y)), ("F", np.asfortranarray(y))):
+            for name, c in coeffs.items():
+                heston = VectorField(3, lambda z, c=c: model.combination(z, c))
+                for W in (heston, self._leading_field()):
+                    full = rk_step(integ, W, y0, 0.7)
+                    narrow = rk_step(integ, W, y0, 0.7, read_dim=2)
+                    assert full.tobytes(order="A") == narrow.tobytes(order="A"), (layout, name)
+                    assert narrow.flags.f_contiguous == y0.flags.f_contiguous, (layout, name)
+        single = np.array([1.1, 0.07, -0.0])
+        for W in (VectorField(3, lambda z: model.combination(z, [0.02, 0.25, -0.1])),
+                  self._leading_field()):
+            assert rk_step(integ, W, single, 0.7).tobytes() == \
+                rk_step(integ, W, single, 0.7, read_dim=2).tobytes()
+
+    @pytest.mark.parametrize("read_dim", [None, 2])
+    def test_unread_column_failure_in_a_zero_weight_stage(self, read_dim):
+        # b_2 = 0 in RK5: an infinite unread column of stage 2 is screened as
+        # that stage is evaluated, and names it and its first bad row
+        calls = []
+        inner = self._leading_field(calls)
+
+        def field(y):
+            out = inner(y)
+            if len(calls) == 2:
+                out[[3, 1], 2] = np.inf
+            return out
+
+        y0 = np.asfortranarray(np.full((5, 3), 0.5))
+        with pytest.raises(IntegrationFailure) as exc:
+            rk_step(RK5, VectorField(3, field), y0, 0.1, step_index=4, read_dim=read_dim)
+        assert (exc.value.stage, exc.value.step, exc.value.path) == (2, 4, 1)
+
+    @pytest.mark.parametrize("read_dim", [None, 2])
+    def test_unread_column_overflow_in_the_combination(self, read_dim):
+        # every stage is finite; the unread column overflows only in the result
+        y0 = np.asfortranarray(np.full((4, 3), 0.5))
+        y0[2:, 2] = 1.7e308
+        W = VectorField(3, lambda y: np.stack([0.0 * y[..., 0], 0.0 * y[..., 1],
+                                               1e308 + 0.0 * y[..., 0]], axis=-1))
+        with np.errstate(over="ignore"), pytest.raises(IntegrationFailure) as exc:
+            rk_step(RK5, W, y0, 1.0, read_dim=read_dim)
+        assert (exc.value.stage, exc.value.path) == (None, 2)
+
+
 class TestConvergenceOrder:
     def test_rotation_slopes(self):
         ns = (4, 8, 16, 32)

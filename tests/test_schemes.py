@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -345,6 +346,42 @@ class TestFusedCombination:
         coeffs = [0.3, np.array([0.1, -0.2, 0.4])]
         assert np.allclose(base.combination(y, coeffs), fused.combination(y, coeffs),
                            atol=1e-15)
+
+
+class TestReadDim:
+    @staticmethod
+    def _full_read_model(read_dim=None):
+        # every field reads the last coordinate
+        mats = [np.array([[0.1, 0.0, 0.4], [0.0, -0.2, 0.3], [0.5, 0.1, 0.2]]),
+                np.array([[0.0, 0.3, -0.5], [0.2, 0.0, 0.1], [0.0, 0.4, 0.3]])]
+        fields = tuple(VectorField(3, lambda y, a=a: y @ a.T) for a in mats)
+        return SDEModel(3, 1, fields, fields[0], read_dim=read_dim), mats
+
+    def test_undeclared_model_forms_every_coordinate(self):
+        # for W(y) = B y a step is R(B) y, R the tableau's stability polynomial
+        model, (a0, a1) = self._full_read_model()
+        assert model.read_dim is None
+        tab = RK5.tableau
+        a = np.array(tab.a, dtype=object)
+        coeffs, v = [Fraction(1)], np.ones(tab.stages, dtype=object)
+        for _ in range(tab.stages):
+            coeffs.append(np.dot(np.array(tab.b, dtype=object), v))
+            v = a.dot(v)
+        x = np.asfortranarray([[0.3, -0.2, 1.5], [1.0, 0.5, -2.0]])
+        g = np.array([[[0.4, -1.1]], [[-0.7, 0.2]]])
+        out = nn_step(model, DEFAULT_PARAMS, RK5, x, 0.3, g)
+        for p in range(2):
+            y = x[p]
+            for j in (1, 0):
+                b = 0.3 * float(DEFAULT_PARAMS.c[j]) * a0 + math.sqrt(0.3) * g[p, 0, j] * a1
+                y = sum(float(c) * np.linalg.matrix_power(b, k) @ y
+                        for k, c in enumerate(coeffs))
+            assert np.allclose(out[p], y, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("read_dim", [0, 4])
+    def test_declaration_within_the_state(self, read_dim):
+        with pytest.raises(ValueError, match="read_dim must lie in"):
+            self._full_read_model(read_dim)
 
 
 class TestRomberg:
