@@ -573,8 +573,8 @@ class TestConverge:
 # occur.  Sizes stay small (n <= 4, samples <= 64, workers <= 2), so no example
 # allocates much or starts many threads: junk numbers lie in [-2, 2], because an
 # integral float such as 1e300 is a valid count.  The sample counts 1e300 and
-# 2**33, and the u whose float parameters cancel, must be refused before any
-# cell runs.
+# 2**33 and the u whose float parameters cancel are drawn too; each is refused
+# as the config is read, before any cell could allocate or fail.
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.just({}),
                   st.lists(st.integers(-1, 2), max_size=2), st.integers(-2, 0),
                   st.floats(-2.0, 2.0), st.sampled_from([math.nan, math.inf, -math.inf]))
