@@ -105,7 +105,9 @@ def _gray_state(index: int, V: np.ndarray) -> np.ndarray:
 
 _TILE_BITS = 8
 _TILE = 1 << _TILE_BITS
-_FLOAT_GROUP = 16  # coordinates whose uint32 states exist at one time
+#: coordinates whose uint32 states exist at one time, and the width of the
+#: uniform windows ``schemes.run_paths`` reads
+FLOAT_GROUP = 16
 
 
 def _ruler(first: int, stop: int) -> np.ndarray:
@@ -123,7 +125,8 @@ def _tile_states(dim: int) -> np.ndarray:
     return np.ascontiguousarray(rows.T)
 
 
-def sobol_points(dim: int, start: int, count: int) -> np.ndarray:
+def sobol_points(dim: int, start: int, count: int, first: int = 0,
+                 stop: int | None = None) -> np.ndarray:
     """Points start .. start+count-1 of the Sobol sequence, shape (count, dim).
 
     Gray-code order.  Index 256 m + j has gray code gray(256 m) ^ gray(j), so
@@ -134,25 +137,33 @@ def sobol_points(dim: int, start: int, count: int) -> np.ndarray:
     Random access and streaming agree bit for bit.  The block is stored
     dimension-major (a transposed view of a (dim, count) array), so the
     uniforms of one coordinate, and of one scheme step, lie contiguous.
+
+    Given a coordinate range first .. stop-1, only those coordinates are
+    computed, shape (count, stop - first), stored the same way and equal to
+    those columns of the full block bit for bit.
     """
     if count < 0 or start < 0:
         raise ValueError("start and count must be nonnegative")
     if start + count > 1 << _SOBOL_BITS:
         raise ValueError("Sobol index space exhausted (2^32 points)")
-    V = _direction_matrix(dim)
+    stop = dim if stop is None else stop
+    if not 0 <= first <= stop <= dim:
+        raise ValueError(f"coordinate range [{first}, {stop}) must lie in [0, {dim}]")
+    V = _direction_matrix(dim)[:, first:stop]
+    width = stop - first
     if count == 0:
-        return np.empty((0, dim))
-    T = _tile_states(dim)
+        return np.empty((0, width))
+    T = _tile_states(dim)[first:stop]
     m0, m1 = start >> _TILE_BITS, (start + count - 1) >> _TILE_BITS
     # B[:, k] is the state of index 256 (m0 + k)
-    B = np.empty((dim, m1 - m0 + 1), dtype=np.uint32)
+    B = np.empty((width, m1 - m0 + 1), dtype=np.uint32)
     B[:, 0] = _gray_state(m0 << _TILE_BITS, V)
     B[:, 1:] = (V[_TILE_BITS - 1] ^ V[_TILE_BITS + _ruler(m0 + 1, m1 + 1)]).T
     np.bitwise_xor.accumulate(B, axis=1, out=B)
     lo = start - (m0 << _TILE_BITS)
-    points = np.empty((dim, count))
-    for g in range(0, dim, _FLOAT_GROUP):
-        h = min(g + _FLOAT_GROUP, dim)
+    points = np.empty((width, count))
+    for g in range(0, width, FLOAT_GROUP):
+        h = min(g + FLOAT_GROUP, width)
         states = np.bitwise_xor(B[g:h, :, None], T[g:h, None, :]).reshape(h - g, -1)
         np.multiply(states[:, lo:lo + count], _SOBOL_SCALE, out=points[g:h])
     return points.T
@@ -198,6 +209,33 @@ QMC = "qmc"
 
 
 @dataclass(frozen=True)
+class SobolChunk:
+    """Sobol points start .. start+count-1 in (0,1)^dimension, generated on demand.
+
+    What ``estimate`` hands a QMC payoff in place of the (count, dimension)
+    block: a reader that takes the coordinates a range at a time, as
+    ``schemes.run_paths`` does, never holds them all.  ``np.asarray`` gives the
+    whole block.
+    """
+
+    dimension: int
+    start: int
+    count: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.count, self.dimension
+
+    def columns(self, first: int, stop: int) -> np.ndarray:
+        """Coordinates first .. stop-1 of every point, shape (count, stop - first)."""
+        return sobol_points(self.dimension, self.start, self.count, first, stop)
+
+    def __array__(self, dtype=None, copy=None):
+        points = self.columns(0, self.dimension)
+        return points if dtype is None else points.astype(dtype, copy=False)
+
+
+@dataclass(frozen=True)
 class UniformSource:
     """A random-access source of points in (0,1)^dimension.
 
@@ -226,6 +264,17 @@ class UniformSource:
             flat = philox_uniforms(self.seed, start * self.dimension, count * self.dimension)
             return flat.reshape(count, self.dimension)
         return sobol_points(self.dimension, self.skip + start, count)
+
+    def chunk(self, start: int, count: int) -> np.ndarray | SobolChunk:
+        """Points start .. start+count-1 as ``estimate`` hands them to its payoff.
+
+        QMC points come as a :class:`SobolChunk`.  MC points come as the
+        block: path i owns Philox words i*D onward, so a coordinate range of
+        every path is no cheaper to generate than the whole block.
+        """
+        if self.kind == MC:
+            return self.block(start, count)
+        return SobolChunk(self.dimension, self.skip + start, count)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +427,13 @@ def check_sobol_span(skip: int, samples: int) -> None:
                          f"got sobol_skip {skip} and samples {samples}")
 
 
-def estimate(payoff: Callable[[np.ndarray], np.ndarray], source: UniformSource, samples: int,
-             workers: int | None = None) -> EstimatorReport:
+def estimate(payoff: Callable[[np.ndarray | SobolChunk], np.ndarray], source: UniformSource,
+             samples: int, workers: int | None = None) -> EstimatorReport:
     """Average ``payoff`` over ``samples`` source points.
 
-    payoff maps a uniform block (count, D) to a value vector (count,).  Points
-    are processed in fixed chunks whose sums are reduced in index order, so the
+    payoff maps a chunk of points, ``source.chunk``: an MC block (count, D) or a
+    QMC :class:`SobolChunk`, to a value vector (count,).  Points are processed
+    in fixed chunks whose sums are reduced in index order, so the
     result is bit-identical for every worker count.  An MC source requires the
     sample count to be divisible by the fixed batch count (10); QMC is one
     batch.  A QMC source whose skip + samples passes 2^32 is refused before
@@ -404,7 +454,7 @@ def estimate(payoff: Callable[[np.ndarray], np.ndarray], source: UniformSource, 
     def chunk_sum(rg: tuple[int, int]) -> float:
         lo, hi = rg
         try:
-            vals = payoff(source.block(lo, hi - lo))
+            vals = payoff(source.chunk(lo, hi - lo))
         except IntegrationFailure as exc:
             if exc.path is not None:
                 exc.path += lo  # row r of this chunk is path lo + r

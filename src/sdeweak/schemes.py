@@ -22,7 +22,7 @@ import numpy as np
 
 from .moment_match import SchemeParams
 from .rk_integrator import IntegrationScheme, VectorField, integrate
-from .sampling import correlate_pair, inv_normal_cdf
+from .sampling import FLOAT_GROUP, SobolChunk, correlate_pair, inv_normal_cdf
 
 NN = "nn"
 EM = "em"
@@ -201,14 +201,21 @@ def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
 
 
 def run_paths(plan: SchemeStepPlan, model: SDEModel, x0: Sequence[float], T: float,
-              uniforms: np.ndarray) -> np.ndarray:
-    """Drive a batch of paths to time T from a (P, dims) uniform block.
+              uniforms: np.ndarray | SobolChunk) -> np.ndarray:
+    """Drive a batch of paths to time T from a (P, dims) uniform block or Sobol chunk.
 
     Uniforms are consumed step-major; within a step, Brownian-index major,
     with the factor index j = 1, 2 innermost (splitting scheme), or the
-    Bernoulli variate first (N-V).  Identical blocks give identical outputs.
+    Bernoulli variate first (N-V).  They are read a window of whole steps at
+    a time, about FLOAT_GROUP coordinates and at least one step, so a chunk
+    generates each coordinate once and never holds more than one window.
+    Identical blocks, or a chunk and its block, give identical outputs.
     """
-    uniforms = np.atleast_2d(np.asarray(uniforms, dtype=float))
+    if isinstance(uniforms, SobolChunk):
+        columns = uniforms.columns
+    else:
+        uniforms = np.atleast_2d(np.asarray(uniforms, dtype=float))
+        columns = lambda first, stop: uniforms[:, first:stop]
     paths = uniforms.shape[0]
     want = plan.uniform_dimension(model)
     if uniforms.shape[1] != want:
@@ -225,8 +232,12 @@ def run_paths(plan: SchemeStepPlan, model: SDEModel, x0: Sequence[float], T: flo
     x = np.array(np.broadcast_to(np.asarray(x0, dtype=float), (paths, model.dim)),
                  order="F")
 
+    steps = max(1, FLOAT_GROUP // per)  # per window
     for k in range(n):
-        block = uniforms[:, k * per:(k + 1) * per]
+        if k % steps == 0:
+            window = columns(k * per, min(k + steps, n) * per)
+        j = k % steps * per
+        block = window[:, j:j + per]
         if plan.kind == NN:
             z = inv_normal_cdf(block).reshape(paths, d, 2)
             gaussians = correlate_pair(z, plan.params.covariance)

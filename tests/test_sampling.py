@@ -7,8 +7,10 @@ import pytest
 from sdeweak.rk_integrator import IntegrationFailure, VectorField, rk_step, scheme
 from sdeweak.sampling import (
     CHUNK,
+    FLOAT_GROUP,
     MC,
     QMC,
+    SobolChunk,
     UniformSource,
     correlate_pair,
     estimate,
@@ -137,6 +139,27 @@ class TestSobol:
         for j in range(256):
             assert np.array_equal(T[:, j], _gray_state(j, V)), j
 
+    @pytest.mark.parametrize("dim, first, stop", [
+        (400, 0, 16), (400, 15, 17), (400, 16, 32), (400, 10, 40), (400, 392, 400),
+        (400, 0, 400), (40, 5, 5), (40, 39, 40), (3, 0, 3)])
+    @pytest.mark.parametrize("start", [0, 1, 255, 256, 257, 1010, 2**32 - 1000])
+    def test_coordinate_range_is_those_columns(self, dim, first, stop, start):
+        # ranges inside, across and on FLOAT_GROUP edges; starts on either side
+        # of a 256-index tile; a skip near the end of the index space
+        assert FLOAT_GROUP == 16
+        for count in (0, 1, 255, 257, 1000):
+            whole = sobol_points(dim, start, count)
+            part = sobol_points(dim, start, count, first, stop)
+            assert part.shape == (count, stop - first)
+            assert part.tobytes("F") == whole[:, first:stop].tobytes("F")
+            if count > 1 and stop > first:
+                assert part.flags.f_contiguous
+
+    def test_coordinate_range_errors(self):
+        for first, stop in ((-1, 2), (3, 2), (0, 8)):
+            with pytest.raises(ValueError, match="coordinate range"):
+                sobol_points(7, 0, 4, first, stop)
+
     def test_index_space_errors(self):
         for start, count in ((2**32 - 1, 2), (2**32, 1), (0, 2**32 + 1)):
             with pytest.raises(ValueError, match="exhausted"):
@@ -153,6 +176,18 @@ class TestSobol:
         assert len(rows) >= 512
         s, a, ms = rows[0]  # dimension 2
         assert (s, a, ms) == (1, 0, [1])
+
+    def test_chunk_is_the_block_on_demand(self):
+        src = UniformSource(QMC, dimension=40, skip=1010)
+        chunk = src.chunk(3, 500)
+        block = src.block(3, 500)
+        assert chunk == SobolChunk(40, 1013, 500) and chunk.shape == block.shape
+        assert np.asarray(chunk).tobytes() == block.tobytes()
+        assert chunk.columns(14, 19).tobytes() == block[:, 14:19].tobytes()
+
+    def test_mc_chunk_is_the_block(self):
+        src = UniformSource(MC, dimension=5, seed=3)
+        assert np.array_equal(src.chunk(2, 7), src.block(2, 7))
 
     def test_source_emits_open_interval(self):
         src = UniformSource(QMC, dimension=16)
@@ -349,12 +384,12 @@ class TestEstimate:
 
     def test_first_coordinate_mean_qmc(self):
         src = UniformSource(QMC, 4)
-        rep = estimate(lambda u: u[:, 0], src, 1 << 16)
+        rep = estimate(lambda u: np.asarray(u)[:, 0], src, 1 << 16)
         assert abs(rep.estimate - 0.5) < 1e-4
 
     def test_qmc_is_one_batch(self):
         src = UniformSource(QMC, 2)
-        rep = estimate(lambda u: u[:, 0], src, 256)
+        rep = estimate(lambda u: np.asarray(u)[:, 0], src, 256)
         assert rep.batch_means == (rep.estimate,)
 
     def test_mc_error_scales_like_clt(self):
@@ -392,7 +427,7 @@ class TestEstimate:
         assert first >= CHUNK
         for workers in (1, 3):
             with pytest.raises(IntegrationFailure) as exc:
-                estimate(lambda u: rk_step(RK5, field, u, 1.0)[:, 0], src, 60_000,
+                estimate(lambda u: rk_step(RK5, field, np.asarray(u), 1.0)[:, 0], src, 60_000,
                          workers=workers)
             assert (exc.value.stage, exc.value.path) == (1, first)
 
@@ -402,7 +437,7 @@ class TestEstimate:
 
         def payoff(u):
             threads.add(threading.get_ident())
-            return u[:, 0]
+            return np.asarray(u)[:, 0]
 
         estimate(payoff, UniformSource(QMC, 2), 40_000, workers=1)
         assert threads == {threading.get_ident()}
@@ -411,8 +446,8 @@ class TestEstimate:
         sizes = []
 
         def payoff(u):
-            sizes.append(len(u))
-            return u[:, 0]
+            sizes.append(u.shape[0])
+            return np.asarray(u)[:, 0]
 
         estimate(payoff, UniformSource(MC, 1), 200_000, workers=1)
         assert sizes == [16384, 3616] * 10
@@ -422,7 +457,7 @@ class TestEstimate:
 
     def test_sobol_index_space_bounds_the_samples(self):
         src = UniformSource(QMC, 2, skip=2**32 - 10)
-        rep = estimate(lambda u: u[:, 0], src, 10, workers=1)
+        rep = estimate(lambda u: np.asarray(u)[:, 0], src, 10, workers=1)
         assert rep.estimate == float(np.add.reduce(src.block(0, 10)[:, 0])) / 10
 
         def payoff(u):
@@ -433,6 +468,6 @@ class TestEstimate:
 
     def test_repeat_call_bit_identical(self):
         src = UniformSource(QMC, 3)
-        a = estimate(lambda u: u.prod(axis=1), src, 30_000)
-        b = estimate(lambda u: u.prod(axis=1), src, 30_000)
+        a = estimate(lambda u: np.asarray(u).prod(axis=1), src, 30_000)
+        b = estimate(lambda u: np.asarray(u).prod(axis=1), src, 30_000)
         assert a.estimate == b.estimate

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sdeweak import sampling
 from sdeweak.moment_match import DEFAULT_PARAMS
 from sdeweak.rk_integrator import IntegrationFailure, VectorField, integrate, scheme
 from sdeweak.heston_bench import BenchConfig, Cell, HestonParams, heston_model, price_cell
-from sdeweak.sampling import MC, QMC, UniformSource
+from sdeweak.sampling import CHUNK, FLOAT_GROUP, MC, QMC, SobolChunk, UniformSource
 from sdeweak.schemes import (
     EM,
     NN,
@@ -332,6 +334,84 @@ class TestRunPaths:
             SchemeStepPlan("heun", 2)
         with pytest.raises(ValueError):
             SchemeStepPlan(EM, 0)
+
+
+def _plan(kind, n, integrator=RK5):
+    kwargs = {NN: dict(params=DEFAULT_PARAMS, integrator=integrator), EM: {},
+              NV: dict(integrator=integrator)}[kind]
+    return SchemeStepPlan(kind, n, **kwargs)
+
+
+class TestStreamedChunk:
+    """A QMC chunk is read a window of whole steps at a time, with the block's bits."""
+
+    X0 = (1.0, 0.09, 0.0)
+
+    @pytest.mark.parametrize("kind, n", [
+        (NN, 10), (NV, 16), (EM, 200), (EM, 13),
+        # both levels of the nn 2+1 and em 14+7 Romberg cells
+        (NN, 1), (NN, 2), (EM, 7), (EM, 14)])
+    def test_chunk_gives_the_block_bits(self, kind, n):
+        # skip 1010 is not tile-aligned, so windows cross tile boundaries
+        model = heston_model(HestonParams())
+        plan = _plan(kind, n)
+        src = UniformSource(QMC, plan.uniform_dimension(model), skip=1010)
+        chunk = src.chunk(300, 700)
+        assert isinstance(chunk, SobolChunk)
+        streamed = run_paths(plan, model, self.X0, 1.0, chunk)
+        materialised = run_paths(plan, model, self.X0, 1.0, src.block(300, 700))
+        assert streamed.tobytes() == materialised.tobytes()
+
+    @pytest.mark.parametrize("kind, n, brownian_dim, width", [
+        (EM, 200, 2, 16), (NN, 10, 2, 16), (NV, 16, 2, 15), (EM, 3, 2, 16),
+        # a step wider than FLOAT_GROUP is a window of its own
+        (NN, 3, 9, 18)])
+    def test_each_coordinate_requested_once(self, monkeypatch, kind, n, brownian_dim, width):
+        # the windows are disjoint, cover the path's coordinates in order, and
+        # none is wider than one window of whole steps
+        zero = VectorField(1, lambda y: np.zeros_like(y))
+        model = SDEModel(1, brownian_dim, (zero,) * (brownian_dim + 1), zero)
+        plan = _plan(kind, n)
+        dim = plan.uniform_dimension(model)
+        requests = []
+        original = sampling.sobol_points
+
+        def recording(d, start, count, first=0, stop=None):
+            requests.append((first, stop))
+            return original(d, start, count, first, stop)
+
+        monkeypatch.setattr(sampling, "sobol_points", recording)
+        run_paths(plan, model, [0.0], 1.0, UniformSource(QMC, dim).chunk(0, 50))
+        per = plan.step_dimension(model)
+        assert [c for first, stop in requests for c in range(first, stop)] == list(range(dim))
+        assert all(stop - first == width for first, stop in requests[:-1])
+        assert 0 < requests[-1][1] - requests[-1][0] <= width
+        assert all(first % per == 0 and stop % per == 0 for first, stop in requests)
+        assert width == per * max(1, FLOAT_GROUP // per)
+
+    @pytest.mark.parametrize("cell", [
+        Cell(NN, 2, 20_000, QMC, use_romberg=True), Cell(NV, 16, 20_000, QMC),
+        Cell(EM, 14, 20_000, QMC, use_romberg=True)], ids=["nn-romberg", "nv", "em-romberg"])
+    def test_price_cell_streams_the_block_bits(self, monkeypatch, cell):
+        # 20000 samples span two chunks; the estimate is the same with
+        # streamed chunks and materialised blocks, for 1 and 3 workers
+        streamed = [price_cell(BenchConfig(workers=w, sobol_skip=1010), cell).estimate
+                    for w in (1, 3)]
+        monkeypatch.setattr(UniformSource, "chunk", UniformSource.block)
+        materialised = price_cell(BenchConfig(workers=1, sobol_skip=1010), cell).estimate
+        assert streamed == [materialised] * 2
+
+    def test_em512_cell_memory_does_not_grow_with_n(self):
+        # the whole (16384, 1024) block is 128 MiB; one window is 2 MiB
+        cell = Cell(EM, 512, CHUNK, QMC)
+        price_cell(BenchConfig(workers=1), Cell(EM, 8, 16, QMC))  # lazy set-up
+        tracemalloc.start()
+        try:
+            price_cell(BenchConfig(workers=1), cell)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestFusedCombination:
