@@ -29,14 +29,15 @@ from .heston_bench import (
     HestonParams,
     REFERENCE_PRICE,
     convergence_study,
+    heston_model,
     price_cell,
     result_rows,
 )
 from .moment_match import FLOAT, UPPER, LOWER, SchemeParams, residual_table, solution_params
 from .rk_trees import ButcherTableau, check_order
 from .rk_integrator import IntegrationFailure, builtin_tableau
-from .sampling import MC, QMC, check_sobol_span
-from .schemes import KINDS
+from .sampling import MC, QMC, check_sobol_dimension, check_sobol_span
+from .schemes import KINDS, step_width
 
 FLOAT_TOL = 1e-12
 
@@ -169,8 +170,13 @@ def _load_tableau(spec: str) -> ButcherTableau:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+#: rooted trees take about 6x longer to enumerate per order: up to order 12
+#: 0.6 s, 13 3.8 s and 14 22 s, so order 20 would run for days
+_MAX_ORDER = 14
+
+
 def cmd_verify_rk(args) -> int:
-    tableau, order = args.tableau, _count(args.order, "--order")
+    tableau, order = args.tableau, _count(args.order, "--order", most=_MAX_ORDER)
     report = check_order(tableau, order)
     lines = ["tree,vertices,lhs,rhs,pass"]
     for cond in report:
@@ -318,7 +324,7 @@ def cmd_price(args) -> int:
     cell = Cell(args.scheme, _count(args.n, "--n"),
                 _count(args.samples, "--samples", most=_MAX_SAMPLES), args.mode,
                 use_romberg=args.romberg)
-    _check_span(cell, config.sobol_skip)
+    _check_sobol(cell, config)
     c = price_cell(config, cell)
     _emit(result_rows((c,), timings=args.timings), args.out)
     err = "n/a" if c.error is None else f"{c.error:.3e}"
@@ -354,13 +360,17 @@ def _cell_grid(item) -> list[Cell]:
             for m in _counts(item["samples"], "samples", most=_MAX_SAMPLES)]
 
 
-def _check_span(cell: Cell, sobol_skip: int) -> None:
-    """estimate's index-space check, made on a QMC cell as it is read, so no cell runs first."""
+def _check_sobol(cell: Cell, config: BenchConfig) -> None:
+    """The Sobol checks a QMC cell's estimates would make, made as the cell is read, so
+    no cell runs first: its index span, and its widest level's (for a Romberg cell the
+    fine level n) uniform dimension against the direction table."""
     if cell.mode == QMC:
-        check_sobol_span(sobol_skip, cell.samples)
+        check_sobol_span(config.sobol_skip, cell.samples)
+        d = heston_model(config.heston).brownian_dim
+        check_sobol_dimension(cell.partitions * step_width(cell.kind, d))
 
 
-def _cells_from_mapping(raw: dict, sobol_skip: int) -> list[Cell]:
+def _cells_from_mapping(raw: dict, config: BenchConfig) -> list[Cell]:
     items = raw.get("cells", [])
     if not isinstance(items, list):
         raise ValueError("cells must be a list of objects")
@@ -369,7 +379,7 @@ def _cells_from_mapping(raw: dict, sobol_skip: int) -> list[Cell]:
         try:
             grid = _cell_grid(item)
             for cell in grid:
-                _check_span(cell, sobol_skip)
+                _check_sobol(cell, config)
             cells.extend(grid)
         except ValueError as exc:
             raise ValueError(f"cells[{i}]: {exc}") from None
@@ -381,7 +391,7 @@ def _cells_from_mapping(raw: dict, sobol_skip: int) -> list[Cell]:
 def cmd_converge(args) -> int:
     raw = _load_config(args.config)
     config = _config_from_mapping(raw, args)
-    cells = _cells_from_mapping(raw, config.sobol_skip)
+    cells = _cells_from_mapping(raw, config)
     results = convergence_study(config, cells)
     _emit(result_rows(results, timings=args.timings), args.out)
     total = sum(c.seconds for c in results)
@@ -427,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     vr = sub.add_parser("verify-rk-order", help="certify a Butcher tableau by rooted trees")
     vr.add_argument("--tableau", required=True, type=_load_tableau,
                     help="builtin name (rk5-butcher, rk7-butcher) or a JSON file")
-    vr.add_argument("--order", type=_count_text, required=True)
+    vr.add_argument("--order", type=_count_text, required=True,
+                    help=f"the order to certify, at most {_MAX_ORDER}")
     vr.add_argument("--out", help="write CSV here instead of stdout")
     vr.set_defaults(func=cmd_verify_rk)
 

@@ -241,10 +241,8 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
         return out
 
     fields = tuple(VectorField(3, f) for f in (v0, v1, v2))
-    model = SDEModel(dim=3, brownian_dim=2, stratonovich=fields,
-                     ito_drift=VectorField(3, drift), fused_combination=fused,
-                     fused_euler=euler, read_dim=2)
-    return model
+    return SDEModel(stratonovich=fields, ito_drift=VectorField(3, drift),
+                    fused_combination=fused, fused_euler=euler, read_dim=2)
 
 
 def asian_payoff(states: np.ndarray, params: HestonParams) -> np.ndarray:
@@ -377,15 +375,3 @@ def result_rows(cells: Sequence[CellResult], timings: bool = False) -> list[str]
         lines.append(row)
     return lines
 
-
-def decay_slope(ns: Sequence[float], errors: Sequence[float], floor: float = 1e-13) -> float:
-    """Least-squares slope of log(error) against log(n), sign-flipped.
-
-    Points at or below the floor are dropped (floating-point saturation).
-    """
-    pts = [(math.log(n), math.log(e)) for n, e in zip(ns, errors) if e > floor]
-    if len(pts) < 2:
-        raise ValueError("fewer than two error points above the floor")
-    xs, ys = zip(*pts)
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(-slope)

@@ -541,21 +541,26 @@ class _ResidualPolynomial:
         return float(np.sqrt(np.sum(self.residuals(x) ** 2)))
 
 
-def _nelder_mead(f, x0: np.ndarray, scale: float = 0.5, iters: int = 400,
-                 tol: float = 1e-12) -> tuple[np.ndarray, float]:
+#: the initial simplex's edge along each coordinate, and the spread of values
+#: at which the simplex counts as converged
+_SIMPLEX_EDGE = 0.4
+_SIMPLEX_TOL = 1e-12
+
+
+def _nelder_mead(f, x0: np.ndarray, iters: int) -> tuple[np.ndarray, float]:
     """Minimal deterministic Nelder-Mead; enough for low-dimensional smooth residuals."""
     n = len(x0)
     simplex = [np.array(x0, dtype=float)]
     for i in range(n):
         pt = np.array(x0, dtype=float)
-        pt[i] += scale
+        pt[i] += _SIMPLEX_EDGE
         simplex.append(pt)
     vals = [f(p) for p in simplex]
     for _ in range(iters):
         order = np.argsort(vals)
         simplex = [simplex[i] for i in order]
         vals = [vals[i] for i in order]
-        if vals[-1] - vals[0] < tol:
+        if vals[-1] - vals[0] < _SIMPLEX_TOL:
             break
         centroid = np.mean(simplex[:-1], axis=0)
         worst = simplex[-1]
@@ -630,7 +635,7 @@ def infeasibility_search(m: int, M: int, d: int = 2, starts: int = 24, iters: in
     best_x = None
     for _ in range(starts):
         theta0 = rng.uniform(-1.5, 1.5, size=nfree)
-        theta, val = _nelder_mead(objective, theta0, scale=0.4, iters=iters)
+        theta, val = _nelder_mead(objective, theta0, iters)
         if val < best_val:
             best_val = val
             best_x = _theta_to_x(theta, M)

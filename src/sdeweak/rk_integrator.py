@@ -24,15 +24,17 @@ class IntegrationFailure(RuntimeError):
     ``stage`` is the 1-based index of the first non-finite stage, or None when
     every stage was finite and the step's final combination overflowed.
     ``path`` is the first row of a batch that is non-finite there (None for a
-    single state); the estimator turns it into a path index.  ``cell`` names
+    single state); the estimator turns it into a path index.  The context the
+    step cannot know is added where it is known: ``step`` is the path
+    driver's time step, once ``run_paths`` has added it, and ``cell`` names
     the pricing cell, once ``price_cell`` has added it.
     """
 
-    def __init__(self, stage: int | None, step: int | None = None, path: int | None = None):
-        super().__init__(stage, step, path)
+    def __init__(self, stage: int | None, path: int | None = None):
+        super().__init__(stage, path)
         self.stage = stage
-        self.step = step
         self.path = path
+        self.step: int | None = None
         self.cell: str | None = None
 
     def __str__(self) -> str:
@@ -145,10 +147,10 @@ def scheme(name: str) -> IntegrationScheme:
     return IntegrationScheme(t, t.declared_order)
 
 
-def _combine(y0: np.ndarray, ks: list[np.ndarray], terms, s: float,
+def _combine(y0: np.ndarray, ks: list[np.ndarray], terms,
              tmp: np.ndarray, cols: int) -> np.ndarray:
-    """y0 + (s c_1) k_1 + (s c_2) k_2 + ..., left to right, over the leading
-    ``cols`` coordinates, as one fresh array shaped like y0.
+    """y0 + c_1 k_1 + c_2 k_2 + ..., left to right, over the leading ``cols``
+    coordinates, as one fresh array shaped like y0.
 
     Its later coordinates are left unset; with no terms y0 itself is
     returned.  tmp is scratch for each product; y0 and the ks are only read.
@@ -158,7 +160,7 @@ def _combine(y0: np.ndarray, ks: list[np.ndarray], terms, s: float,
     acc = np.empty_like(y0)
     head, part = acc[..., :cols], tmp[..., :cols]
     for n, (j, cj) in enumerate(terms):
-        np.multiply(ks[j][..., :cols], s * cj, out=part)
+        np.multiply(ks[j][..., :cols], cj, out=part)
         if n:
             head += part
         else:
@@ -166,8 +168,7 @@ def _combine(y0: np.ndarray, ks: list[np.ndarray], terms, s: float,
     return acc
 
 
-def _failure(ks: list[np.ndarray], out: np.ndarray | None,
-             step_index: int | None) -> IntegrationFailure:
+def _failure(ks: list[np.ndarray], out: np.ndarray | None) -> IntegrationFailure:
     """The failure of a step: its first non-finite stage (else the result ``out``)
     and that array's first non-finite row."""
     stage = next((i + 1 for i, k in enumerate(ks) if not np.all(np.isfinite(k))), None)
@@ -175,12 +176,14 @@ def _failure(ks: list[np.ndarray], out: np.ndarray | None,
     path = None
     if bad.ndim > 1:
         path = int(np.flatnonzero(~np.isfinite(bad).reshape(len(bad), -1).all(axis=1))[0])
-    return IntegrationFailure(stage, step_index, path)
+    return IntegrationFailure(stage, path)
 
 
-def rk_step(integ: IntegrationScheme, W, y0: np.ndarray, s: float,
-            step_index: int | None = None, read_dim: int | None = None) -> np.ndarray:
-    """One explicit step Y(y0; W, s) = y0 + s sum_i b_i W(Y_i).
+def integrate(integ: IntegrationScheme, W, y0: np.ndarray,
+              read_dim: int | None = None) -> np.ndarray:
+    """The time-1 flow approximation g(W)(y0) = y0 + sum_i b_i W(Y_i): one
+    explicit step of size 1, the scheme's defining form, whose one-step error
+    bound is exactly what the splitting construction consumes.
 
     y0 may be a single state (N,) or a batch (P, N); W must broadcast
     accordingly.  Neither y0 nor any output of W is written to.  When W
@@ -201,22 +204,11 @@ def rk_step(integ: IntegrationScheme, W, y0: np.ndarray, s: float,
     cols = dim if read_dim is None else read_dim
     ks: list[np.ndarray] = []
     for i, row in enumerate(integ._rows):
-        ki = np.asarray(W(_combine(y0, ks, row, s, tmp, cols)), dtype=float)
+        ki = np.asarray(W(_combine(y0, ks, row, tmp, cols)), dtype=float)
         ks.append(ki)
         if i in integ._unweighted and not np.all(np.isfinite(ki)):
-            raise _failure(ks, None, step_index)
-    out = _combine(y0, ks, integ._weights, s, tmp, dim)
+            raise _failure(ks, None)
+    out = _combine(y0, ks, integ._weights, tmp, dim)
     if not np.all(np.isfinite(out)):
-        raise _failure(ks, out, step_index)
+        raise _failure(ks, out)
     return out
-
-
-def integrate(integ: IntegrationScheme, W, y0: np.ndarray,
-              step_index: int | None = None, read_dim: int | None = None) -> np.ndarray:
-    """The time-1 flow approximation g(W)(y0): one step of size 1.
-
-    A single step is the scheme's defining form; its one-step error bound is
-    exactly what the splitting construction consumes.  ``read_dim`` is
-    :func:`rk_step`'s.
-    """
-    return rk_step(integ, W, y0, 1.0, step_index=step_index, read_dim=read_dim)

@@ -64,14 +64,24 @@ def load_direction_numbers(path: str | Path | None = None) -> list[tuple[int, in
     return rows
 
 
+@lru_cache(maxsize=1)
+def _direction_rows() -> list[tuple[int, int, list[int]]]:
+    """The bundled table's rows, parsed once."""
+    return load_direction_numbers()
+
+
+def check_sobol_dimension(dim: int) -> None:
+    """Raise ValueError if the bundled direction table has fewer than ``dim`` coordinates."""
+    supported = len(_direction_rows()) + 1
+    if dim > supported:
+        raise ValueError(f"requested {dim} Sobol dimensions; direction table supports {supported}")
+
+
 @lru_cache(maxsize=4)
 def _direction_matrix(dim: int) -> np.ndarray:
     """uint32 matrix V[bit, coordinate]; V[k] is the k-th direction number * 2^32."""
-    rows = load_direction_numbers()
-    if dim > len(rows) + 1:
-        raise ValueError(
-            f"requested {dim} Sobol dimensions; direction table supports {len(rows) + 1}"
-        )
+    check_sobol_dimension(dim)
+    rows = _direction_rows()
     V = np.zeros((_SOBOL_BITS, dim), dtype=np.uint32)
     # first coordinate: van der Corput in base 2
     for k in range(_SOBOL_BITS):
@@ -190,13 +200,24 @@ def philox_raw(seed: int, start: int, count: int) -> np.ndarray:
     return raw[offset:]
 
 
+#: words converted to uniforms at a time
+_PHILOX_SLICE = 1 << 16
+
+
 def philox_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniforms in the open interval (0,1): ((raw >> 11) + 0.5) * 2^-53."""
+    """Uniforms in the open interval (0,1): ((raw >> 11) + 0.5) * 2^-53.
+
+    The words become their uniforms in place, a slice at a time, so the block
+    is never held twice (numpy buffers an overlapping cast whole).
+    """
     raw = philox_raw(seed, start, count)
-    raw >>= np.uint64(11)
-    out = raw.astype(np.float64)
-    out += 0.5
-    out *= 2.0**-53
+    out = raw.view(np.float64)
+    for lo in range(0, count, _PHILOX_SLICE):
+        words, floats = raw[lo:lo + _PHILOX_SLICE], out[lo:lo + _PHILOX_SLICE]
+        words >>= np.uint64(11)
+        floats[...] = words
+        floats += 0.5
+        floats *= 2.0**-53
     return out
 
 

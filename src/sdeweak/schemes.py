@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .moment_match import SchemeParams
-from .rk_integrator import IntegrationScheme, VectorField, integrate
+from .rk_integrator import IntegrationFailure, IntegrationScheme, VectorField, integrate
 from .sampling import FLOAT_GROUP, SobolChunk, correlate_pair, inv_normal_cdf
 
 NN = "nn"
@@ -34,6 +34,8 @@ KINDS = (NN, EM, NV)
 class SDEModel:
     """A Stratonovich SDE dX = sum_i V_i(X) o dB^i plus its Ito-form drift.
 
+    ``stratonovich`` holds V_0..V_d, so the Brownian dimension d is one less
+    than its length, and the state dimension is the fields' ``dimension``.
     The diffusion columns of the Ito form are the Stratonovich fields V_1..V_d
     (true whenever, as for Heston, only the drift picks up a correction).
     ``fused_combination``, when given, evaluates sum_k coeffs[k] V_k(y) in one
@@ -56,8 +58,6 @@ class SDEModel:
     coordinate.
     """
 
-    dim: int
-    brownian_dim: int
     stratonovich: tuple[VectorField, ...]
     ito_drift: VectorField
     fused_combination: Callable | None = None
@@ -65,13 +65,18 @@ class SDEModel:
     read_dim: int | None = None
 
     def __post_init__(self):
-        if len(self.stratonovich) != self.brownian_dim + 1:
-            raise ValueError("need d+1 Stratonovich fields V0..Vd")
-        if any(f.dimension != self.dim for f in self.stratonovich) or \
-                self.ito_drift.dimension != self.dim:
+        if any(f.dimension != self.dim for f in self.stratonovich):
             raise ValueError("field dimensions disagree with the state dimension")
         if self.read_dim is not None and not 1 <= self.read_dim <= self.dim:
             raise ValueError(f"read_dim must lie in [1, {self.dim}], got {self.read_dim}")
+
+    @property
+    def dim(self) -> int:
+        return self.ito_drift.dimension
+
+    @property
+    def brownian_dim(self) -> int:
+        return len(self.stratonovich) - 1
 
     def combination(self, y: np.ndarray, coeffs: Sequence) -> np.ndarray:
         """sum_k coeffs[k] V_k(y); scalar or per-path (P,) coefficients."""
@@ -84,6 +89,12 @@ class SDEModel:
             term = c * field(y)
             acc = term if acc is None else acc + term
         return acc
+
+
+def step_width(kind: str, brownian_dim: int) -> int:
+    """Uniform variates one step of ``kind`` consumes: 2d (NN), d (EM), 1 + d (NV)."""
+    d = brownian_dim
+    return {NN: 2 * d, EM: d, NV: 1 + d}[kind]
 
 
 @dataclass(frozen=True)
@@ -106,8 +117,7 @@ class SchemeStepPlan:
             raise ValueError("the N-V scheme needs an integrator")
 
     def step_dimension(self, model: SDEModel) -> int:
-        d = model.brownian_dim
-        return {NN: 2 * d, EM: d, NV: 1 + d}[self.kind]
+        return step_width(self.kind, model.brownian_dim)
 
     def uniform_dimension(self, model: SDEModel) -> int:
         """Uniform variates consumed per full path: 2dn (NN), dn (EM), n+dn (NV)."""
@@ -120,7 +130,7 @@ class SchemeStepPlan:
 
 
 def nn_step(model: SDEModel, params: SchemeParams, rk: IntegrationScheme, x: np.ndarray,
-            s: float, gaussians: np.ndarray, step_index: int | None = None) -> np.ndarray:
+            s: float, gaussians: np.ndarray) -> np.ndarray:
     """One splitting step: the flow of W_2 applied first, then the flow of W_1.
 
     gaussians has shape (..., d, 2) holding the correlated pair (S^i_1, S^i_2)
@@ -137,7 +147,7 @@ def nn_step(model: SDEModel, params: SchemeParams, rk: IntegrationScheme, x: np.
         coeffs = [s * c[j]] + [root_s * gaussians[..., i, j]
                                for i in range(model.brownian_dim)]
         w = lambda y, coeffs=coeffs: model.combination(y, coeffs)
-        x = integrate(rk, w, x, step_index=step_index, read_dim=model.read_dim)
+        x = integrate(rk, w, x, read_dim=model.read_dim)
     return x
 
 
@@ -157,8 +167,7 @@ def em_step(model: SDEModel, x: np.ndarray, s: float, increments: np.ndarray) ->
 
 
 def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
-            bernoulli: np.ndarray, etas: np.ndarray,
-            step_index: int | None = None) -> np.ndarray:
+            bernoulli: np.ndarray, etas: np.ndarray) -> np.ndarray:
     """One N-V step: half drift, the d Gaussian flows, half drift.
 
     The middle flows run in ascending Brownian order where the Bernoulli draw
@@ -175,7 +184,7 @@ def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
 
     def flow(y, coeffs):
         return integrate(rk, lambda z: model.combination(z, coeffs), y,
-                         step_index=step_index, read_dim=model.read_dim)
+                         read_dim=model.read_dim)
 
     drift_half = [0.5 * s] + [0.0] * d
     x = flow(x, drift_half)
@@ -209,7 +218,8 @@ def run_paths(plan: SchemeStepPlan, model: SDEModel, x0: Sequence[float], T: flo
     Bernoulli variate first (N-V).  They are read a window of whole steps at
     a time, about FLOAT_GROUP coordinates and at least one step, so a chunk
     generates each coordinate once and never holds more than one window.
-    Identical blocks, or a chunk and its block, give identical outputs.
+    Identical blocks, or a chunk and its block, give identical outputs.  An
+    IntegrationFailure leaves with its time step k (0-based) added.
     """
     if isinstance(uniforms, SobolChunk):
         columns = uniforms.columns
@@ -238,18 +248,22 @@ def run_paths(plan: SchemeStepPlan, model: SDEModel, x0: Sequence[float], T: flo
             window = columns(k * per, min(k + steps, n) * per)
         j = k % steps * per
         block = window[:, j:j + per]
-        if plan.kind == NN:
-            z = inv_normal_cdf(block).reshape(paths, d, 2)
-            gaussians = correlate_pair(z, plan.params.covariance)
-            x = nn_step(model, plan.params, plan.integrator, x, s, gaussians, step_index=k)
-        elif plan.kind == EM:
-            increments = inv_normal_cdf(block)
-            increments *= np.sqrt(s)
-            x = em_step(model, x, s, increments)
-        else:
-            bern = np.where(block[:, 0] >= 0.5, 1.0, -1.0)
-            etas = inv_normal_cdf(block[:, 1:])
-            x = nv_step(model, plan.integrator, x, s, bern, etas, step_index=k)
+        try:
+            if plan.kind == NN:
+                z = inv_normal_cdf(block).reshape(paths, d, 2)
+                gaussians = correlate_pair(z, plan.params.covariance)
+                x = nn_step(model, plan.params, plan.integrator, x, s, gaussians)
+            elif plan.kind == EM:
+                increments = inv_normal_cdf(block)
+                increments *= np.sqrt(s)
+                x = em_step(model, x, s, increments)
+            else:
+                bern = np.where(block[:, 0] >= 0.5, 1.0, -1.0)
+                etas = inv_normal_cdf(block[:, 1:])
+                x = nv_step(model, plan.integrator, x, s, bern, etas)
+        except IntegrationFailure as exc:
+            exc.step = k
+            raise
     return x
 
 

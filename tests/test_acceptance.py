@@ -18,7 +18,6 @@ from sdeweak.heston_bench import (
     BenchConfig,
     Cell,
     REFERENCE_PRICE,
-    decay_slope,
     price_cell,
 )
 from sdeweak.moment_match import (
@@ -29,9 +28,10 @@ from sdeweak.moment_match import (
     residual_table,
     solution_params,
 )
-from sdeweak.rk_integrator import VectorField, rk_step, scheme
+from sdeweak.rk_integrator import VectorField, integrate, scheme
 from sdeweak.rk_trees import check_order
 from sdeweak.rk_integrator import builtin_tableau
+from slopes import decay_slope
 
 pytestmark = pytest.mark.acceptance
 
@@ -100,9 +100,10 @@ def test_04_rk_empirical_order():
     exact = np.array([math.cos(1.0), -math.sin(1.0)])
 
     def err(integ, n):
+        step = VectorField(2, lambda y: (1.0 / n) * rotate(y))  # the time-1 flow is a step of 1/n
         y = np.array([1.0, 0.0])
         for _ in range(n):
-            y = rk_step(integ, rotate, y, 1.0 / n)
+            y = integrate(integ, step, y)
         return float(np.max(np.abs(y - exact)))
 
     ns = (4, 8, 16, 32)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdeweak
-from sdeweak import freealg, heston_bench, moment_match, sampling
+from sdeweak import cli, freealg, heston_bench, moment_match, rk_trees, sampling
 from sdeweak.cli import main
 from sdeweak.heston_bench import REFERENCE_PRICE
 
@@ -25,6 +25,10 @@ def _no_pool(*args, **kwargs):
 
 def _no_paths(*args, **kwargs):
     raise AssertionError("a refused run must not run a path")
+
+
+def _no_cells(*args, **kwargs):
+    raise AssertionError("a refused run must not price a cell")
 
 
 # 2(2u - 1) = 2^120: c1 = 2^59 and c2 = 1 - 2^59 are exact, but float c1 + c2 = 0
@@ -158,6 +162,28 @@ class TestVerifyRkOrder:
                                "--order", "2")
         assert code == 0
 
+    @pytest.mark.parametrize("order", ["15", "20", "40"])
+    def test_order_above_14_refused_before_any_tree_is_built(self, capsys, monkeypatch,
+                                                             order):
+        # order 14 takes about 20 s to enumerate and each order about 6x more
+        def no_trees(*args, **kwargs):
+            raise AssertionError("a refused order must not build a tree")
+
+        monkeypatch.setattr(rk_trees, "trees_up_to", no_trees)
+        code, out, err = run_cli(capsys, "verify-rk-order", "--tableau", "rk5-butcher",
+                                 "--order", order)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"sdeweak verify-rk-order: error: --order must be <= 14, got {order}"]
+
+    def test_order_14_is_accepted(self, capsys, monkeypatch):
+        asked = []
+        monkeypatch.setattr(rk_trees, "trees_up_to", lambda m: asked.append(m) or [])
+        code, *_ = run_cli(capsys, "verify-rk-order", "--tableau", "rk5-butcher",
+                           "--order", "14")
+        assert (code, asked) == (0, [14])
+
     def test_unknown_builtin_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify-rk-order", "--tableau", "rk9-mystery", "--order", "9"])
@@ -279,6 +305,38 @@ class TestPrice:
         assert err.splitlines() == [
             "sdeweak price: error: sobol_skip + samples must be <= 2^32 (the Sobol index "
             f"space), got sobol_skip {skip} and samples {samples}"]
+
+    @pytest.mark.parametrize("argv, dim", [
+        (["--scheme", "nn", "--n", "257"], 1028),
+        (["--scheme", "nv", "--n", "342"], 1026),
+        (["--scheme", "em", "--n", "514", "--romberg"], 1028),
+    ], ids=["nn", "nv", "em-romberg-fine-level"])
+    def test_sobol_width_refused_before_any_cell(self, capsys, monkeypatch, argv, dim):
+        # the direction table holds 1025 coordinates; n steps of width 2d, 1 + d
+        # or d (d = 2), at the fine level n of a Romberg cell
+        monkeypatch.setattr(cli, "price_cell", _no_cells)
+        code, out, err = run_cli(capsys, "price", *argv, "--samples", "100", "--workers", "1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"sdeweak price: error: requested {dim} Sobol dimensions; "
+            "direction table supports 1025"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--scheme", "nn", "--n", "256"], ["--scheme", "nv", "--n", "341"],
+        ["--scheme", "em", "--n", "512", "--romberg"], ["--scheme", "nn", "--n", "257",
+                                                        "--mode", "mc"]],
+        ids=["nn", "nv", "em-romberg", "nn-mc"])
+    def test_sobol_width_at_the_table_runs(self, capsys, monkeypatch, argv):
+        priced = []
+
+        def record(config, cell):
+            priced.append(cell)
+            return heston_bench.CellResult(cell, 0.0, None, 0.0, 0.0)
+
+        monkeypatch.setattr(cli, "price_cell", record)
+        code, *_ = run_cli(capsys, "price", *argv, "--samples", "100", "--workers", "1")
+        assert (code, len(priced)) == (0, 1)
 
     @pytest.mark.parametrize("branch", ["lower", "upper"])
     def test_cancelling_u_refused_before_any_path(self, capsys, monkeypatch, branch):
@@ -455,6 +513,21 @@ class TestConverge:
         assert err.splitlines() == [
             "sdeweak converge: error: cells[1]: sobol_skip + samples must be <= 2^32 (the "
             "Sobol index space), got sobol_skip 4294957296 and samples 10001"]
+
+    def test_sobol_width_refused_before_any_cell(self, capsys, monkeypatch, tmp_path):
+        # the first cell fits the 1025-coordinate direction table; the second,
+        # nn n=300, needs 1200 coordinates, so neither may run
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"cells": [
+            {"scheme": "nn", "n": 2, "samples": 1000, "mode": "qmc"},
+            {"scheme": "nn", "n": 300, "samples": 1000, "mode": "qmc"}]}))
+        monkeypatch.setattr(heston_bench, "price_cell", _no_cells)
+        code, out, err = run_cli(capsys, "converge", "--config", str(path), "--workers", "1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "sdeweak converge: error: cells[1]: requested 1200 Sobol dimensions; "
+            "direction table supports 1025"]
 
     def test_cancelling_u_refused_before_any_cell(self, capsys, monkeypatch, config_file):
         with open(config_file, encoding="utf-8") as fh:

@@ -11,7 +11,6 @@ from sdeweak.heston_bench import (
     REFERENCE_PRICE,
     asian_payoff,
     convergence_study,
-    decay_slope,
     heston_model,
     price_cell,
     result_rows,
@@ -426,19 +425,3 @@ class TestBenchmark:
         em_disc_bias = 0.2 / 4096  # first-order law, constant fitted well above
         assert abs(em.estimate - nn.estimate) <= em.error + nn.error + em_disc_bias
 
-
-class TestDecaySlope:
-    def test_exact_power_law(self):
-        ns = [2, 4, 8, 16]
-        errs = [1.0 / n**2 for n in ns]
-        assert decay_slope(ns, errs) == pytest.approx(2.0)
-
-    def test_floor_points_dropped(self):
-        ns = [2, 4, 8, 16]
-        errs = [1e-2, 1e-4, 1e-14, 1e-15]
-        slope = decay_slope(ns, errs)
-        assert slope == pytest.approx(math.log(1e-2 / 1e-4) / math.log(2), rel=1e-6)
-
-    def test_all_floored_rejected(self):
-        with pytest.raises(ValueError):
-            decay_slope([2, 4], [1e-16, 1e-16])

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from sdeweak.heston_bench import HestonParams, decay_slope, heston_model
+from sdeweak.heston_bench import HestonParams, heston_model
 from sdeweak.rk_integrator import (
     IntegrationFailure,
     IntegrationScheme,
     VectorField,
     builtin_tableau,
-    rk_step,
+    integrate,
     scheme,
 )
+from slopes import decay_slope
 
 RK5 = scheme("rk5-butcher")
 RK7 = scheme("rk7-butcher")
@@ -19,28 +20,34 @@ RK7 = scheme("rk7-butcher")
 ROTATE = VectorField(2, lambda y: np.stack([y[..., 1], -y[..., 0]], axis=-1))
 
 
+def scaled(W, h):
+    """The field h W, whose time-1 flow is W's flow over time h."""
+    return VectorField(W.dimension, lambda y: h * W(y))
+
+
 def rotation_error(integ, n):
     """Max-norm error after integrating the unit rotation field over [0,1] in n steps."""
+    step = scaled(ROTATE, 1.0 / n)
     y = np.array([1.0, 0.0])
     for _ in range(n):
-        y = rk_step(integ, ROTATE, y, 1.0 / n)
+        y = integrate(integ, step, y)
     exact = np.array([math.cos(1.0), -math.sin(1.0)])
     return float(np.max(np.abs(y - exact)))
 
 
-def _out_of_place_rk_step(integ, W, y0, s):
-    """Reference: every stage combination as a fresh out-of-place sum."""
+def _out_of_place_integrate(integ, W, y0):
+    """Reference: every stage combination of the size-1 step as a fresh out-of-place sum."""
     rows = [[(j, float(a)) for j, a in enumerate(row) if a != 0] for row in integ.tableau.a]
     ks = []
     for row in rows:
         yi = y0
         for j, aij in row:
-            yi = yi + (s * aij) * ks[j]
+            yi = yi + aij * ks[j]
         ks.append(np.asarray(W(yi), dtype=float))
     out = y0
     for i, bi in enumerate(integ.tableau.b):
         if bi != 0:
-            out = out + (s * float(bi)) * ks[i]
+            out = out + float(bi) * ks[i]
     return out
 
 
@@ -71,7 +78,7 @@ class TestRkStep:
         zero = VectorField(3, lambda y: np.zeros_like(y))
         y0 = np.array([1.0, -2.0, 0.5])
         for integ in (RK5, RK7):
-            assert np.array_equal(rk_step(integ, zero, y0, 0.7), y0)
+            assert np.array_equal(integrate(integ, scaled(zero, 0.7), y0), y0)
 
     def test_linear_field_matches_degree_five_taylor(self):
         # for W = A y an order-5 step equals the degree-5 Taylor polynomial of
@@ -86,7 +93,7 @@ class TestRkStep:
             for k in range(1, 6):
                 term = term @ (s * A) / k
                 taylor = taylor + term
-            return float(np.max(np.abs(rk_step(RK5, W, y0, s) - taylor @ y0)))
+            return float(np.max(np.abs(integrate(RK5, scaled(W, s), y0) - taylor @ y0)))
 
         d1, d2 = defect(0.5), defect(0.25)
         assert d1 / d2 == pytest.approx(2**6, rel=0.25)
@@ -95,9 +102,10 @@ class TestRkStep:
         W = VectorField(1, lambda y: y)
 
         def err(n):
+            step = scaled(W, 1.0 / n)
             y = np.array([1.0])
             for _ in range(n):
-                y = rk_step(RK7, W, y, 1.0 / n)
+                y = integrate(RK7, step, y)
             return abs(float(y[0]) - math.e)
 
         # one step at s=1 already lands within 1e-6 of e; the halving ratio
@@ -108,14 +116,15 @@ class TestRkStep:
     def test_batch_matches_scalar(self):
         W = VectorField(2, lambda y: np.stack([y[..., 1], y[..., 0] * 0.5], axis=-1))
         ys = np.array([[1.0, 0.0], [0.3, -0.4], [2.0, 2.0]])
-        batch = rk_step(RK5, W, ys, 0.3)
-        rows = np.vstack([rk_step(RK5, W, y, 0.3) for y in ys])
+        W = scaled(W, 0.3)
+        batch = integrate(RK5, W, ys)
+        rows = np.vstack([integrate(RK5, W, y) for y in ys])
         assert np.array_equal(batch, rows)
 
     def test_determinism(self):
         y0 = np.array([0.2, 0.4])
-        a = rk_step(RK7, ROTATE, y0, 0.9)
-        b = rk_step(RK7, ROTATE, y0, 0.9)
+        a = integrate(RK7, scaled(ROTATE, 0.9), y0)
+        b = integrate(RK7, scaled(ROTATE, 0.9), y0)
         assert np.array_equal(a, b)
 
     def test_affine_equivariance(self):
@@ -127,39 +136,40 @@ class TestRkStep:
             [np.sin(y[..., 0]), y[..., 1] - y[..., 0] ** 2], axis=-1))
         Wt = VectorField(2, lambda z: (W((z - c) @ Ainv.T)) @ A.T)
         y0 = np.array([0.4, 0.9])
-        lhs = rk_step(RK5, Wt, y0 @ A.T + c, 0.5)
-        rhs = rk_step(RK5, W, y0, 0.5) @ A.T + c
+        lhs = integrate(RK5, scaled(Wt, 0.5), y0 @ A.T + c)
+        rhs = integrate(RK5, scaled(W, 0.5), y0) @ A.T + c
         assert np.allclose(lhs, rhs, atol=1e-13)
 
     def test_failure_carries_stage(self):
         bad = VectorField(1, lambda y: np.where(y > 1.5, np.nan, y))
         with pytest.raises(IntegrationFailure) as exc:
             # stages grow past 1.5 for a large field value
-            rk_step(RK5, bad, np.array([1.4]), 5.0)
+            integrate(RK5, scaled(bad, 5.0), np.array([1.4]))
         assert exc.value.stage >= 1
 
     @pytest.mark.parametrize("integ", [RK5, RK7], ids=["rk5", "rk7"])
     def test_failure_names_first_nonfinite_stage(self, integ):
         bad = VectorField(1, lambda y: np.where(y > 1.5, np.nan, y))
         with pytest.raises(IntegrationFailure) as exc:
-            rk_step(integ, bad, np.array([1.4]), 5.0)
+            integrate(integ, scaled(bad, 5.0), np.array([1.4]))
         assert exc.value.stage == 2
 
     def test_failure_in_one_row_of_a_batch(self):
         bad = VectorField(1, lambda y: np.where(y > 1.5, np.nan, y))
         with pytest.raises(IntegrationFailure) as exc:
-            rk_step(RK5, bad, np.array([[0.1], [1.4], [0.2]]), 5.0, step_index=7)
-        assert (exc.value.stage, exc.value.step) == (2, 7)
+            integrate(RK5, scaled(bad, 5.0), np.array([[0.1], [1.4], [0.2]]))
+        # the time step is the path driver's to add (TestFailureStep in test_schemes)
+        assert (exc.value.stage, exc.value.step) == (2, None)
 
     def test_failure_names_the_first_nonfinite_row(self):
         bad = VectorField(1, lambda y: np.where(y > 1.5, np.nan, y))
         batch = np.asfortranarray([[0.1], [0.2], [1.4], [1.45], [0.3]])
         with pytest.raises(IntegrationFailure) as exc:
-            rk_step(RK5, bad, batch, 5.0, step_index=2)
-        assert (exc.value.stage, exc.value.step, exc.value.path) == (2, 2, 2)
-        assert str(exc.value) == "non-finite state in Runge-Kutta stage 2, step 2, path 2"
+            integrate(RK5, scaled(bad, 5.0), batch)
+        assert (exc.value.stage, exc.value.step, exc.value.path) == (2, None, 2)
+        assert str(exc.value) == "non-finite state in Runge-Kutta stage 2, path 2"
         with pytest.raises(IntegrationFailure) as exc:
-            rk_step(RK5, bad, np.array([1.4]), 5.0)
+            integrate(RK5, scaled(bad, 5.0), np.array([1.4]))
         assert exc.value.path is None
 
     def test_failure_row_is_the_stages_not_the_results(self):
@@ -173,7 +183,7 @@ class TestRkStep:
 
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(IntegrationFailure) as exc:
-            rk_step(RK5, VectorField(1, field), np.zeros((2, 1)), 2.0)
+            integrate(RK5, VectorField(1, field), np.array([[1e308], [0.0]]))
         assert (exc.value.stage, exc.value.path) == (3, 1)
 
     def test_failure_in_a_zero_weight_stage(self):
@@ -186,7 +196,7 @@ class TestRkStep:
             return np.full_like(y, np.inf if len(calls) == 1 else 1.0)
 
         with pytest.raises(IntegrationFailure) as exc:
-            rk_step(RK7, VectorField(1, first_call_infinite), np.array([0.5]), 0.1)
+            integrate(RK7, scaled(VectorField(1, first_call_infinite), 0.1), np.array([0.5]))
         assert exc.value.stage == 1
 
     @pytest.mark.parametrize("integ", [RK5, RK7], ids=["rk5", "rk7"])
@@ -194,8 +204,8 @@ class TestRkStep:
         huge = VectorField(1, lambda y: np.full_like(y, 1e308))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(IntegrationFailure) as exc:
-            rk_step(integ, huge, np.array([1e308]), 1.0, step_index=4)
-        assert (exc.value.stage, exc.value.step) == (None, 4)
+            integrate(integ, huge, np.array([1e308]))
+        assert (exc.value.stage, exc.value.step) == (None, None)
         assert "step combination" in str(exc.value)
 
     @pytest.mark.parametrize("integ", [RK5, RK7], ids=["rk5", "rk7"])
@@ -212,8 +222,8 @@ class TestRkStep:
         for y0, coeffs in cases:
             W = VectorField(3, lambda y, coeffs=coeffs: model.combination(y, coeffs))
             before = y0.copy()
-            out = rk_step(integ, W, y0, 1.0)
-            assert np.array_equal(out, _out_of_place_rk_step(integ, W, y0, 1.0))
+            out = integrate(integ, W, y0)
+            assert np.array_equal(out, _out_of_place_integrate(integ, W, y0))
             assert np.array_equal(y0, before)
 
 
@@ -242,15 +252,17 @@ class TestReadColumns:
             for name, c in coeffs.items():
                 heston = VectorField(3, lambda z, c=c: model.combination(z, c))
                 for W in (heston, self._leading_field()):
-                    full = rk_step(integ, W, y0, 0.7)
-                    narrow = rk_step(integ, W, y0, 0.7, read_dim=2)
+                    W = scaled(W, 0.7)
+                    full = integrate(integ, W, y0)
+                    narrow = integrate(integ, W, y0, read_dim=2)
                     assert full.tobytes(order="A") == narrow.tobytes(order="A"), (layout, name)
                     assert narrow.flags.f_contiguous == y0.flags.f_contiguous, (layout, name)
         single = np.array([1.1, 0.07, -0.0])
         for W in (VectorField(3, lambda z: model.combination(z, [0.02, 0.25, -0.1])),
                   self._leading_field()):
-            assert rk_step(integ, W, single, 0.7).tobytes() == \
-                rk_step(integ, W, single, 0.7, read_dim=2).tobytes()
+            W = scaled(W, 0.7)
+            assert integrate(integ, W, single).tobytes() == \
+                integrate(integ, W, single, read_dim=2).tobytes()
 
     @pytest.mark.parametrize("read_dim", [None, 2])
     def test_unread_column_failure_in_a_zero_weight_stage(self, read_dim):
@@ -267,8 +279,8 @@ class TestReadColumns:
 
         y0 = np.asfortranarray(np.full((5, 3), 0.5))
         with pytest.raises(IntegrationFailure) as exc:
-            rk_step(RK5, VectorField(3, field), y0, 0.1, step_index=4, read_dim=read_dim)
-        assert (exc.value.stage, exc.value.step, exc.value.path) == (2, 4, 1)
+            integrate(RK5, scaled(VectorField(3, field), 0.1), y0, read_dim=read_dim)
+        assert (exc.value.stage, exc.value.step, exc.value.path) == (2, None, 1)
 
     @pytest.mark.parametrize("read_dim", [None, 2])
     def test_unread_column_overflow_in_the_combination(self, read_dim):
@@ -278,7 +290,7 @@ class TestReadColumns:
         W = VectorField(3, lambda y: np.stack([0.0 * y[..., 0], 0.0 * y[..., 1],
                                                1e308 + 0.0 * y[..., 0]], axis=-1))
         with np.errstate(over="ignore"), pytest.raises(IntegrationFailure) as exc:
-            rk_step(RK5, W, y0, 1.0, read_dim=read_dim)
+            integrate(RK5, W, y0, read_dim=read_dim)
         assert (exc.value.stage, exc.value.path) == (None, 2)
 
 

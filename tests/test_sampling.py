@@ -1,10 +1,11 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sdeweak.rk_integrator import IntegrationFailure, VectorField, rk_step, scheme
+from sdeweak.rk_integrator import IntegrationFailure, VectorField, integrate, scheme
 from sdeweak.sampling import (
     CHUNK,
     FLOAT_GROUP,
@@ -234,6 +235,26 @@ class TestPhilox:
     def test_seeds_differ(self):
         assert not np.array_equal(philox_uniforms(1, 0, 8), philox_uniforms(2, 0, 8))
 
+    @pytest.mark.parametrize("seed, start, count", [
+        (0, 0, 0), (5, 2, 3), (7, 1, (1 << 16) + 1), (2**40, 13, 16384 * 40 + 3)])
+    def test_uniforms_are_the_formula_of_the_words(self, seed, start, count):
+        # converting slice by slice in place gives the whole-block formula's bytes
+        expected = ((philox_raw(seed, start, count) >> np.uint64(11)).astype(np.float64)
+                    + 0.5) * 2.0**-53
+        got = philox_uniforms(seed, start, count)
+        assert (got.dtype, got.shape) == (np.float64, (count,))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_block_is_held_once(self):
+        # one nn n=10 MC chunk: 16384 paths x 40 words = 5 MiB of uint64 words
+        tracemalloc.start()
+        try:
+            philox_uniforms(0, 0, 16384 * 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
 
 class TestInvNormal:
     def test_median_is_zero(self):
@@ -427,7 +448,7 @@ class TestEstimate:
         assert first >= CHUNK
         for workers in (1, 3):
             with pytest.raises(IntegrationFailure) as exc:
-                estimate(lambda u: rk_step(RK5, field, np.asarray(u), 1.0)[:, 0], src, 60_000,
+                estimate(lambda u: integrate(RK5, field, np.asarray(u))[:, 0], src, 60_000,
                          workers=workers)
             assert (exc.value.stage, exc.value.path) == (1, first)
 

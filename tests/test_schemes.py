@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -32,21 +33,21 @@ def linear_model(a=1.0, b=0.5):
     v1 = VectorField(1, lambda y: b * y)
     # Ito drift: a y + (1/2) b^2 y
     drift = VectorField(1, lambda y: (a + 0.5 * b * b) * y)
-    return SDEModel(dim=1, brownian_dim=1, stratonovich=(v0, v1), ito_drift=drift)
+    return SDEModel(stratonovich=(v0, v1), ito_drift=drift)
 
 
 def pure_brownian_model():
     """V0 = 0, V1 = 1: the state is x + B_t."""
     zero = VectorField(1, lambda y: np.zeros_like(y))
     one = VectorField(1, lambda y: np.ones_like(y))
-    return SDEModel(dim=1, brownian_dim=1, stratonovich=(zero, one), ito_drift=zero)
+    return SDEModel(stratonovich=(zero, one), ito_drift=zero)
 
 
 def planar_drift_model():
     """d=2, pure drift rotation field for composition tests."""
     rot = VectorField(2, lambda y: np.stack([y[..., 1], -y[..., 0]], axis=-1))
     zero = VectorField(2, lambda y: np.zeros_like(y))
-    return SDEModel(dim=2, brownian_dim=2, stratonovich=(rot, zero, zero), ito_drift=rot)
+    return SDEModel(stratonovich=(rot, zero, zero), ito_drift=rot)
 
 
 class TestNNStep:
@@ -113,8 +114,7 @@ class TestEMStep:
             calls.append((x.dtype, s, increments.dtype))
             return em_step(base, x, s, increments)
 
-        model = SDEModel(base.dim, base.brownian_dim, base.stratonovich, base.ito_drift,
-                         fused_euler=fused)
+        model = SDEModel(base.stratonovich, base.ito_drift, fused_euler=fused)
         x, inc = [[2.0], [-1.0]], [[0.3], [0.1]]
         assert np.array_equal(em_step(model, x, 0.1, inc), em_step(base, x, 0.1, inc))
         assert calls == [(np.float64, 0.1, np.float64)]
@@ -123,7 +123,7 @@ class TestEMStep:
         # dX = X dB (Ito): EM keeps E[X_1] = x0 for every n
         zero = VectorField(1, lambda y: np.zeros_like(y))
         ident = VectorField(1, lambda y: y)
-        model = SDEModel(1, 1, (zero, ident), zero)
+        model = SDEModel((zero, ident), zero)
         plan = SchemeStepPlan(EM, 8)
         src = UniformSource(MC, plan.uniform_dimension(model), seed=4)
         m = 200_000
@@ -164,7 +164,7 @@ def three_factor_model():
     v1 = field(lambda a, b, c: (np.ones_like(a), c, np.zeros_like(a)))
     v2 = field(lambda a, b, c: (np.zeros_like(a), np.cos(a), b))
     v3 = field(lambda a, b, c: (0.5 * b, np.zeros_like(a), a * b))
-    return SDEModel(3, 3, (v0, v1, v2, v3), v0)
+    return SDEModel((v0, v1, v2, v3), v0)
 
 
 class TestNVStep:
@@ -172,7 +172,7 @@ class TestNVStep:
         # one flow per ordering position over all paths gives the bits of
         # flowing each ordering's paths on their own
         heston = heston_model(HestonParams(rho=-0.5))
-        generic = SDEModel(3, 2, heston.stratonovich, heston.ito_drift)
+        generic = SDEModel(heston.stratonovich, heston.ito_drift)
         rng = np.random.default_rng(13)
         paths = 200
         x = np.asfortranarray(np.abs(rng.normal(size=(paths, 3))) * [1.0, 0.1, 1.0])
@@ -190,7 +190,7 @@ class TestNVStep:
         # bits of the full batch, of each one-path batch and of flowing the
         # paths of one ordering on their own
         heston = heston_model(HestonParams(rho=-0.5))
-        generic = SDEModel(3, 2, heston.stratonovich, heston.ito_drift)
+        generic = SDEModel(heston.stratonovich, heston.ito_drift)
         rng = np.random.default_rng(14)
         paths = 40
         x = np.asfortranarray(np.abs(rng.normal(size=(paths, 3))) * [1.0, 0.1, 1.0])
@@ -208,16 +208,18 @@ class TestNVStep:
                     assert np.array_equal(out[i:i + 1], one), (name, sign, i)
 
     def test_failure_in_a_middle_flow_names_the_step(self):
-        # path 1 runs descending: V2 with eta 0, then V1 pushes it past 5
+        # steps 0-2 draw zero etas; in step 3 path 1 runs descending: V2 with
+        # eta 0, then V1 with eta 10/3 pushes stage 5's input to 2.5, past 2
         zero = VectorField(1, lambda y: np.zeros_like(y))
-        v1 = VectorField(1, lambda y: np.where(y > 5.0, np.nan, 1.0))
+        v1 = VectorField(1, lambda y: np.where(y > 2.0, np.nan, 1.0))
         v2 = VectorField(1, lambda y: np.ones_like(y))
-        model = SDEModel(1, 2, (zero, v1, v2), zero)
-        etas = np.array([[0.1, 0.2], [10.0, 0.0], [-0.3, 0.1]])
+        model = SDEModel((zero, v1, v2), zero)
+        uniforms = np.tile([0.7, 0.5, 0.5], (3, 4))
+        uniforms[:, 9:] = [[0.7, 0.55, 0.55], [0.2, NormalDist().cdf(10 / 3), 0.5],
+                           [0.7, 0.45, 0.55]]
         with pytest.raises(IntegrationFailure) as exc:
-            nv_step(model, RK5, np.zeros((3, 1)), 1.0, np.array([1.0, -1.0, 1.0]), etas,
-                    step_index=3)
-        assert exc.value.step == 3
+            run_paths(SchemeStepPlan(NV, 4, integrator=RK5), model, [0.0], 4.0, uniforms)
+        assert (exc.value.stage, exc.value.step, exc.value.path) == (5, 3, 1)
 
     def test_zero_noise_is_strang_drift(self):
         model = planar_drift_model()
@@ -242,7 +244,7 @@ class TestNVStep:
                                                 np.zeros_like(y[..., 1])], axis=-1))
         v2 = VectorField(2, lambda y: np.stack([np.zeros_like(y[..., 0]),
                                                 y[..., 0]], axis=-1))
-        model = SDEModel(2, 2, (v0, v1, v2), v0)
+        model = SDEModel((v0, v1, v2), v0)
         x = np.array([[0.0, 0.0]])
         eta = np.array([[1.0, 1.0]])
         up = nv_step(model, RK5, x, 1.0, np.array([1.0]), eta)
@@ -336,6 +338,67 @@ class TestRunPaths:
             SchemeStepPlan(EM, 0)
 
 
+def _clock_model():
+    """V0 moves y1 at unit speed, V1 adds a little noise to it, and V2 turns
+    NaN once y1 passes 1.3: from x0 = (1, 0.09, 0) over T = 1 in 8 steps a
+    path passes 1.3 in step 2, never earlier."""
+    def unit(column, value):
+        def f(y):
+            out = np.zeros_like(y)
+            out[..., column] = value
+            return out
+        return VectorField(3, f)
+
+    def v2(y):
+        out = np.zeros_like(y)
+        out[..., 1] = np.where(y[..., 0] > 1.3, np.nan, 0.0)
+        return out
+
+    fields = (unit(0, 1.0), unit(0, 0.01), VectorField(3, v2))
+    return SDEModel(fields, fields[0])
+
+
+class TestFailureStep:
+    """run_paths adds the time step to a Runge-Kutta failure; integrate cannot know it."""
+
+    @staticmethod
+    def _first_failure(plan, model, uniforms):
+        # (stage, step, path) of the first failing step, one step map at a time
+        x = np.array(np.broadcast_to([1.0, 0.09, 0.0], (len(uniforms), 3)), order="F")
+        s = 1.0 / plan.partitions
+        per = plan.step_dimension(model)
+        for k in range(plan.partitions):
+            block = uniforms[:, k * per:(k + 1) * per]
+            try:
+                if plan.kind == NN:
+                    z = sampling.inv_normal_cdf(block).reshape(len(x), 2, 2)
+                    g = sampling.correlate_pair(z, plan.params.covariance)
+                    x = nn_step(model, plan.params, RK5, x, s, g)
+                else:
+                    bern = np.where(block[:, 0] >= 0.5, 1.0, -1.0)
+                    x = nv_step(model, RK5, x, s, bern, sampling.inv_normal_cdf(block[:, 1:]))
+            except IntegrationFailure as exc:
+                assert exc.step is None
+                return exc.stage, k, exc.path
+        raise AssertionError("no step failed")
+
+    @pytest.mark.parametrize("kind", [NN, NV])
+    def test_price_cell_names_the_failing_step(self, monkeypatch, kind):
+        from sdeweak import heston_bench
+        model = _clock_model()
+        monkeypatch.setattr(heston_bench, "heston_model", lambda params, guard: model)
+        plan = _plan(kind, 8)
+        first = UniformSource(QMC, plan.uniform_dimension(model)).block(0, CHUNK)
+        stage, step, path = self._first_failure(plan, model, first)
+        assert step == 2
+        for workers in (1, 3):
+            with pytest.raises(IntegrationFailure) as exc:
+                price_cell(BenchConfig(workers=workers), Cell(kind, 8, 2 * CHUNK + 100, QMC))
+            assert (exc.value.stage, exc.value.step, exc.value.path) == (stage, step, path)
+            assert str(exc.value) == (f"non-finite state in Runge-Kutta stage {stage}, "
+                                      f"step 2, path {path}; cell {kind} n=8 qmc")
+
+
 def _plan(kind, n, integrator=RK5):
     kwargs = {NN: dict(params=DEFAULT_PARAMS, integrator=integrator), EM: {},
               NV: dict(integrator=integrator)}[kind]
@@ -370,7 +433,7 @@ class TestStreamedChunk:
         # the windows are disjoint, cover the path's coordinates in order, and
         # none is wider than one window of whole steps
         zero = VectorField(1, lambda y: np.zeros_like(y))
-        model = SDEModel(1, brownian_dim, (zero,) * (brownian_dim + 1), zero)
+        model = SDEModel((zero,) * (brownian_dim + 1), zero)
         plan = _plan(kind, n)
         dim = plan.uniform_dimension(model)
         requests = []
@@ -418,7 +481,7 @@ class TestFusedCombination:
     def test_fused_agrees_with_generic(self):
         base = linear_model()
         fused = SDEModel(
-            base.dim, base.brownian_dim, base.stratonovich, base.ito_drift,
+            base.stratonovich, base.ito_drift,
             fused_combination=lambda y, c: c[0] * (1.0 * y) + (
                 c[1][..., None] if isinstance(c[1], np.ndarray) else c[1]) * (0.5 * y),
         )
@@ -435,7 +498,7 @@ class TestReadDim:
         mats = [np.array([[0.1, 0.0, 0.4], [0.0, -0.2, 0.3], [0.5, 0.1, 0.2]]),
                 np.array([[0.0, 0.3, -0.5], [0.2, 0.0, 0.1], [0.0, 0.4, 0.3]])]
         fields = tuple(VectorField(3, lambda y, a=a: y @ a.T) for a in mats)
-        return SDEModel(3, 1, fields, fields[0], read_dim=read_dim), mats
+        return SDEModel(fields, fields[0], read_dim=read_dim), mats
 
     def test_undeclared_model_forms_every_coordinate(self):
         # for W(y) = B y a step is R(B) y, R the tableau's stability polynomial
@@ -462,6 +525,20 @@ class TestReadDim:
     def test_declaration_within_the_state(self, read_dim):
         with pytest.raises(ValueError, match="read_dim must lie in"):
             self._full_read_model(read_dim)
+
+
+class TestModelDimensions:
+    def test_dimensions_come_from_the_fields(self):
+        assert (three_factor_model().dim, three_factor_model().brownian_dim) == (3, 3)
+        assert (pure_brownian_model().dim, pure_brownian_model().brownian_dim) == (1, 1)
+        assert (heston_model(HestonParams()).dim, heston_model(HestonParams()).brownian_dim) \
+            == (3, 2)
+
+    def test_field_dimensions_must_agree(self):
+        two, three = VectorField(2, np.zeros_like), VectorField(3, np.zeros_like)
+        for stratonovich, drift in (((two, three), three), ((three, three), two)):
+            with pytest.raises(ValueError, match="field dimensions disagree"):
+                SDEModel(stratonovich, drift)
 
 
 class TestRomberg:

@@ -67,8 +67,7 @@ def _linear_model(mats, read_dim=None):
         return VectorField(dim, lambda y: y[..., :r] @ a[:, :r].T)
 
     generator = mats[0] + 0.5 * sum(a @ a for a in mats[1:])
-    model = SDEModel(dim=dim, brownian_dim=len(mats) - 1,
-                     stratonovich=tuple(field(a) for a in mats), ito_drift=field(generator),
+    model = SDEModel(stratonovich=tuple(field(a) for a in mats), ito_drift=field(generator),
                      read_dim=read_dim)
     return model, generator
 
