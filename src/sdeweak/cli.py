@@ -16,6 +16,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import fields, replace
@@ -28,16 +29,16 @@ from .heston_bench import (
     Cell,
     HestonParams,
     REFERENCE_PRICE,
+    check_cell,
     convergence_study,
-    heston_model,
     price_cell,
     result_rows,
 )
-from .moment_match import FLOAT, UPPER, LOWER, SchemeParams, residual_table, solution_params
+from .moment_match import FLOAT, UPPER, LOWER, residual_table, solution_params
 from .rk_trees import ButcherTableau, check_order
 from .rk_integrator import IntegrationFailure, builtin_tableau
-from .sampling import MC, QMC, check_sobol_dimension, check_sobol_span
-from .schemes import KINDS, step_width
+from .sampling import MC, QMC
+from .schemes import KINDS
 
 FLOAT_TOL = 1e-12
 
@@ -230,7 +231,9 @@ def _count(value, what: str, least: int = 1, most: int | None = None) -> int:
 
 
 def _counts(value, what: str, most: int | None = None) -> list[int]:
-    """One count or a list of counts (a cell's grid axis)."""
+    """One count or a non-empty list of counts (a cell's grid axis)."""
+    if value == []:
+        raise ValueError(f"{what} must not be an empty list")
     return [_count(v, what, most=most) for v in (value if isinstance(value, list) else [value])]
 
 
@@ -295,24 +298,7 @@ def _config_from_mapping(raw: dict, args) -> BenchConfig:
                   sobol_skip=_count(cfg.sobol_skip, "sobol_skip"))
     if cfg.workers is not None:
         cfg = replace(cfg, workers=_count(cfg.workers, "workers", most=_MAX_WORKERS))
-    _check_float_family(cfg.u, cfg.branch)
     return cfg
-
-
-def _check_float_family(u: Fraction, branch: str) -> None:
-    """Refuse a u whose closed-form parameters fail SchemeParams' checks in floats.
-
-    The pricing path steps with the parameters as floats, where an exact
-    family can still cancel: u = 664613997892457936451903530140172289/2 gives
-    c1 = 2^59 and float c1 + c2 = 0.  verify-moments works in the rationals
-    and keeps such a u.
-    """
-    params = solution_params(u, branch)
-    try:
-        SchemeParams(*(float(v) for v in (params.c1, params.c2, params.r11, params.r12,
-                                          params.r22)))
-    except ValueError:
-        raise ValueError(f"u is too large for the closed form in floats, got {u}") from None
 
 
 def _reference_text(reference: float | None) -> str:
@@ -324,7 +310,7 @@ def cmd_price(args) -> int:
     cell = Cell(args.scheme, _count(args.n, "--n"),
                 _count(args.samples, "--samples", most=_MAX_SAMPLES), args.mode,
                 use_romberg=args.romberg)
-    _check_sobol(cell, config)
+    check_cell(config, cell)
     c = price_cell(config, cell)
     _emit(result_rows((c,), timings=args.timings), args.out)
     err = "n/a" if c.error is None else f"{c.error:.3e}"
@@ -360,16 +346,6 @@ def _cell_grid(item) -> list[Cell]:
             for m in _counts(item["samples"], "samples", most=_MAX_SAMPLES)]
 
 
-def _check_sobol(cell: Cell, config: BenchConfig) -> None:
-    """The Sobol checks a QMC cell's estimates would make, made as the cell is read, so
-    no cell runs first: its index span, and its widest level's (for a Romberg cell the
-    fine level n) uniform dimension against the direction table."""
-    if cell.mode == QMC:
-        check_sobol_span(config.sobol_skip, cell.samples)
-        d = heston_model(config.heston).brownian_dim
-        check_sobol_dimension(cell.partitions * step_width(cell.kind, d))
-
-
 def _cells_from_mapping(raw: dict, config: BenchConfig) -> list[Cell]:
     items = raw.get("cells", [])
     if not isinstance(items, list):
@@ -379,7 +355,7 @@ def _cells_from_mapping(raw: dict, config: BenchConfig) -> list[Cell]:
         try:
             grid = _cell_grid(item)
             for cell in grid:
-                _check_sobol(cell, config)
+                check_cell(config, cell)
             cells.extend(grid)
         except ValueError as exc:
             raise ValueError(f"cells[{i}]: {exc}") from None
@@ -482,6 +458,11 @@ def main(argv=None) -> int:
     if args.command == "converge" and not args.config:
         parser.exit(2, f"{prog}: error: --config is required\n")
     try:
+        if args.out:  # refused before any work; appending keeps an existing file's bytes
+            new = not os.path.lexists(args.out)
+            open(args.out, "a", encoding="utf-8").close()
+            if new:
+                os.remove(args.out)
         with warnings.catch_warnings():
             # numpy's overflow / invalid-value warnings would precede the
             # one-line report of the failure they lead to

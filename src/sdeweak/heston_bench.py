@@ -14,13 +14,13 @@ import math
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .moment_match import LOWER, solution_params
+from .moment_match import LOWER, SchemeParams, solution_params
 from .rk_integrator import IntegrationFailure, VectorField, scheme
 from .sampling import QMC, UniformSource, estimate
 from .schemes import EM, NN, NV, SDEModel, SchemeStepPlan, romberg, run_paths
@@ -298,9 +298,33 @@ class CellResult:
 def _make_plan(config: BenchConfig, kind: str, n: int) -> SchemeStepPlan:
     if kind == EM:
         return SchemeStepPlan(EM, n)
-    params = solution_params(config.u, config.branch) if kind == NN else None
-    tableau = config.nn_tableau if kind == NN else config.nv_tableau
-    return SchemeStepPlan(kind, n, params=params, integrator=scheme(tableau))
+    if kind == NV:
+        return SchemeStepPlan(NV, n, integrator=scheme(config.nv_tableau))
+    exact = solution_params(config.u, config.branch)
+    try:  # the floats nn_step steps with; an exact family can cancel in them (c1 = 2^59)
+        params = SchemeParams(*map(float, astuple(exact)))
+    except ValueError:
+        raise ValueError(f"u is too large for the closed form in floats, got {config.u}") from None
+    return SchemeStepPlan(NN, n, params=params, integrator=scheme(config.nn_tableau))
+
+
+def _levels(config: BenchConfig, cell: Cell,
+            model: SDEModel) -> list[tuple[SchemeStepPlan, UniformSource]]:
+    """Each level's plan and checked source: n, or n/2 and n for a Romberg cell."""
+    n = cell.partitions
+    levels = []
+    for k in (n // 2, n) if cell.use_romberg else (n,):
+        plan = _make_plan(config, cell.kind, k)
+        source = UniformSource(cell.mode, plan.uniform_dimension(model), seed=config.seed,
+                               skip=config.sobol_skip)
+        source.check(cell.samples)
+        levels.append((plan, source))
+    return levels
+
+
+def check_cell(config: BenchConfig, cell: Cell) -> None:
+    """Raise ValueError if :func:`price_cell` would refuse ``cell``; no path runs."""
+    _levels(config, cell, heston_model(config.heston))
 
 
 def price_cell(config: BenchConfig, cell: Cell) -> CellResult:
@@ -316,12 +340,8 @@ def price_cell(config: BenchConfig, cell: Cell) -> CellResult:
     model = heston_model(config.heston, guard)
     heston = config.heston
     t0 = time.perf_counter()
-    n = cell.partitions
     reports = []
-    for k in (n // 2, n) if cell.use_romberg else (n,):
-        plan = _make_plan(config, cell.kind, k)
-        source = UniformSource(cell.mode, plan.uniform_dimension(model), seed=config.seed,
-                               skip=config.sobol_skip)
+    for plan, source in _levels(config, cell, model):
 
         def payoff(uniforms: np.ndarray) -> np.ndarray:
             states = run_paths(plan, model, heston.x0, heston.T, uniforms)
@@ -330,9 +350,9 @@ def price_cell(config: BenchConfig, cell: Cell) -> CellResult:
         try:
             reports.append(estimate(payoff, source, cell.samples, workers=config.workers))
         except IntegrationFailure as exc:
-            exc.cell = f"{cell.kind} n={n} {cell.mode}"
+            exc.cell = f"{cell.kind} n={cell.partitions} {cell.mode}"
             if cell.use_romberg:
-                exc.cell += f" +romberg, level n={k}"
+                exc.cell += f" +romberg, level n={plan.partitions}"
             raise
 
     def combine(values):

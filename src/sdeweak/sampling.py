@@ -279,6 +279,20 @@ class UniformSource:
         if self.kind == QMC and self.skip < 1:
             raise ValueError("sobol skip must be >= 1 (index 0 is the zero point)")
 
+    def check(self, samples: int) -> None:
+        """Raise ValueError if ``estimate`` cannot draw ``samples`` points: Sobol indices past
+        2^32 or the direction table's width, MC samples not in 10 batches, or a seed >= 2^128."""
+        if self.kind == QMC:
+            if self.skip + samples > 1 << _SOBOL_BITS:
+                raise ValueError(f"sobol_skip + samples must be <= 2^32 (the Sobol index "
+                                 f"space), got sobol_skip {self.skip} and samples {samples}")
+            check_sobol_dimension(self.dimension)
+        elif samples % MC_BATCHES != 0:
+            raise ValueError(f"MC sample count must be divisible by {MC_BATCHES}")
+        elif self.seed >= 1 << 128:
+            raise ValueError(f"seed must be < 2^128 for an MC cell (the Philox key), "
+                             f"got {self.seed}")
+
     def block(self, start: int, count: int) -> np.ndarray:
         """Points start .. start+count-1 as an array of shape (count, dimension)."""
         if self.kind == MC:
@@ -441,13 +455,6 @@ class EstimatorReport:
     batch_means: tuple[float, ...]
 
 
-def check_sobol_span(skip: int, samples: int) -> None:
-    """Raise ValueError if Sobol points skip .. skip + samples - 1 pass the index space."""
-    if skip + samples > 1 << _SOBOL_BITS:
-        raise ValueError(f"sobol_skip + samples must be <= 2^32 (the Sobol index space), "
-                         f"got sobol_skip {skip} and samples {samples}")
-
-
 def estimate(payoff: Callable[[np.ndarray | SobolChunk], np.ndarray], source: UniformSource,
              samples: int, workers: int | None = None) -> EstimatorReport:
     """Average ``payoff`` over ``samples`` source points.
@@ -455,18 +462,14 @@ def estimate(payoff: Callable[[np.ndarray | SobolChunk], np.ndarray], source: Un
     payoff maps a chunk of points, ``source.chunk``: an MC block (count, D) or a
     QMC :class:`SobolChunk`, to a value vector (count,).  Points are processed
     in fixed chunks whose sums are reduced in index order, so the
-    result is bit-identical for every worker count.  An MC source requires the
-    sample count to be divisible by the fixed batch count (10); QMC is one
-    batch.  A QMC source whose skip + samples passes 2^32 is refused before
-    any chunk runs.  With at most one worker the chunks run on the calling
-    thread.  An IntegrationFailure from payoff leaves with its row turned into
-    a path index.
+    result is bit-identical for every worker count.  MC estimates 10 batches,
+    QMC one.  What ``source.check`` refuses is refused before any chunk runs.
+    With at most one worker the chunks run on the calling thread.  An
+    IntegrationFailure from payoff leaves with its row turned into a path
+    index.
     """
+    source.check(samples)
     batches = MC_BATCHES if source.kind == MC else 1
-    if samples % batches != 0:
-        raise ValueError(f"MC sample count must be divisible by {MC_BATCHES}")
-    if source.kind == QMC:
-        check_sobol_span(source.skip, samples)
     size = samples // batches
     # no chunk straddles a batch, so every batch is the same number of chunks
     ranges = [(a, min(a + CHUNK, lo + size))

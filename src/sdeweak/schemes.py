@@ -91,12 +91,6 @@ class SDEModel:
         return acc
 
 
-def step_width(kind: str, brownian_dim: int) -> int:
-    """Uniform variates one step of ``kind`` consumes: 2d (NN), d (EM), 1 + d (NV)."""
-    d = brownian_dim
-    return {NN: 2 * d, EM: d, NV: 1 + d}[kind]
-
-
 @dataclass(frozen=True)
 class SchemeStepPlan:
     """Scheme kind, partition count, and the per-path uniform layout."""
@@ -117,7 +111,9 @@ class SchemeStepPlan:
             raise ValueError("the N-V scheme needs an integrator")
 
     def step_dimension(self, model: SDEModel) -> int:
-        return step_width(self.kind, model.brownian_dim)
+        """Uniform variates consumed per step: 2d (NN), d (EM), 1 + d (NV)."""
+        d = model.brownian_dim
+        return {NN: 2 * d, EM: d, NV: 1 + d}[self.kind]
 
     def uniform_dimension(self, model: SDEModel) -> int:
         """Uniform variates consumed per full path: 2dn (NN), dn (EM), n+dn (NV)."""

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,20 @@ def _no_paths(*args, **kwargs):
 
 def _no_cells(*args, **kwargs):
     raise AssertionError("a refused run must not price a cell")
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a refused run must not build a word or a tree")
+
+
+def _refuse_pricing(monkeypatch):
+    # price prices through cli's name, converge through heston_bench's
+    for module in (cli, heston_bench):
+        monkeypatch.setattr(module, "price_cell", _no_cells)
+    monkeypatch.setattr(heston_bench, "run_paths", _no_paths)
+
+
+SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
 
 # 2(2u - 1) = 2^120: c1 = 2^59 and c2 = 1 - 2^59 are exact, but float c1 + c2 = 0
@@ -338,6 +353,25 @@ class TestPrice:
         code, *_ = run_cli(capsys, "price", *argv, "--samples", "100", "--workers", "1")
         assert (code, len(priced)) == (0, 1)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--samples", "2005"], "MC sample count must be divisible by 10"),
+        (["--samples", "2000", "--seed", str(2**128)],
+         f"seed must be < 2^128 for an MC cell (the Philox key), got {2**128}"),
+    ], ids=["indivisible-samples", "seed-past-philox-key"])
+    def test_mc_cell_refused_before_any_cell(self, capsys, monkeypatch, argv, message):
+        _refuse_pricing(monkeypatch)
+        code, out, err = run_cli(capsys, "price", "--scheme", "nn", "--n", "2",
+                                 "--mode", "mc", *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"sdeweak price: error: {message}"]
+
+    @pytest.mark.parametrize("scheme", ["em", "nv"])
+    def test_cancelling_u_runs_a_scheme_that_does_not_read_it(self, capsys, scheme):
+        code, out, _ = run_cli(capsys, "price", "--scheme", scheme, "--n", "2",
+                               "--samples", "1000", "--workers", "1", "--u", CANCELLING_U)
+        assert code == 0
+        assert out.splitlines()[1].startswith(f"{scheme},2,1000,qmc,0,")
+
     @pytest.mark.parametrize("branch", ["lower", "upper"])
     def test_cancelling_u_refused_before_any_path(self, capsys, monkeypatch, branch):
         monkeypatch.setattr(heston_bench, "run_paths", _no_paths)
@@ -541,8 +575,72 @@ class TestConverge:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [
-            "sdeweak converge: error: u is too large for the closed form in floats, "
-            f"got {CANCELLING_U}"]
+            "sdeweak converge: error: cells[1]: u is too large for the closed form in "
+            f"floats, got {CANCELLING_U}"]
+
+    @pytest.mark.parametrize("extra, cell, message", [
+        ({}, {"scheme": "nn", "n": 2, "samples": 2005, "mode": "mc"},
+         "cells[2]: MC sample count must be divisible by 10"),
+        ({"seed": 2**128}, {"scheme": "em", "n": 2, "samples": 1000, "mode": "mc"},
+         f"cells[2]: seed must be < 2^128 for an MC cell (the Philox key), got {2**128}"),
+        ({}, {"scheme": "nn", "n": [], "samples": 1000}, "cells[2]: n must not be an empty list"),
+        ({}, {"scheme": "em", "n": 2, "samples": []},
+         "cells[2]: samples must not be an empty list"),
+    ], ids=["indivisible-mc-samples", "seed-past-philox-key", "empty-n", "empty-samples"])
+    def test_refused_before_any_cell(self, capsys, monkeypatch, config_file, extra, cell,
+                                     message):
+        # the fixture's cells would run; the appended one is refused, so none may
+        with open(config_file, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        cfg.update(extra)
+        cfg["cells"].append(cell)
+        with open(config_file, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        _refuse_pricing(monkeypatch)
+        code, out, err = run_cli(capsys, "converge", "--config", config_file, "--workers", "1")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"sdeweak converge: error: {message}"]
+
+    def test_seed_past_philox_key_runs_qmc_cells(self, capsys, tmp_path):
+        # a Sobol cell reads no seed, so its rows are seed 0's
+        outs = []
+        for seed in (0, 2**128):
+            path = tmp_path / f"seed{seed}.json"
+            path.write_text(json.dumps(
+                {"seed": seed, "cells": [{"scheme": "nn", "n": 2, "samples": 1000}]}))
+            code, out, _ = run_cli(capsys, "converge", "--config", str(path), "--workers", "1")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_cancelling_u_runs_cells_that_do_not_read_it(self, capsys, tmp_path):
+        path = tmp_path / "no-nn.json"
+        path.write_text(json.dumps({"u": CANCELLING_U, "cells": [
+            {"scheme": "em", "n": 2, "samples": 1000},
+            {"scheme": "nv", "n": 2, "samples": 1000, "mode": "mc"}]}))
+        code, out, _ = run_cli(capsys, "converge", "--config", str(path), "--workers", "1")
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["em", "nv"]
+
+    def test_shipped_config_passes_the_intake(self, capsys, monkeypatch):
+        # every cell of configs/default.json is checked, then priced; no path runs
+        checked, priced = [], []
+
+        def check(config, cell):
+            checked.append(cell)
+            heston_bench.check_cell(config, cell)
+
+        def record(config, cell):
+            priced.append(cell)
+            return heston_bench.CellResult(cell, 0.0, None, 0.0, 0.0)
+
+        monkeypatch.setattr(cli, "check_cell", check)
+        monkeypatch.setattr(heston_bench, "price_cell", record)
+        monkeypatch.setattr(heston_bench, "run_paths", _no_paths)
+        code, _, err = run_cli(capsys, "converge", "--config", str(SHIPPED_CONFIG))
+        assert code == 0, err
+        assert len(priced) == 13
+        assert checked == priced
 
     def test_sobol_index_space_does_not_bound_mc_cells(self, capsys, config_file):
         with open(config_file, encoding="utf-8") as fh:
@@ -641,13 +739,56 @@ class TestConverge:
             assert name in out
 
 
+_OUT_ARGV = {
+    "verify-moments": [],
+    "verify-rk-order": ["--tableau", "rk5-butcher", "--order", "5"],
+    "price": ["--scheme", "nn", "--n", "2", "--samples", "1000"],
+}
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("missing/row.csv", "[Errno 2] No such file or directory"),
+    (".", "[Errno 21] Is a directory")], ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["verify-moments", "verify-rk-order", "price", "converge"])
+def test_unwritable_out_refused_before_any_work(capsys, monkeypatch, tmp_path, command,
+                                                target, reason):
+    _refuse_pricing(monkeypatch)
+    monkeypatch.setattr(cli, "residual_table", _no_work)
+    monkeypatch.setattr(cli, "check_order", _no_work)
+    out_path = tmp_path / target
+    code, out, err = run_cli(capsys, command,
+                             *_OUT_ARGV.get(command, ["--config", str(SHIPPED_CONFIG)]),
+                             "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"sdeweak {command}: error: {reason}: '{out_path}'"]
+
+
+@pytest.mark.parametrize("existing", [b"old bytes\n", None], ids=["existing", "new"])
+def test_out_is_written_only_by_a_successful_run(capsys, tmp_path, existing):
+    target = tmp_path / "row.csv"
+    if existing is not None:
+        target.write_bytes(existing)
+    stiff = tmp_path / "stiff.json"
+    stiff.write_text(json.dumps({"heston": {"alpha": 1e80}}))
+    for argv, code in ((["--mode", "mc", "--samples", "2005"], 2),
+                       (["--samples", "1000", "--config", str(stiff)], 3)):
+        assert run_cli(capsys, "price", "--scheme", "nn", "--n", "2", *argv,
+                       "--out", str(target))[0] == code
+        assert (target.read_bytes() if target.exists() else None) == existing
+    assert run_cli(capsys, "price", "--scheme", "nn", "--n", "2", "--samples", "1000",
+                   "--out", str(target))[0] == 0
+    assert target.read_text().startswith("scheme,n,samples")
+
+
 # Generated converge configs: each key holds a valid value, or junk about one
 # time in eight, so runs that succeed, fail numerically and are rejected all
 # occur.  Sizes stay small (n <= 4, samples <= 64, workers <= 2), so no example
 # allocates much or starts many threads: junk numbers lie in [-2, 2], because an
 # integral float such as 1e300 is a valid count.  The sample counts 1e300 and
-# 2**33 and the u whose float parameters cancel are drawn too; each is refused
-# as the config is read, before any cell could allocate or fail.
+# 2**33, MC counts that are no multiple of 10, seeds past the 2^128 Philox keys
+# and the u whose float parameters cancel are drawn too; each is refused as the
+# config is read, before any cell could allocate or fail.
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.just({}),
                   st.lists(st.integers(-1, 2), max_size=2), st.integers(-2, 0),
                   st.floats(-2.0, 2.0), st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -671,7 +812,7 @@ def _or_unknown_key(mappings, key):
 _CELL = _or_unknown_key(st.fixed_dictionaries(
     {"scheme": _or_junk(st.sampled_from(["nn", "em", "nv"])),
      "n": _or_junk(_grid(st.integers(1, 4))),
-     "samples": _or_junk(_grid(st.sampled_from([10, 20, 64, 7.0, 1e300, 2**33])))},
+     "samples": _or_junk(_grid(st.sampled_from([10, 20, 64, 15, 7.0, 1e300, 2**33])))},
     optional={"mode": _or_junk(st.sampled_from(["qmc", "mc"])),
               "romberg": _or_junk(st.booleans())}), "steps")
 
@@ -693,7 +834,7 @@ _CONFIGS = _or_unknown_key(st.fixed_dictionaries(
         "branch": _or_junk(st.sampled_from(["lower", "upper"])),
         "nn_tableau": _TABLEAU,
         "nv_tableau": _TABLEAU,
-        "seed": _or_junk(st.integers(0, 2**70)),
+        "seed": _or_junk(st.integers(0, 2**130)),
         "sobol_skip": _or_junk(st.integers(1, 2**33)),
         "reference": _or_junk(st.floats(0.0, 1.0)),
         "workers": _or_junk(st.integers(1, 2)),
@@ -704,14 +845,25 @@ _CONFIGS = _or_unknown_key(st.fixed_dictionaries(
 @given(_CONFIGS)
 def test_converge_exit_codes_on_generated_configs(config):
     # whatever the config holds, converge ends in success (0), a usage error
-    # (2) or a numerical failure (3), each reported without a traceback
-    with tempfile.TemporaryDirectory() as tmp:
+    # (2) or a numerical failure (3), each reported without a traceback.  The
+    # sizes rule out running out of memory, the one usage error that follows a
+    # run, so a usage error means no cell was priced.
+    priced = []
+    price_cell = heston_bench.price_cell
+
+    def record(config, cell):
+        priced.append(cell)
+        return price_cell(config, cell)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(heston_bench, "price_cell", record):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["converge", "--config", str(path)])
     assert code in (0, 2, 3), err.getvalue()
+    assert not (code == 2 and priced), err.getvalue()
     assert "Traceback" not in err.getvalue()
     if code:
         [line] = err.getvalue().splitlines()

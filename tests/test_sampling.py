@@ -487,6 +487,31 @@ class TestEstimate:
         with pytest.raises(ValueError, match="sobol_skip .* samples"):
             estimate(payoff, src, 11, workers=1)
 
+    @pytest.mark.parametrize("source, samples, message", [
+        (UniformSource(QMC, 2, skip=2**32 - 10), 11, r"sobol_skip \+ samples must be <= 2\^32"),
+        (UniformSource(QMC, 1026), 10, "requested 1026 Sobol dimensions"),
+        (UniformSource(MC, 2), 15, "MC sample count must be divisible by 10"),
+        (UniformSource(MC, 2, seed=2**128), 10,
+         r"seed must be < 2\^128 for an MC cell \(the Philox key\), got "
+         "340282366920938463463374607431768211456"),
+    ], ids=["sobol-span", "sobol-width", "indivisible-mc", "seed-past-philox-key"])
+    def test_check_is_what_estimate_refuses(self, source, samples, message):
+        def payoff(u):
+            raise AssertionError("a refused estimate must not call the payoff")
+
+        with pytest.raises(ValueError, match=message):
+            source.check(samples)
+        with pytest.raises(ValueError, match=message):
+            estimate(payoff, source, samples, workers=1)
+
+    @pytest.mark.parametrize("source, samples", [
+        (UniformSource(MC, 2, seed=2**128 - 1), 10),
+        (UniformSource(QMC, 2, seed=2**128), 2**32 - 1),  # QMC reads no seed
+        (UniformSource(QMC, 1025), 15),
+    ], ids=["largest-philox-key", "qmc-ignores-seed", "full-direction-table"])
+    def test_check_accepts_the_limits(self, source, samples):
+        source.check(samples)
+
     def test_repeat_call_bit_identical(self):
         src = UniformSource(QMC, 3)
         a = estimate(lambda u: np.asarray(u).prod(axis=1), src, 30_000)
