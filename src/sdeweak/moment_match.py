@@ -530,15 +530,23 @@ class _ResidualPolynomial:
                                              return_inverse=True)
         self.word_ids = np.asarray(word_ids, dtype=np.int64)
         self.targets = np.asarray([float(target_coefficient(w)) for w in words])
+        # row k of the power table x ** exponents holds x ** k; gather[v, t] is
+        # where monomial t's factor x[v] ** monos[t, v] sits in the flat table
+        self.exponents = np.arange(self.monos.max() + 1)[:, None]
+        nvars = self.monos.shape[1]
+        self.gather = np.ascontiguousarray((self.monos * nvars + np.arange(nvars)).T)
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        terms = np.prod(x[None, :] ** self.monos, axis=1)[self.mono_of] * self.coeffs
+        # each table entry is the pow call that x ** monos would make, and the
+        # product over axis 0 multiplies in v order: the bits of np.prod(x ** monos, axis=1)
+        factors = (x ** self.exponents).take(self.gather)
+        terms = factors.prod(axis=0)[self.mono_of] * self.coeffs
         # bincount sums each word's terms in index order from 0.0: the bits of a plain loop
         vals = np.bincount(self.word_ids, weights=terms, minlength=len(self.words))
         return vals - self.targets
 
     def norm(self, x: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(self.residuals(x) ** 2)))
+        return float(np.sqrt((self.residuals(x) ** 2).sum()))
 
 
 #: the initial simplex's edge along each coordinate, and the spread of values
@@ -550,20 +558,17 @@ _SIMPLEX_TOL = 1e-12
 def _nelder_mead(f, x0: np.ndarray, iters: int) -> tuple[np.ndarray, float]:
     """Minimal deterministic Nelder-Mead; enough for low-dimensional smooth residuals."""
     n = len(x0)
-    simplex = [np.array(x0, dtype=float)]
-    for i in range(n):
-        pt = np.array(x0, dtype=float)
-        pt[i] += _SIMPLEX_EDGE
-        simplex.append(pt)
-    vals = [f(p) for p in simplex]
+    simplex = np.repeat(np.array(x0, dtype=float)[None, :], n + 1, axis=0)
+    axes = np.arange(n)
+    simplex[axes + 1, axes] += _SIMPLEX_EDGE
+    vals = np.array([f(p) for p in simplex])
     for _ in range(iters):
         order = np.argsort(vals)
-        simplex = [simplex[i] for i in order]
-        vals = [vals[i] for i in order]
+        simplex, vals = simplex[order], vals[order]
         if vals[-1] - vals[0] < _SIMPLEX_TOL:
             break
         centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
+        worst = simplex[-1]  # a view: every read comes before its row is replaced
         refl = centroid + (centroid - worst)
         fr = f(refl)
         if fr < vals[0]:
@@ -582,35 +587,27 @@ def _nelder_mead(f, x0: np.ndarray, iters: int) -> tuple[np.ndarray, float]:
                 simplex[-1], vals[-1] = contr, fc
             else:
                 best = simplex[0]
-                simplex = [best] + [best + 0.5 * (p - best) for p in simplex[1:]]
-                vals = [vals[0]] + [f(p) for p in simplex[1:]]
+                simplex[1:] = best + 0.5 * (simplex[1:] - best)
+                vals[1:] = [f(p) for p in simplex[1:]]
     best = int(np.argmin(vals))
     return simplex[best], float(vals[best])
 
 
-def _theta_to_x(theta: np.ndarray, M: int) -> np.ndarray:
+def _theta_to_x(theta: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """Map free parameters (c_1..c_{M-1}, lower-triangular L) to (c, R) variables.
 
+    `lower` is the M x M lower-triangle mask ``np.tri(M, dtype=bool)``: it fills
+    L in row order, and its transpose reads R's upper triangle in row order.
     R = L L^T keeps the covariance positive semidefinite throughout the search;
     the last drift weight is 1 - sum of the others.
     """
-    c = np.empty(M)
-    c[: M - 1] = theta[: M - 1]
-    c[M - 1] = 1.0 - np.sum(theta[: M - 1])
-    L = np.zeros((M, M))
-    idx = M - 1
-    for i in range(M):
-        for j in range(i + 1):
-            L[i, j] = theta[idx]
-            idx += 1
-    R = L @ L.T
+    M = len(lower)
     x = np.empty(M + M * (M + 1) // 2)
-    x[:M] = c
-    k = M
-    for i in range(M):
-        for j in range(i, M):
-            x[k] = R[i, j]
-            k += 1
+    x[: M - 1] = theta[: M - 1]
+    x[M - 1] = 1.0 - theta[: M - 1].sum()
+    L = np.zeros((M, M))
+    L[lower] = theta[M - 1:]
+    x[M:] = (L @ L.T)[lower.T]
     return x
 
 
@@ -624,12 +621,17 @@ def infeasibility_search(m: int, M: int, d: int = 2, starts: int = 24, iters: in
     because the single-letter (d=1) system is strictly weaker; see
     :class:`_ResidualPolynomial`.
     """
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts}")
+    if iters < 0:
+        raise ValueError(f"iters must be nonnegative, got {iters}")
     poly = _ResidualPolynomial(m, M, d)
     nfree = (M - 1) + M * (M + 1) // 2
+    lower = np.tri(M, dtype=bool)
     rng = np.random.default_rng(seed)
 
     def objective(theta: np.ndarray) -> float:
-        return poly.norm(_theta_to_x(theta, M))
+        return poly.norm(_theta_to_x(theta, lower))
 
     best_val = math.inf
     best_x = None
@@ -638,6 +640,6 @@ def infeasibility_search(m: int, M: int, d: int = 2, starts: int = 24, iters: in
         theta, val = _nelder_mead(objective, theta0, iters)
         if val < best_val:
             best_val = val
-            best_x = _theta_to_x(theta, M)
+            best_x = _theta_to_x(theta, lower)
     return best_val, best_x
 

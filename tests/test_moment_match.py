@@ -285,10 +285,10 @@ class TestResidualPolynomial:
         got = poly.residuals(x)
         assert np.allclose(sorted(got), sorted(expected), atol=1e-13)
 
-    @pytest.mark.parametrize("m, M, d", [(7, 3, 2), (7, 3, 1), (5, 2, 3)])
+    @pytest.mark.parametrize("m, M, d", [(7, 3, 2), (7, 3, 1), (5, 2, 3), (5, 2, 2)])
     def test_same_bits_as_per_term_evaluation(self, m, M, d):
-        # one evaluation per distinct monomial and a bincount reduction give the
-        # bits of raising x to every term's exponents and reducing with np.add.at
+        # a power table gathered per distinct monomial and a bincount reduction give
+        # the bits of raising x to every term's exponents and reducing with np.add.at
         poly = _ResidualPolynomial(m, M, d)
         exps = poly.monos[poly.mono_of]
         rng = np.random.default_rng(7)
@@ -300,6 +300,38 @@ class TestResidualPolynomial:
             assert poly.residuals(x).tobytes() == (vals - poly.targets).tobytes()
 
 
+def theta_to_x_by_loops(theta: np.ndarray, M: int) -> np.ndarray:
+    """The (c, R) map written out element by element, as the reference for its bits."""
+    c = np.empty(M)
+    c[: M - 1] = theta[: M - 1]
+    c[M - 1] = 1.0 - np.sum(theta[: M - 1])
+    L = np.zeros((M, M))
+    idx = M - 1
+    for i in range(M):
+        for j in range(i + 1):
+            L[i, j] = theta[idx]
+            idx += 1
+    R = L @ L.T
+    x = np.empty(M + M * (M + 1) // 2)
+    x[:M] = c
+    k = M
+    for i in range(M):
+        for j in range(i, M):
+            x[k] = R[i, j]
+            k += 1
+    return x
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_theta_to_x_same_bits_as_loops(M):
+    rng = np.random.default_rng(M)
+    lower = np.tri(M, dtype=bool)
+    for _ in range(50):
+        theta = rng.uniform(-1.5, 1.5, size=(M - 1) + M * (M + 1) // 2)
+        assert moment_match._theta_to_x(theta, lower).tobytes() == \
+            theta_to_x_by_loops(theta, M).tobytes()
+
+
 class TestInfeasibilitySearches:
     def test_two_factor_level_five_is_feasible(self):
         # sanity check of the search itself: the known-solvable case reaches ~0
@@ -308,14 +340,29 @@ class TestInfeasibilitySearches:
 
     def test_single_letter_level_seven_is_feasible(self):
         # with d=1 the m=7 / M=3 system is solvable; only mixed words rule it out
-        val, _ = infeasibility_search(7, 3, d=1, starts=40, iters=1200, seed=42)
+        val, x = infeasibility_search(7, 3, d=1, starts=40, iters=1200, seed=42)
         assert val < 1e-6
+        # and the search's best norm and point are pinned bit for bit
+        assert repr(val) == "9.570678960844932e-11"
+        assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == "9fff57573e2a78a1"
 
     def test_benchmark_search_bits(self):
         # the certify benchmark's search: its best norm and point are pinned bit for bit
         val, x = infeasibility_search(7, 3, d=2, starts=2, iters=600, seed=0)
         assert repr(val) == "0.04028384468247156"
         assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == "287097662dcef91c"
+
+    def test_acceptance_search_bits(self):
+        # the acceptance test's 24-start search, pinned bit for bit
+        val, x = infeasibility_search(7, 3, starts=24, iters=600, seed=0)
+        assert repr(val) == "0.007625618564256333"
+        assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == "4dbec944cb4c42bb"
+
+    @pytest.mark.parametrize("kwargs, name", [({"starts": 0}, "starts"), ({"iters": -1}, "iters")])
+    def test_empty_search_is_refused(self, kwargs, name):
+        # no start tried is no evidence: an inf best norm must not read as infeasible
+        with pytest.raises(ValueError, match=name):
+            infeasibility_search(7, 3, **kwargs)
 
     @pytest.mark.slow
     def test_three_factor_level_seven_floor(self):
