@@ -332,16 +332,10 @@ def _cell_grid(item) -> list[Cell]:
     missing = [key for key in ("scheme", "n", "samples") if key not in item]
     if missing:
         raise ValueError(f"missing key(s) {', '.join(missing)}")
-    scheme = item["scheme"]
-    if scheme not in KINDS:
-        raise ValueError(f"scheme must be one of {', '.join(KINDS)}, got {scheme!r}")
-    mode = item.get("mode", QMC)
-    if mode not in (QMC, MC):
-        raise ValueError(f"mode must be {QMC} or {MC}, got {mode!r}")
     romberg = item.get("romberg", False)
     if not isinstance(romberg, bool):
         raise ValueError(f"romberg must be true or false, got {romberg!r}")
-    return [Cell(scheme, n, m, mode, use_romberg=romberg)
+    return [Cell(item["scheme"], n, m, item.get("mode", QMC), use_romberg=romberg)
             for n in _counts(item["n"], "n")
             for m in _counts(item["samples"], "samples", most=_MAX_SAMPLES)]
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from .moment_match import LOWER, SchemeParams, solution_params
 from .rk_integrator import IntegrationFailure, VectorField, scheme
-from .sampling import QMC, UniformSource, estimate
-from .schemes import EM, NN, NV, SDEModel, SchemeStepPlan, romberg, run_paths
+from .sampling import MC, QMC, UniformSource, estimate
+from .schemes import EM, KINDS, NN, NV, SDEModel, SchemeStepPlan, romberg, run_paths
 
 #: the benchmark's target value, computed by extrapolated QMC at n = 96+48
 #: with 8e8 samples (see README)
@@ -145,10 +145,10 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
 
     def fused(y, coeffs):
         # a V0 + b1 V1 + b2 V2 with the variance sqrt shared.  The columns
-        # are accumulated in place, with the output columns as the only
-        # scratch, in the operation order of
+        # are accumulated in place, with the output columns and q as the
+        # only scratch, in the operation order of
+        #   out1 = (b1 rho beta + b2 orth) q + a (alpha (theta - y2) - beta^2/4)
         #   out0 = y1 (a (mu - y2/2 - rb4) + b1 q)
-        #   out1 = a (alpha (theta - y2) - beta^2/4) + (b1 rho beta + b2 orth) q
         #   out2 = a y1
         # so the bits do not depend on the layout or on the passes taken.
         a, b1, b2 = coeffs
@@ -158,45 +158,34 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
         o0, o1, o2 = out[..., 0], out[..., 1], out[..., 2]
         if _positive_zero(b1) and _positive_zero(b2) and y2.size and \
                 0.0 < y2.min() and y2.max() < math.inf:
-            # a drift flow (N-V's half drifts), with the general kernel's
-            # bits.  Every variance is positive and finite, so q is too and
-            # b1 q = +0.0.  b2 orth = +0.0 (orth >= 0), so b1 rho beta + b2
-            # orth = +0.0 whatever the sign of rho, and its product with q
-            # is +0.0.  So the general kernel adds +0.0 to each of the first
-            # two columns (in out1 on the left; addition commutes).  Adding
-            # +0.0 changes nothing but a -0.0, which it turns into +0.0, so
-            # it is kept.  vol would count no clamp.
+            # a drift flow (N-V's half drifts) skips vol.  Every variance is
+            # positive and finite, so q is too and b1 q = +0.0.  b2 orth =
+            # +0.0 (orth >= 0), so b1 rho beta + b2 orth = +0.0 whatever the
+            # sign of rho, and its product with q is +0.0.  So both diffusion
+            # terms are +0.0 (added on the left in out1; addition commutes).
+            # Adding +0.0 changes nothing but a -0.0, which it turns into
+            # +0.0, so it is kept.  vol would count no clamp.
             guard.record(0, y2.size)
-            np.multiply(y2, 0.5, out=o0)
-            np.subtract(mu, o0, out=o0)
-            o0 -= rb4
-            o0 *= a
-            o0 += 0.0
-            o0 *= y1
-            np.subtract(th, y2, out=o1)
-            o1 *= al
-            o1 -= be2_4
-            o1 *= a
-            o1 += 0.0
-            np.multiply(y1, a, out=o2)
-            return out
-        q = vol(y2)
+            diffusion0 = diffusion1 = 0.0
+        else:
+            q = vol(y2)
+            np.multiply(b1, rb, out=o1)
+            np.multiply(b2, orth, out=o2)
+            o1 += o2
+            o1 *= q
+            diffusion1 = o1
+            diffusion0 = np.multiply(b1, q, out=q)
+        np.subtract(th, y2, out=o0)
+        o0 *= al
+        o0 -= be2_4
+        o0 *= a
+        np.add(diffusion1, o0, out=o1)
         np.multiply(y2, 0.5, out=o0)
         np.subtract(mu, o0, out=o0)
         o0 -= rb4
         o0 *= a
-        np.multiply(b1, q, out=o1)
-        o0 += o1
+        o0 += diffusion0
         o0 *= y1
-        np.multiply(b1, rb, out=o1)
-        np.multiply(b2, orth, out=o2)
-        o1 += o2
-        o1 *= q
-        np.subtract(th, y2, out=o2)
-        o2 *= al
-        o2 -= be2_4
-        o2 *= a
-        o1 += o2
         np.multiply(y1, a, out=o2)
         return out
 
@@ -282,6 +271,10 @@ class Cell:
     use_romberg: bool = False
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"scheme must be one of {', '.join(KINDS)}, got {self.kind!r}")
+        if self.mode not in (QMC, MC):
+            raise ValueError(f"mode must be {QMC} or {MC}, got {self.mode!r}")
         if self.use_romberg and self.partitions % 2 != 0:
             raise ValueError("Romberg needs an even fine partition count (runs n and n/2)")
 

@@ -67,22 +67,25 @@ def _pairs(M: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _pairing_counts(powers: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """Every pairing-count matrix for ``powers``, as (d, prod d_ij!, sum d_ii).
+def _pairing_counts(powers: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """Every pairing-count matrix for ``powers``, as (d, its coefficient).
 
     d lists the symmetric nonnegative integer matrix (d_ij) over
     :func:`_pairs` and satisfies the row condition
-    sum_{j<i} d_ji + 2 d_ii + sum_{j>i} d_ij = m_i.  Matrices come depth
-    first, each d_ij ascending; odd total degree admits none.
+    sum_{j<i} d_ji + 2 d_ii + sum_{j>i} d_ij = m_i.  Its coefficient is
+    prod(m_i!) / (prod d_ij! * 2^(sum d_ii)).  Matrices come depth first,
+    each d_ij ascending; odd total degree admits none.
     """
     pairs = _pairs(len(powers))
+    numer = math.prod(math.factorial(p) for p in powers)
     out = []
 
     def assign(k: int, remaining: list[int], dvec: list[int]) -> None:
         if k == len(pairs):
             if not any(remaining):
                 diag = sum(dv for (i, j), dv in zip(pairs, dvec) if i == j)
-                out.append((tuple(dvec), math.prod(math.factorial(dv) for dv in dvec), diag))
+                dfact = math.prod(math.factorial(dv) for dv in dvec)
+                out.append((tuple(dvec), Fraction(numer, dfact * 2**diag)))
             return
         i, j = pairs[k]
         top = remaining[i] // 2 if i == j else min(remaining[i], remaining[j])
@@ -103,8 +106,7 @@ def gaussian_moment(spec: GaussianSpec, powers: Sequence[int]) -> Fraction | flo
     """E[Y_1^m_1 ... Y_M^m_M] by the closed-form sum over pairing-count matrices.
 
     The sum runs over the matrices of :func:`_pairing_counts`; each
-    contributes 2^(-sum d_ii) * prod(m_i!) / prod(d_ij!) * prod R_ij^d_ij.
-    Odd total degree gives 0 by symmetry.
+    contributes its coefficient times prod R_ij^d_ij.  Odd total degree gives 0.
     """
     cov = spec.covariance
     m = tuple(int(p) for p in powers)
@@ -114,18 +116,16 @@ def gaussian_moment(spec: GaussianSpec, powers: Sequence[int]) -> Fraction | flo
     if any(p < 0 for p in m):
         raise ValueError("powers must be nonnegative")
     pairs = _pairs(M)
-    numer = math.prod(math.factorial(p) for p in m)
     exact = _is_exact(itertools.chain.from_iterable(cov))
     total = Fraction(0) if exact else 0.0
-    for dvec, dfact, diag in _pairing_counts(m):
-        coeff = Fraction(numer, dfact * 2**diag) if exact else numer / (dfact * 2.0**diag)
+    for dvec, coeff in _pairing_counts(m):
         rprod = Fraction(1) if exact else 1.0
         for (i, j), d in zip(pairs, dvec):
             val = 1
             for _ in range(d):
                 val = val * cov[i][j]
             rprod = rprod * val
-        total += coeff * rprod
+        total += (coeff if exact else float(coeff)) * rprod
     return total
 
 
@@ -192,6 +192,10 @@ class SchemeParams:
     r22: Fraction | float
 
     def __post_init__(self):
+        # a float entry only: an exact entry can be a Fraction past every float
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         tol = 0 if self.is_exact else 1e-12
         if abs(self.c1 + self.c2 - 1) > tol:
             raise ValueError("c1 + c2 must equal 1")
@@ -241,7 +245,7 @@ def solution_params(u, branch: str = LOWER) -> SchemeParams:
         u = Fraction(u)
     else:
         u = float(u)
-    if u < Fraction(1, 2):
+    if not u >= Fraction(1, 2):  # NaN fails every comparison
         raise ValueError(f"u must be >= 1/2, got {u}")
     disc = 2 * (2 * u - 1)
     root: Fraction | float
@@ -509,11 +513,8 @@ class _ResidualPolynomial:
             for kfact, n0, counts in _splits(w.letters, M):
                 base = 1.0 / kfact
                 c_exp = list(n0) + [0] * len(pairs)
-                per_letter = []
-                for powers in counts:
-                    numer = math.prod(math.factorial(q) for q in powers)
-                    per_letter.append([(numer / (dfact * 2.0**diag), dvec)
-                                       for dvec, dfact, diag in _pairing_counts(powers)])
+                per_letter = [[(float(coeff), dvec) for dvec, coeff in _pairing_counts(powers)]
+                              for powers in counts]
                 for combo in itertools.product(*per_letter):
                     e = list(c_exp)
                     const = base
@@ -621,6 +622,12 @@ def infeasibility_search(m: int, M: int, d: int = 2, starts: int = 24, iters: in
     because the single-letter (d=1) system is strictly weaker; see
     :class:`_ResidualPolynomial`.
     """
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
+    if M < 1:
+        raise ValueError(f"M must be at least 1, got {M}")
+    if d < 0:
+        raise ValueError(f"d must be nonnegative, got {d}")
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
     if iters < 0:

@@ -164,29 +164,28 @@ class ButcherTableau:
             return cls.from_mapping(json.load(fh))
 
 
+def _stage_sum(weights: tuple[Fraction, ...], child_weights: list) -> Fraction:
+    """sum_j w_j prod_k zeta_j(t_k) over the stages j, for a tree's children's weights.
+
+    The sum starts at Fraction(0), so all-zero weights still give a Fraction.
+    """
+    acc = Fraction(0)
+    for j, w in enumerate(weights):
+        if w:
+            for cw in child_weights:
+                w *= cw[j]
+            acc += w
+    return acc
+
+
 @lru_cache(maxsize=None)
 def elementary_weight(t: Tree, tableau: ButcherTableau) -> tuple[Fraction, ...]:
     """The derivative weights zeta_i(t; A), one per stage.
 
     zeta_i(tau) = sum_j a_ij; zeta_i([t_1..t_l]) = sum_j a_ij prod_k zeta_j(t_k).
     """
-    K = tableau.stages
-    A = tableau.a
-    if not t.children:
-        return tuple(sum(A[i][j] for j in range(K)) for i in range(K))
     child_weights = [elementary_weight(c, tableau) for c in t.children]
-    out = []
-    for i in range(K):
-        acc = Fraction(0)
-        for j in range(K):
-            if A[i][j] == 0:
-                continue
-            prod = Fraction(1)
-            for cw in child_weights:
-                prod *= cw[j]
-            acc += A[i][j] * prod
-        out.append(acc)
-    return tuple(out)
+    return tuple(_stage_sum(row, child_weights) for row in tableau.a)
 
 
 @dataclass(frozen=True)
@@ -211,16 +210,10 @@ def check_order(tableau: ButcherTableau, m: int) -> list[OrderCondition]:
     reports = []
     for t in trees_up_to(m):
         child_weights = [elementary_weight(c, tableau) for c in t.children]
-        rhs = Fraction(0)
-        for i in range(tableau.stages):
-            prod = tableau.b[i]
-            for cw in child_weights:
-                prod *= cw[i]
-            rhs += prod
         reports.append(OrderCondition(
             tree=t,
             lhs=Fraction(alpha(t), math.factorial(t.order)),
-            rhs=rhs / sigma(t),
+            rhs=_stage_sum(tableau.b, child_weights) / sigma(t),
         ))
     return reports
 

@@ -280,8 +280,11 @@ class UniformSource:
             raise ValueError("sobol skip must be >= 1 (index 0 is the zero point)")
 
     def check(self, samples: int) -> None:
-        """Raise ValueError if ``estimate`` cannot draw ``samples`` points: Sobol indices past
-        2^32 or the direction table's width, MC samples not in 10 batches, or a seed >= 2^128."""
+        """Raise ValueError if ``estimate`` cannot draw ``samples`` points: fewer than 1, Sobol
+        indices past 2^32 or the direction table's width, MC samples not in 10 batches, or a
+        seed >= 2^128."""
+        if samples < 1:
+            raise ValueError(f"samples must be at least 1, got {samples}")
         if self.kind == QMC:
             if self.skip + samples > 1 << _SOBOL_BITS:
                 raise ValueError(f"sobol_skip + samples must be <= 2^32 (the Sobol index "

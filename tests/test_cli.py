@@ -140,7 +140,17 @@ class TestVerifyMoments:
          "db345ee7142a4caf6f675e36de35b40e3442309b7d1242947126a6f3e49cf5b4"),
         (["--u", "3/4", "--m", "5", "--d", "6"], 0,
          "ec06ecee37b526c214961d0c85ddb9f95085ea0ffc589fc6fe61c795a4e1414a"),
-    ], ids=["float-lower", "float-upper", "float-m8", "exact-d3", "exact-d6"])
+        # u = 1 and 5/8 are float families: their pairing coefficients are rounded
+        (["--u", "1"], 0,
+         "4c7a31bbff41ceedd1e3b04eda465da5e6a4dbfc41f114c87c5d806ed48ae250"),
+        (["--u", "1", "--branch", "upper", "--m", "6"], 1,
+         "435457404fec8dd343272caea321340970a266a7f3a80c5dd1fa78313034b580"),
+        (["--u", "5/8", "--d", "3"], 0,
+         "b175b2f6ff8ffcf6abc020b835e5231d5d5f84f14c49fbe54ca4ed8c332dc63f"),
+        (["--u", "3/4", "--m", "7"], 1,
+         "99cc2fff593f55228d37df9fcb62b54f21b22a18f8f7e4c2c1ffccef7392fb97"),
+    ], ids=["float-lower", "float-upper", "float-m8", "exact-d3", "exact-d6", "float-u1",
+            "float-upper-m6", "float-d3", "exact-m7"])
     def test_csv_bytes_pinned(self, capsys, argv, code, digest):
         # sha256 of the CSV computed before the oracle and the moment
         # recursion were rebuilt; the float cases pin rounding, not just values
@@ -176,6 +186,26 @@ class TestVerifyRkOrder:
         code, out, _ = run_cli(capsys, "verify-rk-order", "--tableau", str(path),
                                "--order", "2")
         assert code == 0
+
+    @pytest.mark.parametrize("tableau, order, code, digest", [
+        ("rk5-butcher", "5", 0, "29d31c550a7ffaffd471842cff67a51857f2c974862805663a093ee1a5de6531"),
+        ("rk5-butcher", "6", 1, "08c2051f115402bf92bb28d31d9166313fc26d15b932d534083da503449c8f85"),
+        ("rk7-butcher", "8", 1, "5874feb5372936d2cd00e2b8e1ce2dd34d05de778797b6c1484ab37a50145d40"),
+        ({"name": "midpoint", "order": 2, "a": [["0", "0"], ["1/2", "0"]], "b": ["0", "1"]},
+         "3", 1, "0f6472e4c8005cbb78557db0545056f1df617a31fe22a61a5949f81c5327f4a4"),
+        # all-zero weights: every rhs is the Fraction 0, printed "0"
+        ({"name": "zero-b", "order": 1, "a": [["0", "0"], ["1/2", "0"]], "b": ["0", "0"]},
+         "2", 1, "b04d567db1b7bb4837770fbeeba08ffb96a85d4aa4007f5da9ff6a974635438f"),
+    ], ids=["rk5-order5", "rk5-order6", "rk7-order8", "midpoint-order3", "zero-b-order2"])
+    def test_csv_bytes_pinned(self, capsys, tmp_path, tableau, order, code, digest):
+        # sha256 of stdout, read before the weights and the conditions shared one stage sum
+        if isinstance(tableau, dict):
+            path = tmp_path / "tableau.json"
+            path.write_text(json.dumps(tableau))
+            tableau = str(path)
+        got, out, _ = run_cli(capsys, "verify-rk-order", "--tableau", tableau, "--order", order)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("order", ["15", "20", "40"])
     def test_order_above_14_refused_before_any_tree_is_built(self, capsys, monkeypatch,

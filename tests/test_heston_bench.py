@@ -368,6 +368,15 @@ class TestBenchmark:
         with pytest.raises(ValueError):
             Cell("nn", 3, 1000, "qmc", use_romberg=True)
 
+    @pytest.mark.parametrize("args, message", [
+        (("xx", 2, 1000, "qmc"), "scheme must be one of nn, em, nv, got 'xx'"),
+        (("nn", 2, 1000, "xx"), "mode must be qmc or mc, got 'xx'"),
+        (("nn", 2, 0, "qmc"), "samples must be at least 1, got 0"),
+    ], ids=["unknown-scheme", "unknown-mode", "zero-samples"])
+    def test_refused_cell_is_not_priced(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            price_cell(BenchConfig(workers=1), Cell(*args))
+
     def test_romberg_at_two_beats_plain_at_six(self):
         # extrapolation from 1+2 partitions outperforms three times the work
         romb = price_cell(CFG, Cell("nn", 2, 200_000, "qmc", use_romberg=True))

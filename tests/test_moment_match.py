@@ -100,6 +100,23 @@ class TestSolutionParams:
         with pytest.raises(ValueError):
             solution_params(Fraction(2, 5), LOWER)
 
+    @pytest.mark.parametrize("u, message", [
+        (float("nan"), "u must be >= 1/2, got nan"),
+        (float("inf"), "u is too large for the closed form in floats, got inf"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_u_rejected(self, u, message):
+        with pytest.raises(ValueError, match=message):
+            solution_params(u)
+
+    def test_non_finite_float_entry_rejected(self):
+        with pytest.raises(ValueError, match="c1 must be finite, got nan"):
+            SchemeParams(float("nan"), 0.5, 1.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="r22 must be finite, got inf"):
+            SchemeParams(0.5, 0.5, 1.0, 0.0, float("inf"))
+        # an exact entry past every float is still a valid entry
+        big = Fraction(10**400)
+        assert SchemeParams(big, 1 - big, 1, 0, 1).is_exact
+
     def test_c_sum_enforced(self):
         with pytest.raises(ValueError):
             SchemeParams(Fraction(1, 2), Fraction(1, 3),
@@ -363,6 +380,20 @@ class TestInfeasibilitySearches:
         # no start tried is no evidence: an inf best norm must not read as infeasible
         with pytest.raises(ValueError, match=name):
             infeasibility_search(7, 3, **kwargs)
+
+    @pytest.mark.parametrize("args, message", [
+        ((-1, 2), "m must be nonnegative, got -1"),
+        ((7, 0), "M must be at least 1, got 0"),
+        ((7, 3, -1), "d must be nonnegative, got -1"),
+    ], ids=["negative-m", "no-factors", "negative-d"])
+    def test_bad_system_size_is_refused(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            infeasibility_search(*args)
+
+    @pytest.mark.parametrize("m, d", [(0, 2), (5, 0)], ids=["m0", "d0"])
+    def test_trivial_systems_are_solved(self, m, d):
+        # only the empty word (target 1) and drift words are left: exactly matchable
+        assert infeasibility_search(m, 2, d=d, starts=2, iters=50)[0] == 0.0
 
     @pytest.mark.slow
     def test_three_factor_level_seven_floor(self):

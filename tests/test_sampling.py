@@ -494,7 +494,11 @@ class TestEstimate:
         (UniformSource(MC, 2, seed=2**128), 10,
          r"seed must be < 2\^128 for an MC cell \(the Philox key\), got "
          "340282366920938463463374607431768211456"),
-    ], ids=["sobol-span", "sobol-width", "indivisible-mc", "seed-past-philox-key"])
+        (UniformSource(QMC, 2), 0, "samples must be at least 1, got 0"),
+        # -10 is divisible by the 10 MC batches
+        (UniformSource(MC, 2), -10, "samples must be at least 1, got -10"),
+    ], ids=["sobol-span", "sobol-width", "indivisible-mc", "seed-past-philox-key",
+            "zero-samples", "negative-mc-samples"])
     def test_check_is_what_estimate_refuses(self, source, samples, message):
         def payoff(u):
             raise AssertionError("a refused estimate must not call the payoff")
