@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,13 +28,14 @@ from .heston_bench import (
     BenchConfig,
     Cell,
     HestonParams,
-    REFERENCE_PRICE,
+    MAX_SAMPLES,
+    MAX_WORKERS,
     check_cell,
     convergence_study,
     price_cell,
     result_rows,
 )
-from .moment_match import FLOAT, UPPER, LOWER, residual_table, solution_params
+from .moment_match import UPPER, LOWER, residual_table, solution_params
 from .rk_trees import ButcherTableau, check_order
 from .rk_integrator import IntegrationFailure, builtin_tableau
 from .sampling import MC, QMC
@@ -142,14 +143,15 @@ def cmd_verify_moments(args) -> int:
         value = delta if params.is_exact else float(delta)
         params = params.perturbed(**{key: value})
     rows = residual_table(params, m, d)
-    tol = FLOAT_TOL if params.mode == FLOAT else 0
+    tol = 0 if params.is_exact else FLOAT_TOL
     worst = max(abs(float(residual)) for *_, residual in rows)
     _emit(itertools.chain(["word,coefficient,target,residual"],
                           (f"{word},{coeff},{target},{residual}"
                            for word, coeff, target, residual in rows)), args.out)
     status = "PASS" if worst <= tol else "FAIL"
     print(f"verify-moments: u={args.u} branch={args.branch} m={m} d={d} "
-          f"mode={params.mode} words={len(rows)} max|residual|={worst:.3e} {status}",
+          f"mode={'exact' if params.is_exact else 'float'} words={len(rows)} "
+          f"max|residual|={worst:.3e} {status}",
           file=sys.stderr)
     return 0 if worst <= tol else 1
 
@@ -197,10 +199,6 @@ def cmd_verify_rk(args) -> int:
 
 
 _HESTON_KEYS = tuple(f.name for f in fields(HestonParams))
-#: QMC cannot draw more points than the Sobol index space holds
-_MAX_SAMPLES = 1 << 32
-#: far beyond any core count; every worker count gives the same bits
-_MAX_WORKERS = 256
 
 
 def _check_keys(data: dict, allowed: tuple[str, ...], label: str) -> None:
@@ -258,10 +256,10 @@ def _config_tableau(raw: dict, key: str) -> str:
     return name
 
 
-def _reference(raw: dict, heston: HestonParams) -> float | None:
-    """The config's reference, else the pinned price for the pinned parameters only."""
+def _reference(raw: dict) -> float | None:
+    """The config's explicit reference; without one, BenchConfig picks it."""
     if "reference" not in raw:
-        return REFERENCE_PRICE if heston == HestonParams() else None
+        return None
     value = raw["reference"]
     if isinstance(value, bool) or not isinstance(value, (int, float)) or \
             not abs(value) <= sys.float_info.max:
@@ -279,26 +277,25 @@ def _config_from_mapping(raw: dict, args) -> BenchConfig:
     branch = raw.get("branch", LOWER)
     if branch not in (UPPER, LOWER):
         raise ValueError(f"branch must be {UPPER} or {LOWER}, got {branch!r}")
-    heston = _heston_from_mapping(raw.get("heston", {}))
-    cfg = BenchConfig(
-        heston=heston,
+    values = dict(
+        heston=_heston_from_mapping(raw.get("heston", {})),
         u=_u_fraction(raw.get("u", "3/4")),
         branch=branch,
         nn_tableau=_config_tableau(raw, "nn_tableau"),
         nv_tableau=_config_tableau(raw, "nv_tableau"),
         seed=raw.get("seed", 0),
         sobol_skip=raw.get("sobol_skip", 1),
-        reference=_reference(raw, heston),
+        reference=_reference(raw),
         workers=raw.get("workers"),
     )
     # explicit flags override the file
-    cfg = replace(cfg, **{key: getattr(args, key) for key in _FLAG_KEYS
-                          if getattr(args, key) is not None})
-    cfg = replace(cfg, seed=_count(cfg.seed, "seed", least=0),
-                  sobol_skip=_count(cfg.sobol_skip, "sobol_skip"))
-    if cfg.workers is not None:
-        cfg = replace(cfg, workers=_count(cfg.workers, "workers", most=_MAX_WORKERS))
-    return cfg
+    values.update({key: getattr(args, key) for key in _FLAG_KEYS
+                   if getattr(args, key) is not None})
+    values["seed"] = _count(values["seed"], "seed", least=0)
+    values["sobol_skip"] = _count(values["sobol_skip"], "sobol_skip")
+    if values["workers"] is not None:
+        values["workers"] = _count(values["workers"], "workers", most=MAX_WORKERS)
+    return BenchConfig(**values)
 
 
 def _reference_text(reference: float | None) -> str:
@@ -308,7 +305,7 @@ def _reference_text(reference: float | None) -> str:
 def cmd_price(args) -> int:
     config = _config_from_mapping(_load_config(args.config), args)
     cell = Cell(args.scheme, _count(args.n, "--n"),
-                _count(args.samples, "--samples", most=_MAX_SAMPLES), args.mode,
+                _count(args.samples, "--samples", most=MAX_SAMPLES), args.mode,
                 use_romberg=args.romberg)
     check_cell(config, cell)
     c = price_cell(config, cell)
@@ -316,7 +313,7 @@ def cmd_price(args) -> int:
     err = "n/a" if c.error is None else f"{c.error:.3e}"
     print(f"price: {cell.kind} n={cell.partitions} M={cell.samples} {cell.mode}"
           f"{' +romberg' if cell.use_romberg else ''} estimate={c.estimate:.10f} "
-          f"error={err} reference={_reference_text(config.reference)} [{c.seconds:.1f}s]",
+          f"error={err} reference={_reference_text(config.reference_price)} [{c.seconds:.1f}s]",
           file=sys.stderr)
     return 0
 
@@ -332,12 +329,10 @@ def _cell_grid(item) -> list[Cell]:
     missing = [key for key in ("scheme", "n", "samples") if key not in item]
     if missing:
         raise ValueError(f"missing key(s) {', '.join(missing)}")
-    romberg = item.get("romberg", False)
-    if not isinstance(romberg, bool):
-        raise ValueError(f"romberg must be true or false, got {romberg!r}")
-    return [Cell(item["scheme"], n, m, item.get("mode", QMC), use_romberg=romberg)
+    return [Cell(item["scheme"], n, m, item.get("mode", QMC),
+                 use_romberg=item.get("romberg", False))
             for n in _counts(item["n"], "n")
-            for m in _counts(item["samples"], "samples", most=_MAX_SAMPLES)]
+            for m in _counts(item["samples"], "samples", most=MAX_SAMPLES)]
 
 
 def _cells_from_mapping(raw: dict, config: BenchConfig) -> list[Cell]:
@@ -366,7 +361,7 @@ def cmd_converge(args) -> int:
     _emit(result_rows(results, timings=args.timings), args.out)
     total = sum(c.seconds for c in results)
     print(f"converge: {len(results)} cells, "
-          f"reference={_reference_text(config.reference)} [{total:.1f}s]", file=sys.stderr)
+          f"reference={_reference_text(config.reference_price)} [{total:.1f}s]", file=sys.stderr)
     return 0
 
 
@@ -419,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_count_text, default=None)
         p.add_argument("--sobol-skip", dest="sobol_skip", type=_count_text, default=None)
         p.add_argument("--workers", type=_count_text, default=None,
-                       help=f"worker threads, at most {_MAX_WORKERS} "
+                       help=f"worker threads, at most {MAX_WORKERS} "
                             "(default: all cores; results identical)")
         p.add_argument("--timings", action="store_true",
                        help="append a volatile seconds column to the CSV")

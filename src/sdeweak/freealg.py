@@ -35,9 +35,6 @@ class Word:
     def __setattr__(self, *_):
         raise AttributeError("Word is immutable")
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     @property
     def scaled_degree(self) -> int:
         """``|w|`` plus the count of v0 letters."""
@@ -56,16 +53,10 @@ class Word:
     def sort_key(self) -> tuple:
         return (self.scaled_degree, len(self.letters), self.letters)
 
-    def __lt__(self, other: "Word") -> bool:
-        return self.sort_key < other.sort_key
-
     def __str__(self) -> str:
         if not self.letters:
             return "1"
         return ".".join(f"v{i}" for i in self.letters)
-
-    def __repr__(self) -> str:
-        return f"Word({self.letters!r})"
 
 
 EMPTY_WORD = Word()
@@ -146,20 +137,6 @@ class TruncatedSeries:
     def _like(self, coeffs: Mapping[Word, object]) -> "TruncatedSeries":
         return TruncatedSeries(coeffs, self.degree, self._zero)
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, degree: int) -> "TruncatedSeries":
-        return cls({}, degree)
-
-    @classmethod
-    def one(cls, degree: int) -> "TruncatedSeries":
-        return cls({EMPTY_WORD: 1}, degree)
-
-    @classmethod
-    def letter(cls, i: int, degree: int) -> "TruncatedSeries":
-        return cls({Word((i,)): 1}, degree)
-
     # -- access ---------------------------------------------------------
 
     def coefficient(self, w: Word):
@@ -191,12 +168,6 @@ class TruncatedSeries:
             out[w] = out.get(w, 0) + a
         return self._like(out)
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return self._like({w: -a for w, a in self._coeffs.items()})
-
     def scale(self, c) -> "TruncatedSeries":
         return self._like({w: a * c for w, a in self._coeffs.items()})
 
@@ -214,33 +185,6 @@ class TruncatedSeries:
                     w = u * v
                     out[w] = out.get(w, 0) + a * b
         return self._like(out)
-
-    def __rmul__(self, other) -> "TruncatedSeries":
-        return self.scale(other)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.degree == other.degree
-            and self._coeffs == other._coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.degree, frozenset(self._coeffs.items())))
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for w, a in self.items():
-            if not w.letters:
-                parts.append(str(a))
-            else:
-                parts.append(f"({a}) {w}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"<TruncatedSeries m={self.degree}: {self}>"
 
 
 def exp(p: TruncatedSeries) -> TruncatedSeries:

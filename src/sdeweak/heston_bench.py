@@ -31,6 +31,11 @@ REFERENCE_PRICE = 6.0473534496e-2
 
 ROMBERG_ORDER = {NN: 2, NV: 2, EM: 1}
 
+#: QMC cannot draw more points than the Sobol index space holds
+MAX_SAMPLES = 1 << 32
+#: far beyond any core count; every worker count gives the same bits
+MAX_WORKERS = 256
+
 
 @dataclass(frozen=True)
 class HestonParams:
@@ -245,9 +250,22 @@ def asian_payoff(states: np.ndarray, params: HestonParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_count(value, what: str, least: int = 1, most: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an int in [least, most]; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{what} must be <= {most}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BenchConfig:
-    """Everything a run needs to be reproducible."""
+    """Everything a run needs to be reproducible.
+
+    ``reference`` is the price a QMC cell's error is measured against; left
+    unset, it is :data:`REFERENCE_PRICE` for the pinned Heston parameters and
+    none for any other (see :attr:`reference_price`).
+    """
 
     heston: HestonParams = HestonParams()
     u: Fraction | float = Fraction(3, 4)
@@ -257,7 +275,24 @@ class BenchConfig:
     seed: int = 0
     sobol_skip: int = 1
     workers: int | None = None
-    reference: float | None = REFERENCE_PRICE
+    reference: float | None = None
+
+    def __post_init__(self):
+        _check_count(self.seed, "seed", least=0)
+        _check_count(self.sobol_skip, "sobol_skip")
+        if self.workers is not None:
+            _check_count(self.workers, "workers", most=MAX_WORKERS)
+        ref = self.reference
+        if ref is not None and (isinstance(ref, bool) or not isinstance(ref, (int, float))
+                                or not abs(ref) <= sys.float_info.max):
+            raise ValueError(f"reference must be a finite number, got {ref!r}")
+
+    @property
+    def reference_price(self) -> float | None:
+        """What a QMC cell's error is measured against, or None for no error column."""
+        if self.reference is not None:
+            return self.reference
+        return REFERENCE_PRICE if self.heston == HestonParams() else None
 
 
 @dataclass(frozen=True)
@@ -275,6 +310,11 @@ class Cell:
             raise ValueError(f"scheme must be one of {', '.join(KINDS)}, got {self.kind!r}")
         if self.mode not in (QMC, MC):
             raise ValueError(f"mode must be {QMC} or {MC}, got {self.mode!r}")
+        _check_count(self.partitions, "n")
+        if not (isinstance(self.samples, int) and self.samples < 1):  # estimate refuses those
+            _check_count(self.samples, "samples", most=MAX_SAMPLES)
+        if not isinstance(self.use_romberg, bool):
+            raise ValueError(f"romberg must be true or false, got {self.use_romberg!r}")
         if self.use_romberg and self.partitions % 2 != 0:
             raise ValueError("Romberg needs an even fine partition count (runs n and n/2)")
 
@@ -353,7 +393,8 @@ def price_cell(config: BenchConfig, cell: Cell) -> CellResult:
 
     value = combine([r.estimate for r in reports])
     if cell.mode == QMC:
-        error = None if config.reference is None else abs(value - config.reference)
+        reference = config.reference_price
+        error = None if reference is None else abs(value - reference)
     else:
         # 2 x the standard deviation of the 10 batch means, deliberately not
         # divided by sqrt(10)

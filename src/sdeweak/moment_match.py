@@ -171,10 +171,6 @@ def _is_exact(values) -> bool:
 UPPER = "upper"
 LOWER = "lower"
 
-# the scalar modes of a parameter set: Fraction arithmetic or floats
-EXACT = "exact"
-FLOAT = "float"
-
 
 @dataclass(frozen=True)
 class SchemeParams:
@@ -207,10 +203,6 @@ class SchemeParams:
         return _is_exact((self.c1, self.c2, self.r11, self.r12, self.r22))
 
     @property
-    def mode(self) -> str:
-        return EXACT if self.is_exact else FLOAT
-
-    @property
     def c(self) -> tuple:
         return (self.c1, self.c2)
 
@@ -223,13 +215,12 @@ class SchemeParams:
         return GaussianSpec(self.covariance)
 
     def perturbed(self, **deltas) -> "SchemeParams":
-        """A copy with R entries shifted; keys r11, r12, r22 (case-insensitive)."""
+        """A copy with R entries shifted; keys r11, r12, r22."""
         fields = {"r11": self.r11, "r12": self.r12, "r22": self.r22}
         for key, delta in deltas.items():
-            k = key.lower()
-            if k not in fields:
+            if key not in fields:
                 raise ValueError(f"only R entries can be perturbed, got {key!r}")
-            fields[k] = fields[k] + delta
+            fields[key] = fields[key] + delta
         return SchemeParams(self.c1, self.c2, **fields)
 
 

@@ -36,9 +36,6 @@ class Tree:
     def __eq__(self, other) -> bool:
         return isinstance(other, Tree) and self._key == other._key
 
-    def __lt__(self, other: "Tree") -> bool:
-        return self._key < other._key
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -46,9 +43,6 @@ class Tree:
         if not self.children:
             return "t"
         return "[" + "".join(str(c) for c in self.children) + "]"
-
-    def __repr__(self) -> str:
-        return f"Tree<{self}>"
 
 
 TAU = Tree()

@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +29,6 @@ from .rk_integrator import IntegrationFailure
 
 _SOBOL_BITS = 32
 _SOBOL_SCALE = 2.0 ** -_SOBOL_BITS
-DIRECTION_FILE = "joe_kuo_directions.txt"
 
 
 # ---------------------------------------------------------------------------
@@ -38,19 +36,16 @@ DIRECTION_FILE = "joe_kuo_directions.txt"
 # ---------------------------------------------------------------------------
 
 
-def _default_direction_path() -> Path:
-    return Path(str(resources.files("sdeweak").joinpath("data", DIRECTION_FILE)))
-
-
-def load_direction_numbers(path: str | Path | None = None) -> list[tuple[int, int, list[int]]]:
-    """Parse a direction-number file in the standard ``d s a m_i`` layout.
+@lru_cache(maxsize=1)
+def _direction_rows() -> list[tuple[int, int, list[int]]]:
+    """The bundled direction-number table, parsed once from its ``d s a m_i`` layout.
 
     Returns rows (s, a, m-list) for dimensions 2, 3, ...; dimension 1 is the
     van der Corput sequence and carries no file entry.
     """
-    path = Path(path) if path is not None else _default_direction_path()
     rows: list[tuple[int, int, list[int]]] = []
-    with open(path, encoding="utf-8") as fh:
+    table = resources.files("sdeweak").joinpath("data", "joe_kuo_directions.txt")
+    with table.open(encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#") or line.lower().startswith("d"):
@@ -62,12 +57,6 @@ def load_direction_numbers(path: str | Path | None = None) -> list[tuple[int, in
                 raise ValueError(f"dimension {d}: expected {s} initial values, got {len(ms)}")
             rows.append((s, a, ms))
     return rows
-
-
-@lru_cache(maxsize=1)
-def _direction_rows() -> list[tuple[int, int, list[int]]]:
-    """The bundled table's rows, parsed once."""
-    return load_direction_numbers()
 
 
 def check_sobol_dimension(dim: int) -> None:
@@ -296,22 +285,17 @@ class UniformSource:
             raise ValueError(f"seed must be < 2^128 for an MC cell (the Philox key), "
                              f"got {self.seed}")
 
-    def block(self, start: int, count: int) -> np.ndarray:
-        """Points start .. start+count-1 as an array of shape (count, dimension)."""
-        if self.kind == MC:
-            flat = philox_uniforms(self.seed, start * self.dimension, count * self.dimension)
-            return flat.reshape(count, self.dimension)
-        return sobol_points(self.dimension, self.skip + start, count)
-
     def chunk(self, start: int, count: int) -> np.ndarray | SobolChunk:
         """Points start .. start+count-1 as ``estimate`` hands them to its payoff.
 
         QMC points come as a :class:`SobolChunk`.  MC points come as the
-        block: path i owns Philox words i*D onward, so a coordinate range of
-        every path is no cheaper to generate than the whole block.
+        (count, dimension) Philox block: path i owns Philox words i*D onward,
+        so a coordinate range of every path is no cheaper to generate than the
+        whole block.
         """
         if self.kind == MC:
-            return self.block(start, count)
+            flat = philox_uniforms(self.seed, start * self.dimension, count * self.dimension)
+            return flat.reshape(count, self.dimension)
         return SobolChunk(self.dimension, self.skip + start, count)
 
 
@@ -417,15 +401,13 @@ def inv_normal_cdf(u):
 def correlate_pair(z: np.ndarray, cov: Sequence[Sequence[float]]) -> np.ndarray:
     """Map iid N(0,1) pairs to covariance ``cov`` by the lower Cholesky factor.
 
-    z has shape (..., 2); returns the same shape.  The degenerate case
-    R11 = 0 maps the first component to 0.
+    z has shape (..., 2); returns the same shape.  ``cov`` is taken as
+    given, symmetric and positive semidefinite, as ``SchemeParams.covariance``
+    builds and checks it.  The degenerate case R11 = 0 maps the first
+    component to 0.
     """
     r11, r12 = float(cov[0][0]), float(cov[0][1])
     r22 = float(cov[1][1])
-    if abs(float(cov[1][0]) - r12) > 0.0:
-        raise ValueError("covariance must be symmetric")
-    if r11 < 0 or r22 < 0 or r11 * r22 - r12 * r12 < -1e-12:
-        raise ValueError("covariance must be positive semidefinite")
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     if r11 == 0.0:

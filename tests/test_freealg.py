@@ -12,6 +12,11 @@ def series(terms, m):
     return TruncatedSeries({Word(w): c for w, c in terms.items()}, m)
 
 
+def terms(p):
+    """What makes two series equal: the truncation and the terms in canonical order."""
+    return p.degree, list(p.items())
+
+
 class TestWord:
     def test_scaled_degree_empty(self):
         assert EMPTY_WORD.scaled_degree == 0
@@ -78,7 +83,7 @@ class TestWordsUpTo:
     def test_fast_words_are_plain_words(self):
         for w in words_up_to(4, 2):
             plain = Word(list(w.letters))
-            assert w == plain and hash(w) == hash(plain) and repr(w) == repr(plain)
+            assert w == plain and hash(w) == hash(plain) and str(w) == str(plain)
             assert type(w.letters) is tuple
             with pytest.raises(AttributeError):
                 w.letters = (1,)
@@ -87,40 +92,40 @@ class TestWordsUpTo:
 
 class TestMul:
     def test_distributes(self):
-        one = TruncatedSeries.one(2)
-        p = one + TruncatedSeries.letter(1, 2)
-        q = one + TruncatedSeries.letter(2, 2)
+        one = series({(): 1}, 2)
+        p = one + series({(1,): 1}, 2)
+        q = one + series({(2,): 1}, 2)
         expected = series({(): 1, (1,): 1, (2,): 1, (1, 2): 1}, 2)
-        assert p * q == expected
+        assert terms(p * q) == terms(expected)
 
     def test_letter_square(self):
-        v1 = TruncatedSeries.letter(1, 2)
-        assert v1 * v1 == series({(1, 1): 1}, 2)
+        v1 = series({(1,): 1}, 2)
+        assert terms(v1 * v1) == terms(series({(1, 1): 1}, 2))
 
     def test_truncation_drops_heavy_words(self):
         # v0.v0 has scaled degree 4 > 3
-        v0 = TruncatedSeries.letter(0, 3)
+        v0 = series({(0,): 1}, 3)
         assert (v0 * v0).is_zero()
 
     def test_mismatched_truncation_rejected(self):
         with pytest.raises(fa.TruncationError):
-            TruncatedSeries.one(2) * TruncatedSeries.one(3)
+            series({(): 1}, 2) * series({(): 1}, 3)
 
 
 class TestExpLog:
     def test_exp_zero(self):
-        assert exp(TruncatedSeries.zero(3)) == TruncatedSeries.one(3)
+        assert terms(exp(series({}, 3))) == terms(series({(): 1}, 3))
 
     def test_exp_single_letter(self):
-        got = exp(TruncatedSeries.letter(1, 3))
+        got = exp(series({(1,): 1}, 3))
         expected = series(
             {(): 1, (1,): 1, (1, 1): Fraction(1, 2), (1, 1, 1): Fraction(1, 6)}, 3
         )
-        assert got == expected
+        assert terms(got) == terms(expected)
 
     def test_exp_rejects_constant_term(self):
         with pytest.raises(ValueError):
-            exp(TruncatedSeries.one(3))
+            exp(series({(): 1}, 3))
 
     def test_exp_float_coefficients(self):
         # the coefficient ring is whatever the series holds: 1/k! times a float
@@ -146,24 +151,22 @@ def small_series(m=4, d=2, zero_constant=True):
 @given(small_series())
 def test_exp_of_negation_is_inverse(p):
     # p and -p commute, so exp(p) exp(-p) = 1 although the letters do not
-    assert exp(p) * exp(-p) == TruncatedSeries.one(p.degree)
+    assert terms(exp(p) * exp(p.scale(-1))) == terms(series({(): 1}, p.degree))
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_series(zero_constant=False), small_series(zero_constant=False),
        small_series(zero_constant=False))
 def test_mul_associative_and_distributive(p, q, r):
-    assert (p * q) * r == p * (q * r)
-    assert p * (q + r) == p * q + p * r
+    assert terms((p * q) * r) == terms(p * (q * r))
+    assert terms(p * (q + r)) == terms(p * q + p * r)
 
 
 class TestRendering:
-    def test_zero(self):
-        assert str(TruncatedSeries.zero(2)) == "0"
-
     def test_terms_in_canonical_order(self):
         p = series({(1, 1): Fraction(1, 2), (): 1, (0,): 1}, 2)
-        assert str(p) == "1 + (1) v0 + (1/2) v1.v1"
+        assert [(str(w), a) for w, a in p.items()] == [
+            ("1", 1), ("v0", 1), ("v1.v1", Fraction(1, 2))]
 
     def test_coefficient_off_the_support_is_the_ring_zero(self):
         p = TruncatedSeries({Word((1,)): 0.5, Word((2,)): 0.0}, 2, zero=0.0)

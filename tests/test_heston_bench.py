@@ -377,6 +377,44 @@ class TestBenchmark:
         with pytest.raises(ValueError, match=message):
             price_cell(BenchConfig(workers=1), Cell(*args))
 
+    @pytest.mark.parametrize("heston, reference, expected", [
+        (HestonParams(), None, REFERENCE_PRICE),
+        (HestonParams(K=1.0), None, None),
+        (HestonParams(K=1.0), 0.06, 0.06),
+    ], ids=["pinned-parameters", "changed-parameters", "explicit-reference"])
+    def test_pinned_price_is_the_reference_for_the_pinned_parameters_only(
+            self, heston, reference, expected):
+        cfg = BenchConfig(heston=heston, workers=1, reference=reference)
+        assert cfg.reference_price == expected
+        res = price_cell(cfg, Cell("nn", 2, 1000, "qmc"))
+        assert res.error == (None if expected is None else abs(res.estimate - expected))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(seed=1.5), "seed must be an integer >= 0, got 1.5"),
+        (dict(seed=-1), "seed must be an integer >= 0, got -1"),
+        (dict(workers=-2), "workers must be an integer >= 1, got -2"),
+        (dict(workers=2.5), "workers must be an integer >= 1, got 2.5"),
+        (dict(workers=300), "workers must be <= 256, got 300"),
+        (dict(sobol_skip=2.5), "sobol_skip must be an integer >= 1, got 2.5"),
+        (dict(reference=math.nan), "reference must be a finite number, got nan"),
+        (dict(reference=True), "reference must be a finite number, got True"),
+    ], ids=["fractional-seed", "negative-seed", "negative-workers", "fractional-workers",
+            "many-workers", "fractional-sobol-skip", "nan-reference", "boolean-reference"])
+    def test_config_refuses_what_the_cli_refuses(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BenchConfig(**kwargs)
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        (("nn", True, 1000, "qmc"), {}, "n must be an integer >= 1, got True"),
+        (("nn", 2.0, 1000, "qmc"), {}, "n must be an integer >= 1, got 2.0"),
+        (("nn", 2, 1000.5, "qmc"), {}, "samples must be an integer >= 1, got 1000.5"),
+        (("nn", 2, 2**32 + 1, "qmc"), {}, "samples must be <= 4294967296, got 4294967297"),
+        (("nn", 2, 1000, "qmc"), dict(use_romberg=1), "romberg must be true or false, got 1"),
+    ], ids=["boolean-n", "float-n", "fractional-samples", "huge-samples", "integer-romberg"])
+    def test_cell_refuses_what_the_cli_refuses(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Cell(*args, **kwargs)
+
     def test_romberg_at_two_beats_plain_at_six(self):
         # extrapolation from 1+2 partitions outperforms three times the work
         romb = price_cell(CFG, Cell("nn", 2, 200_000, "qmc", use_romberg=True))

@@ -81,7 +81,7 @@ class TestNNStep:
         plan = SchemeStepPlan(NN, 1, params=DEFAULT_PARAMS, integrator=RK5)
         src = UniformSource(MC, plan.uniform_dimension(model), seed=21)
         m = 100_000
-        states = run_paths(plan, model, [x0], s, src.block(0, m))
+        states = run_paths(plan, model, [x0], s, np.asarray(src.chunk(0, m)))
         vals = states[:, 0] ** 2
         exact = x0**2 * math.exp(2 * a * s + 2 * b * b * s)
         sem = vals.std(ddof=1) / math.sqrt(m)
@@ -127,7 +127,7 @@ class TestEMStep:
         plan = SchemeStepPlan(EM, 8)
         src = UniformSource(MC, plan.uniform_dimension(model), seed=4)
         m = 200_000
-        states = run_paths(plan, model, [1.0], 1.0, src.block(0, m))
+        states = run_paths(plan, model, [1.0], 1.0, np.asarray(src.chunk(0, m)))
         sem = states[:, 0].std(ddof=1) / math.sqrt(m)
         assert abs(states[:, 0].mean() - 1.0) < 3 * sem
 
@@ -279,7 +279,7 @@ class TestRunPaths:
         model = linear_model()
         plan = SchemeStepPlan(NN, 4, params=DEFAULT_PARAMS, integrator=RK5)
         src = UniformSource(MC, plan.uniform_dimension(model), seed=8)
-        block = src.block(0, 64)
+        block = np.asarray(src.chunk(0, 64))
         a = run_paths(plan, model, [1.0], 1.0, block)
         b = run_paths(plan, model, [1.0], 1.0, block)
         assert np.array_equal(a, b)
@@ -290,7 +290,7 @@ class TestRunPaths:
                              (EM, {}), (NV, dict(integrator=RK5))):
             plan = SchemeStepPlan(kind, 2, **kwargs)
             src = UniformSource(MC, plan.uniform_dimension(model), seed=17)
-            block = src.block(0, 5)
+            block = np.asarray(src.chunk(0, 5))
             batch = run_paths(plan, model, [1.0], 1.0, block)
             singles = np.vstack([run_paths(plan, model, [1.0], 1.0, row[None, :])
                                  for row in block])
@@ -301,7 +301,7 @@ class TestRunPaths:
         for kind, kwargs in ((NN, dict(params=DEFAULT_PARAMS, integrator=RK5)),
                              (EM, {}), (NV, dict(integrator=RK5))):
             plan = SchemeStepPlan(kind, 3, **kwargs)
-            block = UniformSource(QMC, plan.uniform_dimension(model)).block(0, 300)
+            block = np.asarray(UniformSource(QMC, plan.uniform_dimension(model)).chunk(0, 300))
             c = run_paths(plan, model, (1.0, 0.09, 0.0), 1.0, np.ascontiguousarray(block))
             f = run_paths(plan, model, (1.0, 0.09, 0.0), 1.0, np.asfortranarray(block))
             assert np.array_equal(c, f), kind
@@ -388,7 +388,7 @@ class TestFailureStep:
         model = _clock_model()
         monkeypatch.setattr(heston_bench, "heston_model", lambda params, guard: model)
         plan = _plan(kind, 8)
-        first = UniformSource(QMC, plan.uniform_dimension(model)).block(0, CHUNK)
+        first = np.asarray(UniformSource(QMC, plan.uniform_dimension(model)).chunk(0, CHUNK))
         stage, step, path = self._first_failure(plan, model, first)
         assert step == 2
         for workers in (1, 3):
@@ -422,7 +422,7 @@ class TestStreamedChunk:
         chunk = src.chunk(300, 700)
         assert isinstance(chunk, SobolChunk)
         streamed = run_paths(plan, model, self.X0, 1.0, chunk)
-        materialised = run_paths(plan, model, self.X0, 1.0, src.block(300, 700))
+        materialised = run_paths(plan, model, self.X0, 1.0, np.asarray(chunk))
         assert streamed.tobytes() == materialised.tobytes()
 
     @pytest.mark.parametrize("kind, n, brownian_dim, width", [
@@ -460,7 +460,9 @@ class TestStreamedChunk:
         # streamed chunks and materialised blocks, for 1 and 3 workers
         streamed = [price_cell(BenchConfig(workers=w, sobol_skip=1010), cell).estimate
                     for w in (1, 3)]
-        monkeypatch.setattr(UniformSource, "chunk", UniformSource.block)
+        chunk = UniformSource.chunk
+        monkeypatch.setattr(UniformSource, "chunk",
+                            lambda self, start, count: np.asarray(chunk(self, start, count)))
         materialised = price_cell(BenchConfig(workers=1, sobol_skip=1010), cell).estimate
         assert streamed == [materialised] * 2
 
