@@ -32,6 +32,8 @@ from .heston_bench import (
     MAX_WORKERS,
     check_cell,
     convergence_study,
+    count,
+    finite_reference,
     price_cell,
     result_rows,
 )
@@ -71,9 +73,9 @@ def _u_fraction(value) -> Fraction:
 def _count_text(text: str) -> int | float:
     """A count as typed: an integer, or a number a float holds exactly, such as 2e5.
 
-    :func:`_count` checks it where it is used, as it checks a config's counts
-    (so ``2.5`` and ``0`` get the config's messages); ``1e300`` is refused
-    here, because no float holds 10^300.
+    :func:`heston_bench.count` checks it where it is used, as it checks a
+    config's counts (so ``2.5`` and ``0`` get the config's messages);
+    ``1e300`` is refused here, because no float holds 10^300.
     """
     try:
         return int(text)
@@ -136,7 +138,7 @@ def _check_word_count(m: int, d: int) -> None:
 
 
 def cmd_verify_moments(args) -> int:
-    m, d = _count(args.m, "--m"), _count(args.d, "--d")
+    m, d = count(args.m, "--m"), count(args.d, "--d")
     _check_word_count(m, d)
     params = solution_params(args.u, args.branch)
     for key, delta in args.perturb:
@@ -179,7 +181,7 @@ _MAX_ORDER = 14
 
 
 def cmd_verify_rk(args) -> int:
-    tableau, order = args.tableau, _count(args.order, "--order", most=_MAX_ORDER)
+    tableau, order = args.tableau, count(args.order, "--order", most=_MAX_ORDER)
     report = check_order(tableau, order)
     lines = ["tree,vertices,lhs,rhs,pass"]
     for cond in report:
@@ -212,27 +214,14 @@ def _heston_from_mapping(data: dict) -> HestonParams:
     if not isinstance(data, dict):
         raise ValueError("heston must be a JSON object")
     _check_keys(data, _HESTON_KEYS, "heston key(s)")
-    for key, value in data.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"heston {key} must be a number, got {value!r}")
     return HestonParams(**data)
 
 
-def _count(value, what: str, least: int = 1, most: int | None = None) -> int:
-    """An integer in [least, most] from the command line or a JSON config (2e5 is accepted)."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral or value < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
-    if most is not None and value > most:
-        raise ValueError(f"{what} must be <= {most}, got {value!r}")
-    return int(value)
-
-
-def _counts(value, what: str, most: int | None = None) -> list[int]:
-    """One count or a non-empty list of counts (a cell's grid axis)."""
+def _axis(value, what: str) -> list:
+    """One value or a non-empty list of values (a cell's grid axis); Cell checks each."""
     if value == []:
         raise ValueError(f"{what} must not be an empty list")
-    return [_count(v, what, most=most) for v in (value if isinstance(value, list) else [value])]
+    return value if isinstance(value, list) else [value]
 
 
 def _load_config(path: str | None) -> dict:
@@ -245,56 +234,23 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
-def _config_tableau(raw: dict, key: str) -> str:
-    name = raw.get(key, "rk5-butcher")
-    if not isinstance(name, str):
-        raise ValueError(f"{key} must be a tableau name, got {name!r}")
-    try:
-        builtin_tableau(name)
-    except KeyError as exc:
-        raise ValueError(f"{key}: {exc.args[0]}") from None
-    return name
-
-
-def _reference(raw: dict) -> float | None:
-    """The config's explicit reference; without one, BenchConfig picks it."""
-    if "reference" not in raw:
-        return None
-    value = raw["reference"]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
-            not abs(value) <= sys.float_info.max:
-        raise ValueError(f"reference must be a finite number, got {value!r}")
-    return float(value)
-
-
 _CONFIG_KEYS = ("heston", "u", "branch", "nn_tableau", "nv_tableau", "seed", "sobol_skip",
                 "reference", "workers", "cells")
+#: read as they are; BenchConfig checks them
+_PLAIN_KEYS = ("branch", "nn_tableau", "nv_tableau", "seed", "sobol_skip", "workers")
 _FLAG_KEYS = ("u", "branch", "seed", "sobol_skip", "workers")
 
 
 def _config_from_mapping(raw: dict, args) -> BenchConfig:
     _check_keys(raw, _CONFIG_KEYS, "config key(s)")
-    branch = raw.get("branch", LOWER)
-    if branch not in (UPPER, LOWER):
-        raise ValueError(f"branch must be {UPPER} or {LOWER}, got {branch!r}")
-    values = dict(
-        heston=_heston_from_mapping(raw.get("heston", {})),
-        u=_u_fraction(raw.get("u", "3/4")),
-        branch=branch,
-        nn_tableau=_config_tableau(raw, "nn_tableau"),
-        nv_tableau=_config_tableau(raw, "nv_tableau"),
-        seed=raw.get("seed", 0),
-        sobol_skip=raw.get("sobol_skip", 1),
-        reference=_reference(raw),
-        workers=raw.get("workers"),
-    )
+    values = {key: raw[key] for key in _PLAIN_KEYS if key in raw}
+    values["heston"] = _heston_from_mapping(raw.get("heston", {}))
+    values["u"] = _u_fraction(raw.get("u", "3/4"))
+    if "reference" in raw:  # a JSON null is refused, not read as no reference
+        values["reference"] = finite_reference(raw["reference"])
     # explicit flags override the file
     values.update({key: getattr(args, key) for key in _FLAG_KEYS
                    if getattr(args, key) is not None})
-    values["seed"] = _count(values["seed"], "seed", least=0)
-    values["sobol_skip"] = _count(values["sobol_skip"], "sobol_skip")
-    if values["workers"] is not None:
-        values["workers"] = _count(values["workers"], "workers", most=MAX_WORKERS)
     return BenchConfig(**values)
 
 
@@ -304,8 +260,8 @@ def _reference_text(reference: float | None) -> str:
 
 def cmd_price(args) -> int:
     config = _config_from_mapping(_load_config(args.config), args)
-    cell = Cell(args.scheme, _count(args.n, "--n"),
-                _count(args.samples, "--samples", most=MAX_SAMPLES), args.mode,
+    cell = Cell(args.scheme, count(args.n, "--n"),
+                count(args.samples, "--samples", most=MAX_SAMPLES), args.mode,
                 use_romberg=args.romberg)
     check_cell(config, cell)
     c = price_cell(config, cell)
@@ -331,8 +287,8 @@ def _cell_grid(item) -> list[Cell]:
         raise ValueError(f"missing key(s) {', '.join(missing)}")
     return [Cell(item["scheme"], n, m, item.get("mode", QMC),
                  use_romberg=item.get("romberg", False))
-            for n in _counts(item["n"], "n")
-            for m in _counts(item["samples"], "samples", most=MAX_SAMPLES)]
+            for n in _axis(item["n"], "n")
+            for m in _axis(item["samples"], "samples")]
 
 
 def _cells_from_mapping(raw: dict, config: BenchConfig) -> list[Cell]:

@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .moment_match import LOWER, SchemeParams, solution_params
-from .rk_integrator import IntegrationFailure, VectorField, scheme
+from .moment_match import LOWER, UPPER, SchemeParams, solution_params
+from .rk_integrator import IntegrationFailure, VectorField, builtin_tableau, scheme
 from .sampling import MC, QMC, UniformSource, estimate
 from .schemes import EM, KINDS, NN, NV, SDEModel, SchemeStepPlan, romberg, run_paths
 
@@ -53,6 +53,8 @@ class HestonParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"heston {name} must be a number, got {value!r}")
             if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past floats
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if min(self.mu, self.alpha, self.theta, self.beta, self.x1, self.x2, self.T) <= 0:
@@ -250,12 +252,23 @@ def asian_payoff(states: np.ndarray, params: HestonParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_count(value, what: str, least: int = 1, most: int | None = None) -> None:
-    """Raise ValueError unless ``value`` is an int in [least, most]; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+def count(value, what: str, least: int = 1, most: int | None = None) -> int:
+    """``value`` as an int in [least, most]: an int, or a float holding one such as
+    2e5 (a bool is neither); otherwise ValueError naming ``what``."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral or value < least:
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
     if most is not None and value > most:
         raise ValueError(f"{what} must be <= {most}, got {value!r}")
+    return int(value)
+
+
+def finite_reference(value) -> float:
+    """An explicit reference price as a float; ValueError unless a finite number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            not abs(value) <= sys.float_info.max:
+        raise ValueError(f"reference must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -264,7 +277,8 @@ class BenchConfig:
 
     ``reference`` is the price a QMC cell's error is measured against; left
     unset, it is :data:`REFERENCE_PRICE` for the pinned Heston parameters and
-    none for any other (see :attr:`reference_price`).
+    none for any other (see :attr:`reference_price`).  Counts are stored as
+    ints (``seed=2.0`` is seed 2) and an explicit reference as a float.
     """
 
     heston: HestonParams = HestonParams()
@@ -278,14 +292,22 @@ class BenchConfig:
     reference: float | None = None
 
     def __post_init__(self):
-        _check_count(self.seed, "seed", least=0)
-        _check_count(self.sobol_skip, "sobol_skip")
+        if self.branch not in (UPPER, LOWER):
+            raise ValueError(f"branch must be upper or lower, got {self.branch!r}")
+        for key in ("nn_tableau", "nv_tableau"):
+            name = getattr(self, key)
+            if not isinstance(name, str):
+                raise ValueError(f"{key} must be a tableau name, got {name!r}")
+            try:
+                builtin_tableau(name)
+            except KeyError as exc:
+                raise ValueError(f"{key}: {exc.args[0]}") from None
+        object.__setattr__(self, "seed", count(self.seed, "seed", least=0))
+        object.__setattr__(self, "sobol_skip", count(self.sobol_skip, "sobol_skip"))
         if self.workers is not None:
-            _check_count(self.workers, "workers", most=MAX_WORKERS)
-        ref = self.reference
-        if ref is not None and (isinstance(ref, bool) or not isinstance(ref, (int, float))
-                                or not abs(ref) <= sys.float_info.max):
-            raise ValueError(f"reference must be a finite number, got {ref!r}")
+            object.__setattr__(self, "workers", count(self.workers, "workers", most=MAX_WORKERS))
+        if self.reference is not None:
+            object.__setattr__(self, "reference", finite_reference(self.reference))
 
     @property
     def reference_price(self) -> float | None:
@@ -310,9 +332,8 @@ class Cell:
             raise ValueError(f"scheme must be one of {', '.join(KINDS)}, got {self.kind!r}")
         if self.mode not in (QMC, MC):
             raise ValueError(f"mode must be {QMC} or {MC}, got {self.mode!r}")
-        _check_count(self.partitions, "n")
-        if not (isinstance(self.samples, int) and self.samples < 1):  # estimate refuses those
-            _check_count(self.samples, "samples", most=MAX_SAMPLES)
+        object.__setattr__(self, "partitions", count(self.partitions, "n"))
+        object.__setattr__(self, "samples", count(self.samples, "samples", most=MAX_SAMPLES))
         if not isinstance(self.use_romberg, bool):
             raise ValueError(f"romberg must be true or false, got {self.use_romberg!r}")
         if self.use_romberg and self.partitions % 2 != 0:

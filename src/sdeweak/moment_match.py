@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -232,6 +233,8 @@ def solution_params(u, branch: str = LOWER) -> SchemeParams:
     """
     if branch not in (UPPER, LOWER):
         raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
+    if isinstance(u, bool) or not isinstance(u, (int, float, Fraction)):
+        raise ValueError(f"u must be a number, got {u!r}")
     if isinstance(u, (int, Fraction)):
         u = Fraction(u)
     else:
@@ -246,8 +249,12 @@ def solution_params(u, branch: str = LOWER) -> SchemeParams:
         if rn * rn == num and rd * rd == den:
             root = Fraction(rn, rd)
         else:
-            u = float(u)
-            root = math.sqrt(float(disc))
+            try:
+                u = float(u)
+            except OverflowError:
+                raise ValueError(f"u is too large for a float, got {u}") from None
+            # a disc past every float (u = 10**308) is inf, as in float arithmetic
+            root = math.sqrt(float(disc)) if disc <= sys.float_info.max else math.inf
     else:
         root = math.sqrt(disc)
     half = root / 2

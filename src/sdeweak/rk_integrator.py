@@ -107,26 +107,24 @@ def builtin_tableau(name: str) -> ButcherTableau:
 
 
 @lru_cache(maxsize=None)
-def _certify(tableau: ButcherTableau, order: int) -> bool:
-    return has_order(tableau, order)
+def _certify(tableau: ButcherTableau) -> bool:
+    return has_order(tableau, tableau.declared_order)
 
 
 @dataclass(frozen=True)
 class IntegrationScheme:
-    """A tableau certified (at construction) to satisfy its order conditions."""
+    """A tableau certified (at construction) to satisfy its declared order's conditions."""
 
     tableau: ButcherTableau
-    order: int
     # float views of (A, b), precomputed with the nonzero structure
     _rows: tuple = field(init=False, repr=False, compare=False)
     _weights: tuple = field(init=False, repr=False, compare=False)
     _unweighted: frozenset = field(init=False, repr=False, compare=False)  # stages with b_i = 0
 
     def __post_init__(self):
-        if not _certify(self.tableau, self.order):
-            raise ValueError(
-                f"tableau {self.tableau.name or '<anonymous>'} fails order-{self.order} conditions"
-            )
+        if not _certify(self.tableau):
+            raise ValueError(f"tableau {self.tableau.name or '<anonymous>'} fails "
+                             f"order-{self.tableau.declared_order} conditions")
         rows = tuple(
             tuple((j, float(aij)) for j, aij in enumerate(row) if aij != 0)
             for row in self.tableau.a
@@ -143,8 +141,7 @@ class IntegrationScheme:
 
 
 def scheme(name: str) -> IntegrationScheme:
-    t = builtin_tableau(name)
-    return IntegrationScheme(t, t.declared_order)
+    return IntegrationScheme(builtin_tableau(name))
 
 
 def _combine(y0: np.ndarray, ks: list[np.ndarray], terms,

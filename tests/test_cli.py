@@ -323,9 +323,11 @@ class TestPrice:
          "--samples must be <= 4294967296, got 4294967297"),
         (["--n", "2", "--samples", "10", "--u", "1e40"],
          "u is too large for the closed form in floats, got 1e+40"),
+        (["--n", "2", "--samples", "10", "--u", "1e308"],
+         "u is too large for the closed form in floats, got 1e+308"),
         (["--n", "2", "--samples", "10", "--workers", "100000"],
          "workers must be <= 256, got 100000"),
-    ], ids=["zero-n", "huge-samples", "huge-u-closed-form", "huge-workers"])
+    ], ids=["zero-n", "huge-samples", "huge-u-closed-form", "huge-radicand-u", "huge-workers"])
     def test_bad_argument_is_usage_error(self, capsys, monkeypatch, argv, message):
         monkeypatch.setattr(sampling, "ThreadPoolExecutor", _no_pool)
         code, out, err = run_cli(capsys, "price", "--scheme", "nn", *argv)

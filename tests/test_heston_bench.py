@@ -10,6 +10,7 @@ from sdeweak.heston_bench import (
     HestonParams,
     REFERENCE_PRICE,
     asian_payoff,
+    check_cell,
     convergence_study,
     heston_model,
     price_cell,
@@ -83,6 +84,11 @@ class TestHestonParams:
     def test_positivity(self):
         with pytest.raises(ValueError):
             HestonParams(x2=-0.1)
+
+    @pytest.mark.parametrize("value", ["x", True, None], ids=["string", "boolean", "none"])
+    def test_non_number_rejected(self, value):
+        with pytest.raises(ValueError, match=f"^heston mu must be a number, got {value!r}$"):
+            HestonParams(mu=value)
 
 
 class TestHestonFields:
@@ -371,7 +377,7 @@ class TestBenchmark:
     @pytest.mark.parametrize("args, message", [
         (("xx", 2, 1000, "qmc"), "scheme must be one of nn, em, nv, got 'xx'"),
         (("nn", 2, 1000, "xx"), "mode must be qmc or mc, got 'xx'"),
-        (("nn", 2, 0, "qmc"), "samples must be at least 1, got 0"),
+        (("nn", 2, 0, "qmc"), "samples must be an integer >= 1, got 0"),
     ], ids=["unknown-scheme", "unknown-mode", "zero-samples"])
     def test_refused_cell_is_not_priced(self, args, message):
         with pytest.raises(ValueError, match=message):
@@ -398,22 +404,52 @@ class TestBenchmark:
         (dict(sobol_skip=2.5), "sobol_skip must be an integer >= 1, got 2.5"),
         (dict(reference=math.nan), "reference must be a finite number, got nan"),
         (dict(reference=True), "reference must be a finite number, got True"),
+        (dict(branch="middle"), "branch must be upper or lower, got 'middle'"),
+        (dict(nn_tableau=[5]), r"nn_tableau must be a tableau name, got \[5\]"),
+        (dict(nv_tableau="rk9"), r"nv_tableau: unknown tableau 'rk9'; builtins: .*"),
     ], ids=["fractional-seed", "negative-seed", "negative-workers", "fractional-workers",
-            "many-workers", "fractional-sobol-skip", "nan-reference", "boolean-reference"])
+            "many-workers", "fractional-sobol-skip", "nan-reference", "boolean-reference",
+            "unknown-branch", "non-string-tableau", "unknown-tableau"])
     def test_config_refuses_what_the_cli_refuses(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             BenchConfig(**kwargs)
 
+    def test_config_stores_counts_and_reference_as_read(self):
+        cfg = BenchConfig(seed=2.0, sobol_skip=1e3, workers=1.0, reference=1)
+        assert (cfg.seed, cfg.sobol_skip, cfg.workers) == (2, 1000, 1)
+        assert all(type(v) is int for v in (cfg.seed, cfg.sobol_skip, cfg.workers))
+        assert type(cfg.reference) is float and cfg.reference == 1.0
+
+    @pytest.mark.parametrize("kwargs, cell, message", [
+        (dict(nv_tableau="rk9"), Cell("nv", 2, 1000, "qmc"), "nv_tableau: unknown tableau 'rk9'"),
+        (dict(u=None), Cell("nn", 2, 1000, "qmc"), "u must be a number, got None"),
+    ], ids=["unknown-tableau", "non-number-u"])
+    def test_check_cell_refuses_with_value_error(self, kwargs, cell, message):
+        # neither a KeyError from the tableau lookup nor a TypeError from
+        # float(u) leaves check_cell
+        with pytest.raises(ValueError, match=f"^{message}"):
+            check_cell(BenchConfig(workers=1, **kwargs), cell)
+
     @pytest.mark.parametrize("args, kwargs, message", [
         (("nn", True, 1000, "qmc"), {}, "n must be an integer >= 1, got True"),
-        (("nn", 2.0, 1000, "qmc"), {}, "n must be an integer >= 1, got 2.0"),
+        (("nn", 2.5, 1000, "qmc"), {}, "n must be an integer >= 1, got 2.5"),
         (("nn", 2, 1000.5, "qmc"), {}, "samples must be an integer >= 1, got 1000.5"),
         (("nn", 2, 2**32 + 1, "qmc"), {}, "samples must be <= 4294967296, got 4294967297"),
+        (("nn", 2, 1e300, "qmc"), {}, r"samples must be <= 4294967296, got 1e\+300"),
         (("nn", 2, 1000, "qmc"), dict(use_romberg=1), "romberg must be true or false, got 1"),
-    ], ids=["boolean-n", "float-n", "fractional-samples", "huge-samples", "integer-romberg"])
+    ], ids=["boolean-n", "fractional-n", "fractional-samples", "huge-samples",
+            "huge-float-samples", "integer-romberg"])
     def test_cell_refuses_what_the_cli_refuses(self, args, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Cell(*args, **kwargs)
+
+    def test_cell_accepts_what_the_cli_accepts(self):
+        # an integral float is the count it holds, as --n 2.0 and --samples 2e3 are
+        cell = Cell("nn", 2.0, 2e3, "qmc")
+        assert (cell.partitions, cell.samples) == (2, 2000)
+        assert type(cell.partitions) is int and type(cell.samples) is int
+        res = price_cell(BenchConfig(workers=1), cell)
+        assert result_rows([res])[1].startswith("nn,2,2000,")
 
     def test_romberg_at_two_beats_plain_at_six(self):
         # extrapolation from 1+2 partitions outperforms three times the work

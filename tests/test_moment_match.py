@@ -103,7 +103,13 @@ class TestSolutionParams:
     @pytest.mark.parametrize("u, message", [
         (float("nan"), "u must be >= 1/2, got nan"),
         (float("inf"), "u is too large for the closed form in floats, got inf"),
-    ], ids=["nan", "inf"])
+        (Fraction(10**400), "u is too large for a float, got 1000"),
+        (10**400, "u is too large for a float, got 1000"),
+        # u fits a float, but 2(2u - 1) does not
+        (Fraction(10**308), r"u is too large for the closed form in floats, got 1e\+308"),
+        (None, "u must be a number, got None"),
+        (True, "u must be a number, got True"),
+    ], ids=["nan", "inf", "huge-fraction", "huge-int", "huge-radicand", "none", "boolean"])
     def test_non_finite_u_rejected(self, u, message):
         with pytest.raises(ValueError, match=message):
             solution_params(u)

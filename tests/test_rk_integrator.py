@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -68,9 +69,11 @@ class TestBuiltins:
         assert float(t7.b[3]) == pytest.approx(32 / 105)
 
     def test_certification_at_construction(self):
-        with pytest.raises(ValueError):
-            IntegrationScheme(builtin_tableau("rk5-butcher"), 6)
-        IntegrationScheme(builtin_tableau("rk7-butcher"), 7)
+        # a scheme is certified at its tableau's declared order
+        rk5 = builtin_tableau("rk5-butcher")
+        with pytest.raises(ValueError, match="fails order-6 conditions"):
+            IntegrationScheme(dataclasses.replace(rk5, declared_order=6))
+        IntegrationScheme(builtin_tableau("rk7-butcher"))
 
 
 class TestRkStep:

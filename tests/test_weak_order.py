@@ -42,7 +42,7 @@ RK5 = scheme("rk5-butcher")
 # Kutta's third-order method: an ODE order too low for weak order 2
 RK3 = IntegrationScheme(ButcherTableau(a=((0, 0, 0), ("1/2", 0, 0), (-1, 2, 0)),
                                        b=("1/6", "2/3", "1/6"), declared_order=3,
-                                       name="rk3-kutta"), 3)
+                                       name="rk3-kutta"))
 
 T = 1.0
 ORDER_TWO = (3.7, 4.3)
