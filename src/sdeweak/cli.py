@@ -33,7 +33,6 @@ from .heston_bench import (
     check_cell,
     convergence_study,
     count,
-    finite_reference,
     price_cell,
     result_rows,
 )
@@ -54,20 +53,13 @@ def _fraction(text: str) -> Fraction:
 
 
 def _u_fraction(value) -> Fraction:
-    """The family parameter, a rational string or a number >= 1/2, from a flag or a config."""
+    """The family parameter as a Fraction, from a flag or a config; check_family checks it."""
     try:
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise ValueError
-        u = Fraction(str(value))
+        return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"u must be a rational number, got {value!r}") from None
-    if u < Fraction(1, 2):
-        raise ValueError(f"u must be >= 1/2, got {value!r}")
-    try:
-        float(u)  # the scheme parameters are floats unless sqrt(2(2u - 1)) is rational
-    except OverflowError:
-        raise ValueError(f"u is too large for a float, got {value!r}") from None
-    return u
+        raise argparse.ArgumentTypeError(f"u must be a rational number, got {value!r}") from None
 
 
 def _count_text(text: str) -> int | float:
@@ -91,21 +83,11 @@ def _count_text(text: str) -> int | float:
         f"expected an integer or a number a float holds exactly, got {text!r}")
 
 
-def _u_value(text: str) -> Fraction:
-    try:
-        return _u_fraction(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _perturbation(text: str) -> tuple[str, Fraction]:
     if "=" not in text:
         raise argparse.ArgumentTypeError("perturbation must look like R12=+0.1")
     key, _, val = text.partition("=")
-    key = key.strip().lower()
-    if key not in ("r11", "r12", "r22"):
-        raise argparse.ArgumentTypeError(f"only R11/R12/R22 can be perturbed, got {key!r}")
-    return key, _fraction(val.strip())
+    return key.strip().lower(), _fraction(val.strip())
 
 
 def _emit(lines, path: str | None) -> None:
@@ -142,8 +124,7 @@ def cmd_verify_moments(args) -> int:
     _check_word_count(m, d)
     params = solution_params(args.u, args.branch)
     for key, delta in args.perturb:
-        value = delta if params.is_exact else float(delta)
-        params = params.perturbed(**{key: value})
+        params = params.perturbed(**{key: delta})
     rows = residual_table(params, m, d)
     tol = 0 if params.is_exact else FLOAT_TOL
     worst = max(abs(float(residual)) for *_, residual in rows)
@@ -237,17 +218,19 @@ def _load_config(path: str | None) -> dict:
 _CONFIG_KEYS = ("heston", "u", "branch", "nn_tableau", "nv_tableau", "seed", "sobol_skip",
                 "reference", "workers", "cells")
 #: read as they are; BenchConfig checks them
-_PLAIN_KEYS = ("branch", "nn_tableau", "nv_tableau", "seed", "sobol_skip", "workers")
+_PLAIN_KEYS = ("branch", "nn_tableau", "nv_tableau", "seed", "sobol_skip", "reference", "workers")
 _FLAG_KEYS = ("u", "branch", "seed", "sobol_skip", "workers")
 
 
 def _config_from_mapping(raw: dict, args) -> BenchConfig:
     _check_keys(raw, _CONFIG_KEYS, "config key(s)")
+    for key, value in raw.items():  # a JSON null is refused, not read as the default
+        if value is None:
+            raise ValueError(f"{key} must not be null")
     values = {key: raw[key] for key in _PLAIN_KEYS if key in raw}
     values["heston"] = _heston_from_mapping(raw.get("heston", {}))
-    values["u"] = _u_fraction(raw.get("u", "3/4"))
-    if "reference" in raw:  # a JSON null is refused, not read as no reference
-        values["reference"] = finite_reference(raw["reference"])
+    if "u" in raw:
+        values["u"] = _u_fraction(raw["u"])
     # explicit flags override the file
     values.update({key: getattr(args, key) for key in _FLAG_KEYS
                    if getattr(args, key) is not None})
@@ -263,7 +246,6 @@ def cmd_price(args) -> int:
     cell = Cell(args.scheme, count(args.n, "--n"),
                 count(args.samples, "--samples", most=MAX_SAMPLES), args.mode,
                 use_romberg=args.romberg)
-    check_cell(config, cell)
     c = price_cell(config, cell)
     _emit(result_rows((c,), timings=args.timings), args.out)
     err = "n/a" if c.error is None else f"{c.error:.3e}"
@@ -345,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vm = sub.add_parser("verify-moments",
                         help="check E[exp(Z1)exp(Z2)] against exp(v0 + (1/2) sum v_i^2)")
-    vm.add_argument("--u", type=_u_value, default=Fraction(3, 4),
+    vm.add_argument("--u", type=_u_fraction, default=Fraction(3, 4),
                     help="family parameter, a rational >= 1/2 (default 3/4)")
     vm.add_argument("--branch", choices=(UPPER, LOWER), default=LOWER)
     vm.add_argument("--m", type=_count_text, default=5, help="truncation degree (default 5)")
@@ -365,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_run_flags(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--u", type=_u_value, default=None)
+        p.add_argument("--u", type=_u_fraction, default=None)
         p.add_argument("--branch", choices=(UPPER, LOWER), default=None)
         p.add_argument("--seed", type=_count_text, default=None)
         p.add_argument("--sobol-skip", dest="sobol_skip", type=_count_text, default=None)
@@ -414,7 +396,8 @@ def main(argv=None) -> int:
             warnings.filterwarnings("ignore", message=".* encountered in ",
                                     category=RuntimeWarning)
             return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    # a config's u is parsed as a flag's is, so it can raise ArgumentTypeError here
+    except (ValueError, KeyError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"{prog}: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

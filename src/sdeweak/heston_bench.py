@@ -14,13 +14,14 @@ import math
 import sys
 import threading
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .moment_match import LOWER, UPPER, SchemeParams, solution_params
+from .moment_match import LOWER, check_family, solution_params
 from .rk_integrator import IntegrationFailure, VectorField, builtin_tableau, scheme
 from .sampling import MC, QMC, UniformSource, estimate
 from .schemes import EM, KINDS, NN, NV, SDEModel, SchemeStepPlan, romberg, run_paths
@@ -263,14 +264,6 @@ def count(value, what: str, least: int = 1, most: int | None = None) -> int:
     return int(value)
 
 
-def finite_reference(value) -> float:
-    """An explicit reference price as a float; ValueError unless a finite number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
-            not abs(value) <= sys.float_info.max:
-        raise ValueError(f"reference must be a finite number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class BenchConfig:
     """Everything a run needs to be reproducible.
@@ -278,7 +271,8 @@ class BenchConfig:
     ``reference`` is the price a QMC cell's error is measured against; left
     unset, it is :data:`REFERENCE_PRICE` for the pinned Heston parameters and
     none for any other (see :attr:`reference_price`).  Counts are stored as
-    ints (``seed=2.0`` is seed 2) and an explicit reference as a float.
+    ints (``seed=2.0`` is seed 2), ``u`` as :func:`check_family` returns it and
+    an explicit reference as a float.
     """
 
     heston: HestonParams = HestonParams()
@@ -292,8 +286,7 @@ class BenchConfig:
     reference: float | None = None
 
     def __post_init__(self):
-        if self.branch not in (UPPER, LOWER):
-            raise ValueError(f"branch must be upper or lower, got {self.branch!r}")
+        object.__setattr__(self, "u", check_family(self.u, self.branch))
         for key in ("nn_tableau", "nv_tableau"):
             name = getattr(self, key)
             if not isinstance(name, str):
@@ -306,8 +299,12 @@ class BenchConfig:
         object.__setattr__(self, "sobol_skip", count(self.sobol_skip, "sobol_skip"))
         if self.workers is not None:
             object.__setattr__(self, "workers", count(self.workers, "workers", most=MAX_WORKERS))
-        if self.reference is not None:
-            object.__setattr__(self, "reference", finite_reference(self.reference))
+        ref = self.reference
+        if ref is not None:
+            if isinstance(ref, bool) or not isinstance(ref, (int, float)) or \
+                    not abs(ref) <= sys.float_info.max:
+                raise ValueError(f"reference must be a finite number, got {ref!r}")
+            object.__setattr__(self, "reference", float(ref))
 
     @property
     def reference_price(self) -> float | None:
@@ -315,6 +312,12 @@ class BenchConfig:
         if self.reference is not None:
             return self.reference
         return REFERENCE_PRICE if self.heston == HestonParams() else None
+
+    # what the cells step with, built when a cell first needs it: the family as
+    # floats (ValueError if they cancel, see README) and the certified integrators
+    nn_params = cached_property(lambda self: solution_params(self.u, self.branch, floats=True))
+    nn_integrator = cached_property(lambda self: scheme(self.nn_tableau))
+    nv_integrator = cached_property(lambda self: scheme(self.nv_tableau))
 
 
 @dataclass(frozen=True)
@@ -353,13 +356,8 @@ def _make_plan(config: BenchConfig, kind: str, n: int) -> SchemeStepPlan:
     if kind == EM:
         return SchemeStepPlan(EM, n)
     if kind == NV:
-        return SchemeStepPlan(NV, n, integrator=scheme(config.nv_tableau))
-    exact = solution_params(config.u, config.branch)
-    try:  # the floats nn_step steps with; an exact family can cancel in them (c1 = 2^59)
-        params = SchemeParams(*map(float, astuple(exact)))
-    except ValueError:
-        raise ValueError(f"u is too large for the closed form in floats, got {config.u}") from None
-    return SchemeStepPlan(NN, n, params=params, integrator=scheme(config.nn_tableau))
+        return SchemeStepPlan(NV, n, integrator=config.nv_integrator)
+    return SchemeStepPlan(NN, n, params=config.nn_params, integrator=config.nn_integrator)
 
 
 def _levels(config: BenchConfig, cell: Cell,

@@ -216,31 +216,45 @@ class SchemeParams:
         return GaussianSpec(self.covariance)
 
     def perturbed(self, **deltas) -> "SchemeParams":
-        """A copy with R entries shifted; keys r11, r12, r22."""
+        """A copy with R entries shifted (keys r11, r12, r22), by floats if the entries are."""
         fields = {"r11": self.r11, "r12": self.r12, "r22": self.r22}
         for key, delta in deltas.items():
             if key not in fields:
-                raise ValueError(f"only R entries can be perturbed, got {key!r}")
+                raise ValueError(f"only r11, r12, r22 can be perturbed, got {key!r}")
+            if not self.is_exact:
+                try:
+                    delta = float(delta)
+                except OverflowError:  # a shift past every float is infinite
+                    delta = math.inf if delta > 0 else -math.inf
             fields[key] = fields[key] + delta
         return SchemeParams(self.c1, self.c2, **fields)
 
 
-def solution_params(u, branch: str = LOWER) -> SchemeParams:
-    """The closed-form m=5 / M=2 solution family, parameterized by u >= 1/2.
-
-    The two sign branches coincide at u = 1/2.  Exact rationals are used when
-    sqrt(2(2u-1)) is rational, floats otherwise.
-    """
-    if branch not in (UPPER, LOWER):
-        raise ValueError(f"branch must be 'upper' or 'lower', got {branch!r}")
+def check_family(u, branch: str) -> Fraction | float:
+    """u checked as a number >= 1/2 that a float holds, and branch as upper or lower;
+    returns u, an int or a Fraction as a Fraction and a float as a float."""
     if isinstance(u, bool) or not isinstance(u, (int, float, Fraction)):
         raise ValueError(f"u must be a number, got {u!r}")
-    if isinstance(u, (int, Fraction)):
-        u = Fraction(u)
-    else:
-        u = float(u)
+    u = float(u) if isinstance(u, float) else Fraction(u)
     if not u >= Fraction(1, 2):  # NaN fails every comparison
         raise ValueError(f"u must be >= 1/2, got {u}")
+    try:
+        float(u)
+    except OverflowError:
+        raise ValueError(f"u is too large for a float, got {u}") from None
+    if branch not in (UPPER, LOWER):
+        raise ValueError(f"branch must be upper or lower, got {branch!r}")
+    return u
+
+
+def solution_params(u, branch: str = LOWER, *, floats: bool = False) -> SchemeParams:
+    """The closed-form m=5 / M=2 solution family at a :func:`check_family` u and branch.
+
+    The two sign branches coincide at u = 1/2.  Exact rationals are used when
+    sqrt(2(2u-1)) is rational, floats otherwise; ``floats`` asks for floats
+    either way, the ones ``nn_step`` steps with.
+    """
+    u = check_family(u, branch)
     disc = 2 * (2 * u - 1)
     root: Fraction | float
     if isinstance(u, Fraction):
@@ -249,10 +263,7 @@ def solution_params(u, branch: str = LOWER) -> SchemeParams:
         if rn * rn == num and rd * rd == den:
             root = Fraction(rn, rd)
         else:
-            try:
-                u = float(u)
-            except OverflowError:
-                raise ValueError(f"u is too large for a float, got {u}") from None
+            u = float(u)
             # a disc past every float (u = 10**308) is inf, as in float arithmetic
             root = math.sqrt(float(disc)) if disc <= sys.float_info.max else math.inf
     else:
@@ -266,11 +277,12 @@ def solution_params(u, branch: str = LOWER) -> SchemeParams:
         c1, c2 = half, 1 - half
         r22 = 1 + u - root
         r12 = -u + half
+    entries = (c1, c2, u, r12, r22)
     try:
-        return SchemeParams(c1, c2, u, r12, r22)
+        return SchemeParams(*(map(float, entries) if floats else entries))
     except ValueError:
         # the family's identities hold exactly; only float rounding at a large u breaks them
-        raise ValueError(f"u is too large for the closed form in floats, got {u!r}") from None
+        raise ValueError(f"u is too large for the closed form in floats, got {u}") from None
 
 
 DEFAULT_PARAMS = solution_params(Fraction(3, 4), LOWER)

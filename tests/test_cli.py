@@ -37,10 +37,11 @@ def _no_work(*args, **kwargs):
 
 
 def _refuse_pricing(monkeypatch):
-    # price prices through cli's name, converge through heston_bench's
-    for module in (cli, heston_bench):
-        monkeypatch.setattr(module, "price_cell", _no_cells)
-    monkeypatch.setattr(heston_bench, "run_paths", _no_paths)
+    # converge checks every cell before it prices one, and price_cell checks
+    # every level of its cell before it estimates one
+    monkeypatch.setattr(heston_bench, "price_cell", _no_cells)
+    for name in ("estimate", "run_paths"):
+        monkeypatch.setattr(heston_bench, name, _no_paths)
 
 
 SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -85,9 +86,9 @@ class TestVerifyMoments:
         assert "FAIL" in err
 
     def test_low_u_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify-moments", "--u", "0.4"])
-        assert exc.value.code == 2
+        code, out, err = run_cli(capsys, "verify-moments", "--u", "0.4")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["sdeweak verify-moments: error: u must be >= 1/2, got 2/5"]
 
     def test_irrational_family_member_passes_in_float(self, capsys):
         code, _, err = run_cli(capsys, "verify-moments", "--u", "1", "--branch", "upper")
@@ -95,9 +96,16 @@ class TestVerifyMoments:
         assert "mode=float" in err
 
     def test_unknown_perturbation_key_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify-moments", "--perturb", "c1=0.1"])
-        assert exc.value.code == 2
+        code, out, err = run_cli(capsys, "verify-moments", "--perturb", "c1=0.1")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "sdeweak verify-moments: error: only r11, r12, r22 can be perturbed, got 'c1'"]
+
+    def test_perturbation_past_every_float_is_usage_error(self, capsys):
+        # a float family takes the shift as a float; this one is infinite
+        code, out, err = run_cli(capsys, "verify-moments", "--u", "1", "--perturb", "r12=1e400")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["sdeweak verify-moments: error: r12 must be finite, got inf"]
 
     @pytest.mark.parametrize("argv, message", [
         (["--m", "-1"], "--m must be an integer >= 1, got -1"),
@@ -361,7 +369,7 @@ class TestPrice:
     def test_sobol_width_refused_before_any_cell(self, capsys, monkeypatch, argv, dim):
         # the direction table holds 1025 coordinates; n steps of width 2d, 1 + d
         # or d (d = 2), at the fine level n of a Romberg cell
-        monkeypatch.setattr(cli, "price_cell", _no_cells)
+        _refuse_pricing(monkeypatch)
         code, out, err = run_cli(capsys, "price", *argv, "--samples", "100", "--workers", "1")
         assert code == 2
         assert out == ""
@@ -518,8 +526,8 @@ class TestConverge:
         (lambda cfg: cfg.update(sobol_skip=0), "sobol_skip must be an integer >= 1, got 0"),
         (lambda cfg: cfg.update(sobol_skp=5), "unknown config key(s) sobol_skp"),
         (lambda cfg: cfg.update(u="1/0"), "u must be a rational number, got '1/0'"),
-        (lambda cfg: cfg.update(u=0.25), "u must be >= 1/2, got 0.25"),
-        (lambda cfg: cfg.update(u="1e400"), "u is too large for a float, got '1e400'"),
+        (lambda cfg: cfg.update(u=0.25), "u must be >= 1/2, got 1/4"),
+        (lambda cfg: cfg.update(u="1e400"), f"u is too large for a float, got {10**400}"),
         (lambda cfg: cfg.update(u="1e300"),
          "u is too large for the closed form in floats, got 1e+300"),
         (lambda cfg: cfg.update(branch="middle"), "branch must be upper or lower, got 'middle'"),
@@ -560,6 +568,22 @@ class TestConverge:
         [line] = err.splitlines()
         assert line.startswith("sdeweak converge: error: ")
         assert message in line
+
+    @pytest.mark.parametrize("key", ["heston", "u", "branch", "nn_tableau", "nv_tableau",
+                                     "seed", "sobol_skip", "reference", "workers", "cells"])
+    def test_null_value_is_usage_error(self, capsys, monkeypatch, config_file, key):
+        # a JSON null is refused, not read as the default ("workers": null is not
+        # every core)
+        with open(config_file, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        cfg[key] = None
+        with open(config_file, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", _no_pool)
+        _refuse_pricing(monkeypatch)
+        code, out, err = run_cli(capsys, "converge", "--config", config_file)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"sdeweak converge: error: {key} must not be null"]
 
     def test_sobol_index_space_refused_before_any_cell(self, capsys, monkeypatch, config_file):
         # the first cell fits; the second would pass 2^32, so neither may run
@@ -733,8 +757,9 @@ class TestConverge:
     @pytest.mark.parametrize("config, code", [
         ({"sobol_skp": 5}, 2),
         ({"u": "1/0"}, 2),
+        ({"workers": None}, 2),
         ({"heston": {"alpha": 1e80}}, 3),
-    ], ids=["unknown-top-level-key", "zero-denominator-u", "stiff-parameters"])
+    ], ids=["unknown-top-level-key", "zero-denominator-u", "null-workers", "stiff-parameters"])
     def test_process_reports_one_line(self, tmp_path, config, code):
         # a separate process shows what reaches the terminal: no traceback
         # and no numpy floating-point warnings ahead of the one line

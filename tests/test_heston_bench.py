@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sdeweak import heston_bench
 from sdeweak.heston_bench import (
     BenchConfig,
     Cell,
@@ -407,12 +409,33 @@ class TestBenchmark:
         (dict(branch="middle"), "branch must be upper or lower, got 'middle'"),
         (dict(nn_tableau=[5]), r"nn_tableau must be a tableau name, got \[5\]"),
         (dict(nv_tableau="rk9"), r"nv_tableau: unknown tableau 'rk9'; builtins: .*"),
+        (dict(u=0.25), "u must be >= 1/2, got 0.25"),
+        (dict(u=Fraction(1, 4)), "u must be >= 1/2, got 1/4"),
+        (dict(u=Fraction(10**400)), f"u is too large for a float, got {10**400}"),
+        (dict(u=None), "u must be a number, got None"),
     ], ids=["fractional-seed", "negative-seed", "negative-workers", "fractional-workers",
             "many-workers", "fractional-sobol-skip", "nan-reference", "boolean-reference",
-            "unknown-branch", "non-string-tableau", "unknown-tableau"])
+            "unknown-branch", "non-string-tableau", "unknown-tableau", "low-u",
+            "low-fraction-u", "huge-u", "non-number-u"])
     def test_config_refuses_what_the_cli_refuses(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             BenchConfig(**kwargs)
+
+    def test_romberg_nn_cell_builds_its_family_once(self, monkeypatch):
+        # check_cell and price_cell plan two levels each from the one config
+        calls = []
+        solution_params = heston_bench.solution_params
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solution_params(*args, **kwargs)
+
+        monkeypatch.setattr(heston_bench, "solution_params", counted)
+        config, cell = BenchConfig(workers=1), Cell("nn", 2, 1000, "qmc", use_romberg=True)
+        check_cell(config, cell)
+        estimate = price_cell(config, cell).estimate
+        assert calls == [(Fraction(3, 4), "lower")]
+        assert price_cell(BenchConfig(workers=1), cell).estimate == estimate
 
     def test_config_stores_counts_and_reference_as_read(self):
         cfg = BenchConfig(seed=2.0, sobol_skip=1e3, workers=1.0, reference=1)

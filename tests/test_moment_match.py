@@ -114,6 +114,18 @@ class TestSolutionParams:
         with pytest.raises(ValueError, match=message):
             solution_params(u)
 
+    def test_unknown_branch_rejected(self):
+        with pytest.raises(ValueError, match="^branch must be upper or lower, got 'middle'$"):
+            solution_params(Fraction(3, 4), "middle")
+
+    def test_float_family_of_an_exact_u(self):
+        # the floats nn steps with: the exact family's entries, each rounded once
+        exact = solution_params(Fraction(3, 4), UPPER)
+        floats = solution_params(Fraction(3, 4), UPPER, floats=True)
+        assert not floats.is_exact
+        assert (floats.c1, floats.c2, floats.r11, floats.r12, floats.r22) == tuple(
+            float(v) for v in (exact.c1, exact.c2, exact.r11, exact.r12, exact.r22))
+
     def test_non_finite_float_entry_rejected(self):
         with pytest.raises(ValueError, match="c1 must be finite, got nan"):
             SchemeParams(float("nan"), 0.5, 1.0, 0.0, 1.0)
@@ -249,6 +261,23 @@ class TestMomentResiduals:
         params = DEFAULT_PARAMS.perturbed(r12=Fraction(1, 10))
         res = {w: r for w, _, _, r in residual_table(params, 5, 2)}
         assert res[Word((1, 1))] == Fraction(1, 10)
+
+    def test_perturbed_takes_the_entries_number_type(self):
+        delta = Fraction(1, 10)
+        assert DEFAULT_PARAMS.perturbed(r12=delta).r12 == DEFAULT_PARAMS.r12 + delta
+        floats = solution_params(Fraction(1)).perturbed(r12=delta)
+        assert type(floats.r12) is float and not floats.is_exact
+        assert floats.r12 == solution_params(Fraction(1)).r12 + 0.1
+
+    def test_perturbed_refuses_a_shift_past_every_float(self):
+        with pytest.raises(ValueError, match="^r22 must be finite, got -inf$"):
+            solution_params(Fraction(1)).perturbed(r22=-Fraction(10**400))
+
+    @pytest.mark.parametrize("key", ["c1", "R12", "r21"])
+    def test_perturbed_refuses_an_unknown_key(self, key):
+        message = f"^only r11, r12, r22 can be perturbed, got '{key}'$"
+        with pytest.raises(ValueError, match=message):
+            DEFAULT_PARAMS.perturbed(**{key: Fraction(1, 10)})
 
     def test_odd_parity_word_always_zero(self):
         params = DEFAULT_PARAMS.perturbed(r12=Fraction(1, 10))
