@@ -23,8 +23,8 @@ import numpy as np
 
 from .moment_match import LOWER, check_family, solution_params
 from .rk_integrator import IntegrationFailure, VectorField, builtin_tableau, scheme
-from .sampling import MC, QMC, UniformSource, estimate
-from .schemes import EM, KINDS, NN, NV, SDEModel, SchemeStepPlan, romberg, run_paths
+from .sampling import QMC, UniformSource, check_mode, estimate
+from .schemes import EM, NN, NV, SDEModel, SchemeStepPlan, check_kind, romberg, run_paths
 
 #: the benchmark's target value, computed by extrapolated QMC at n = 96+48
 #: with 8e8 samples (see README)
@@ -271,12 +271,12 @@ class BenchConfig:
     ``reference`` is the price a QMC cell's error is measured against; left
     unset, it is :data:`REFERENCE_PRICE` for the pinned Heston parameters and
     none for any other (see :attr:`reference_price`).  Counts are stored as
-    ints (``seed=2.0`` is seed 2), ``u`` as :func:`check_family` returns it and
-    an explicit reference as a float.
+    ints (``seed=2.0`` is seed 2), ``u`` as a Fraction and an explicit
+    reference as a float.
     """
 
     heston: HestonParams = HestonParams()
-    u: Fraction | float = Fraction(3, 4)
+    u: Fraction = Fraction(3, 4)
     branch: str = LOWER
     nn_tableau: str = "rk5-butcher"
     nv_tableau: str = "rk5-butcher"
@@ -331,10 +331,8 @@ class Cell:
     use_romberg: bool = False
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"scheme must be one of {', '.join(KINDS)}, got {self.kind!r}")
-        if self.mode not in (QMC, MC):
-            raise ValueError(f"mode must be {QMC} or {MC}, got {self.mode!r}")
+        check_kind(self.kind)
+        check_mode(self.mode)
         object.__setattr__(self, "partitions", count(self.partitions, "n"))
         object.__setattr__(self, "samples", count(self.samples, "samples", most=MAX_SAMPLES))
         if not isinstance(self.use_romberg, bool):

@@ -30,28 +30,6 @@ Matrix = tuple[tuple, ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianSpec:
-    """A centered Gaussian vector (Y_1, ..., Y_M) given by its covariance matrix."""
-
-    covariance: Matrix
-
-    def __post_init__(self):
-        cov = tuple(tuple(row) for row in self.covariance)
-        object.__setattr__(self, "covariance", cov)
-        n = len(cov)
-        if any(len(row) != n for row in cov):
-            raise ValueError("covariance must be square")
-        for i in range(n):
-            for j in range(n):
-                if cov[i][j] != cov[j][i]:
-                    raise ValueError("covariance must be symmetric")
-
-    @property
-    def M(self) -> int:
-        return len(self.covariance)
-
-
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
     """All tuples of `parts` nonnegative integers summing to `total`."""
     if parts == 1:
@@ -103,17 +81,17 @@ def _pairing_counts(powers: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Fra
     return tuple(out)
 
 
-def gaussian_moment(spec: GaussianSpec, powers: Sequence[int]) -> Fraction | float:
-    """E[Y_1^m_1 ... Y_M^m_M] by the closed-form sum over pairing-count matrices.
+def gaussian_moment(cov: Matrix, powers: Sequence[int]) -> Fraction | float:
+    """E[Y_1^m_1 ... Y_M^m_M] for the centered Gaussian vector of covariance ``cov``,
+    by the closed-form sum over pairing-count matrices.
 
     The sum runs over the matrices of :func:`_pairing_counts`; each
     contributes its coefficient times prod R_ij^d_ij.  Odd total degree gives 0.
     """
-    cov = spec.covariance
     m = tuple(int(p) for p in powers)
     M = len(m)
-    if M != spec.M:
-        raise ValueError(f"powers length {M} does not match covariance size {spec.M}")
+    if M != len(cov):
+        raise ValueError(f"powers length {M} does not match covariance size {len(cov)}")
     if any(p < 0 for p in m):
         raise ValueError("powers must be nonnegative")
     pairs = _pairs(M)
@@ -130,7 +108,7 @@ def gaussian_moment(spec: GaussianSpec, powers: Sequence[int]) -> Fraction | flo
     return total
 
 
-def gaussian_moment_pairings(spec: GaussianSpec, powers: Sequence[int]) -> Fraction | float:
+def gaussian_moment_pairings(cov: Matrix, powers: Sequence[int]) -> Fraction | float:
     """Brute-force Isserlis oracle: sum over perfect matchings of the product terms.
 
     Enumerates every pairing of the multiset {Y_i repeated m_i times} and sums
@@ -139,7 +117,6 @@ def gaussian_moment_pairings(spec: GaussianSpec, powers: Sequence[int]) -> Fract
     closed form is tested against, and the substitution rule of
     :func:`symbolic_expectation`.
     """
-    cov = spec.covariance
     labels: list[int] = []
     for i, p in enumerate(powers):
         labels.extend([i] * int(p))
@@ -211,10 +188,6 @@ class SchemeParams:
     def covariance(self) -> Matrix:
         return ((self.r11, self.r12), (self.r12, self.r22))
 
-    @cached_property
-    def gaussian_spec(self) -> GaussianSpec:
-        return GaussianSpec(self.covariance)
-
     def perturbed(self, **deltas) -> "SchemeParams":
         """A copy with R entries shifted (keys r11, r12, r22), by floats if the entries are."""
         fields = {"r11": self.r11, "r12": self.r12, "r22": self.r22}
@@ -230,18 +203,27 @@ class SchemeParams:
         return SchemeParams(self.c1, self.c2, **fields)
 
 
-def check_family(u, branch: str) -> Fraction | float:
-    """u checked as a number >= 1/2 that a float holds, and branch as upper or lower;
-    returns u, an int or a Fraction as a Fraction and a float as a float."""
-    if isinstance(u, bool) or not isinstance(u, (int, float, Fraction)):
-        raise ValueError(f"u must be a number, got {u!r}")
-    u = float(u) if isinstance(u, float) else Fraction(u)
-    if not u >= Fraction(1, 2):  # NaN fails every comparison
-        raise ValueError(f"u must be >= 1/2, got {u}")
+def _short(u: Fraction) -> str:
+    """u in full while both its terms have under 30 digits, else its power of ten:
+    a huge integer is never converted to text (str refuses past 4300 digits)."""
+    if abs(u.numerator) < 10**30 and u.denominator < 10**30:
+        return str(u)
+    power = round(math.log10(abs(u.numerator)) - math.log10(u.denominator))
+    return f"about {'-' if u < 0 else ''}1e{power}"
+
+
+def check_family(u, branch: str) -> Fraction:
+    """u checked as a rational number (an int or a Fraction) >= 1/2 that a float
+    holds, and branch as upper or lower; returns u as a Fraction."""
+    if isinstance(u, bool) or not isinstance(u, (int, Fraction)):
+        raise ValueError(f"u must be a rational number, got {u!r}")
+    u = Fraction(u)
+    if u < Fraction(1, 2):
+        raise ValueError(f"u must be >= 1/2, got {_short(u)}")
     try:
         float(u)
     except OverflowError:
-        raise ValueError(f"u is too large for a float, got {u}") from None
+        raise ValueError(f"u is too large for a float, got {_short(u)}") from None
     if branch not in (UPPER, LOWER):
         raise ValueError(f"branch must be upper or lower, got {branch!r}")
     return u
@@ -257,17 +239,14 @@ def solution_params(u, branch: str = LOWER, *, floats: bool = False) -> SchemePa
     u = check_family(u, branch)
     disc = 2 * (2 * u - 1)
     root: Fraction | float
-    if isinstance(u, Fraction):
-        num, den = disc.numerator, disc.denominator
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn == num and rd * rd == den:
-            root = Fraction(rn, rd)
-        else:
-            u = float(u)
-            # a disc past every float (u = 10**308) is inf, as in float arithmetic
-            root = math.sqrt(float(disc)) if disc <= sys.float_info.max else math.inf
+    num, den = disc.numerator, disc.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        root = Fraction(rn, rd)
     else:
-        root = math.sqrt(disc)
+        u = float(u)
+        # a disc past every float (u = 10**308) is inf, as in float arithmetic
+        root = math.sqrt(float(disc)) if disc <= sys.float_info.max else math.inf
     half = root / 2
     if branch == UPPER:
         c1, c2 = -half, 1 + half
@@ -283,9 +262,6 @@ def solution_params(u, branch: str = LOWER, *, floats: bool = False) -> SchemePa
     except ValueError:
         # the family's identities hold exactly; only float rounding at a large u breaks them
         raise ValueError(f"u is too large for the closed form in floats, got {u}") from None
-
-
-DEFAULT_PARAMS = solution_params(Fraction(3, 4), LOWER)
 
 
 # ---------------------------------------------------------------------------
@@ -316,26 +292,24 @@ def _splits(letters: tuple[int, ...], M: int):
                [tuple(seg.count(p) for seg in segments) for p in brownian])
 
 
-def product_coefficient(c: Sequence, spec: GaussianSpec, w: Word):
-    """Coefficient of the word w in E[exp(Z_1) ... exp(Z_M)] for general M.
+def scheme_coefficient(params: SchemeParams, w: Word):
+    """C(w) = <E[exp(Z_1) exp(Z_2)], w>, the coefficient of the word w.
 
-    Sums over all splits of w into M consecutive segments; segment j's letters
-    are drawn from Z_j, so the v0 letters contribute c_j powers and the
-    Brownian letters contribute a joint Gaussian moment per letter index.
+    Sums over all splits of w into two consecutive segments; segment j's
+    letters are drawn from Z_j, so the v0 letters contribute c_j powers and
+    the Brownian letters contribute a joint Gaussian moment per letter index.
     Words in which some Brownian letter occurs an odd number of times have
     coefficient zero.
     """
     letters = w.letters
-    M = len(c)
-    if M != spec.M:
-        raise ValueError("c and covariance sizes differ")
-    exact = _is_exact(c) and _is_exact(itertools.chain.from_iterable(spec.covariance))
+    exact = params.is_exact
     zero = Fraction(0) if exact else 0.0
     if _odd_brownian(letters):
         return zero
 
+    c, cov = params.c, params.covariance
     total = zero
-    for kfact, n0, per_letter in _splits(letters, M):
+    for kfact, n0, per_letter in _splits(letters, len(c)):
         term = Fraction(1, kfact) if exact else 1.0 / kfact
         for cj, nj in zip(c, n0):
             if nj:
@@ -343,18 +317,13 @@ def product_coefficient(c: Sequence, spec: GaussianSpec, w: Word):
         if term == 0:
             continue
         for powers in per_letter:
-            mom = gaussian_moment(spec, powers)
+            mom = gaussian_moment(cov, powers)
             if mom == 0:
                 term = zero
                 break
             term *= mom
         total += term
     return total
-
-
-def scheme_coefficient(params: SchemeParams, w: Word):
-    """C(w) = <E[exp(Z_1) exp(Z_2)], w> for the two-factor scheme."""
-    return product_coefficient(params.c, params.gaussian_spec, w)
 
 
 def target_coefficient(w: Word) -> Fraction:
@@ -442,7 +411,7 @@ def symbolic_expectation(params: SchemeParams, m: int, d: int) -> TruncatedSerie
         return TruncatedSeries({w: a for w, a in terms.items() if w.scaled_degree <= m}, m)
 
     product = exp(z(0)) * exp(z(1))
-    spec = params.gaussian_spec
+    cov = params.covariance
 
     coeffs: dict[Word, Fraction | float] = {}
     for w, poly in product.items():
@@ -455,7 +424,7 @@ def symbolic_expectation(params: SchemeParams, m: int, d: int) -> TruncatedSerie
             factor = one
             for i in sorted({i for i, _ in mono}):
                 powers = tuple(sum(1 for a, b in mono if (a, b) == (i, j)) for j in (1, 2))
-                mom = gaussian_moment_pairings(spec, powers)
+                mom = gaussian_moment_pairings(cov, powers)
                 if mom == 0:
                     factor = 0
                     break

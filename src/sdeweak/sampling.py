@@ -218,6 +218,12 @@ MC = "mc"
 QMC = "qmc"
 
 
+def check_mode(mode) -> None:
+    """Refuse a sampling mode other than :data:`QMC` and :data:`MC`."""
+    if mode not in (QMC, MC):
+        raise ValueError(f"mode must be {QMC} or {MC}, got {mode!r}")
+
+
 @dataclass(frozen=True)
 class SobolChunk:
     """Sobol points start .. start+count-1 in (0,1)^dimension, generated on demand.
@@ -261,8 +267,7 @@ class UniformSource:
     skip: int = 1
 
     def __post_init__(self):
-        if self.kind not in (MC, QMC):
-            raise ValueError(f"kind must be 'mc' or 'qmc', got {self.kind!r}")
+        check_mode(self.kind)
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         if self.kind == QMC and self.skip < 1:
@@ -403,19 +408,12 @@ def correlate_pair(z: np.ndarray, cov: Sequence[Sequence[float]]) -> np.ndarray:
 
     z has shape (..., 2); returns the same shape.  ``cov`` is taken as
     given, symmetric and positive semidefinite, as ``SchemeParams.covariance``
-    builds and checks it.  The degenerate case R11 = 0 maps the first
-    component to 0.
+    builds and checks it.
     """
     r11, r12 = float(cov[0][0]), float(cov[0][1])
     r22 = float(cov[1][1])
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
-    if r11 == 0.0:
-        if r12 != 0.0:
-            raise ValueError("R11 = 0 forces R12 = 0")
-        out[..., 0] = 0.0
-        out[..., 1] = math.sqrt(r22) * z[..., 1]
-        return out
     l11 = math.sqrt(r11)
     l21 = r12 / l11
     l22 = math.sqrt(max(r22 - l21 * l21, 0.0))

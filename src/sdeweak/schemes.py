@@ -30,6 +30,12 @@ NV = "nv"
 KINDS = (NN, EM, NV)
 
 
+def check_kind(kind) -> None:
+    """Refuse a scheme kind outside :data:`KINDS`."""
+    if kind not in KINDS:
+        raise ValueError(f"scheme must be one of {', '.join(KINDS)}, got {kind!r}")
+
+
 @dataclass(frozen=True)
 class SDEModel:
     """A Stratonovich SDE dX = sum_i V_i(X) o dB^i plus its Ito-form drift.
@@ -101,8 +107,7 @@ class SchemeStepPlan:
     integrator: IntegrationScheme | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        check_kind(self.kind)
         if self.partitions < 1:
             raise ValueError("partitions must be >= 1")
         if self.kind == NN and (self.params is None or self.integrator is None):

@@ -21,7 +21,6 @@ from sdeweak.heston_bench import (
     price_cell,
 )
 from sdeweak.moment_match import (
-    GaussianSpec,
     gaussian_moment,
     gaussian_moment_pairings,
     infeasibility_search,
@@ -67,11 +66,10 @@ def test_02_gaussian_moment_oracle():
               for j in range(M)] for i in range(M)]
         cov = tuple(tuple(sum(L[i][k] * L[j][k] for k in range(M)) for j in range(M))
                     for i in range(M))
-        spec = GaussianSpec(cov)
         powers = tuple(rng.randint(0, 4) for _ in range(M))
         if sum(powers) > 8:
             continue
-        assert gaussian_moment(spec, powers) == gaussian_moment_pairings(spec, powers)
+        assert gaussian_moment(cov, powers) == gaussian_moment_pairings(cov, powers)
         checked += 1
     elapsed = time.perf_counter() - t0
     report(2, "closed-form Gaussian moments equal pairing enumeration", True, elapsed,

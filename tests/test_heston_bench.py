@@ -382,7 +382,7 @@ class TestBenchmark:
         (("nn", 2, 0, "qmc"), "samples must be an integer >= 1, got 0"),
     ], ids=["unknown-scheme", "unknown-mode", "zero-samples"])
     def test_refused_cell_is_not_priced(self, args, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             price_cell(BenchConfig(workers=1), Cell(*args))
 
     @pytest.mark.parametrize("heston, reference, expected", [
@@ -409,14 +409,17 @@ class TestBenchmark:
         (dict(branch="middle"), "branch must be upper or lower, got 'middle'"),
         (dict(nn_tableau=[5]), r"nn_tableau must be a tableau name, got \[5\]"),
         (dict(nv_tableau="rk9"), r"nv_tableau: unknown tableau 'rk9'; builtins: .*"),
-        (dict(u=0.25), "u must be >= 1/2, got 0.25"),
+        # u is a Fraction or an int: a float, even one that holds a valid u, is refused
+        (dict(u=0.25), "u must be a rational number, got 0.25"),
+        (dict(u=0.75), "u must be a rational number, got 0.75"),
+        (dict(u=math.inf), "u must be a rational number, got inf"),
         (dict(u=Fraction(1, 4)), "u must be >= 1/2, got 1/4"),
-        (dict(u=Fraction(10**400)), f"u is too large for a float, got {10**400}"),
-        (dict(u=None), "u must be a number, got None"),
+        (dict(u=Fraction(10**400)), "u is too large for a float, got about 1e400"),
+        (dict(u=None), "u must be a rational number, got None"),
     ], ids=["fractional-seed", "negative-seed", "negative-workers", "fractional-workers",
             "many-workers", "fractional-sobol-skip", "nan-reference", "boolean-reference",
-            "unknown-branch", "non-string-tableau", "unknown-tableau", "low-u",
-            "low-fraction-u", "huge-u", "non-number-u"])
+            "unknown-branch", "non-string-tableau", "unknown-tableau", "low-u", "float-u",
+            "infinite-u", "low-fraction-u", "huge-u", "non-number-u"])
     def test_config_refuses_what_the_cli_refuses(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             BenchConfig(**kwargs)
@@ -445,7 +448,7 @@ class TestBenchmark:
 
     @pytest.mark.parametrize("kwargs, cell, message", [
         (dict(nv_tableau="rk9"), Cell("nv", 2, 1000, "qmc"), "nv_tableau: unknown tableau 'rk9'"),
-        (dict(u=None), Cell("nn", 2, 1000, "qmc"), "u must be a number, got None"),
+        (dict(u=None), Cell("nn", 2, 1000, "qmc"), "u must be a rational number, got None"),
     ], ids=["unknown-tableau", "non-number-u"])
     def test_check_cell_refuses_with_value_error(self, kwargs, cell, message):
         # neither a KeyError from the tableau lookup nor a TypeError from

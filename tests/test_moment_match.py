@@ -8,12 +8,11 @@ import pytest
 from sdeweak import moment_match
 from sdeweak.freealg import Word, words_up_to
 from sdeweak.moment_match import (
-    DEFAULT_PARAMS,
-    GaussianSpec,
     LOWER,
     UPPER,
     SchemeParams,
     _ResidualPolynomial,
+    check_family,
     gaussian_moment,
     gaussian_moment_pairings,
     infeasibility_search,
@@ -24,35 +23,35 @@ from sdeweak.moment_match import (
     target_coefficient,
 )
 
+DEFAULT_PARAMS = solution_params(Fraction(3, 4), LOWER)
 
-def random_psd(rng: random.Random, M: int) -> GaussianSpec:
+
+def random_psd(rng: random.Random, M: int) -> tuple:
     """Random rational covariance built as L L^T."""
     L = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if j <= i else Fraction(0)
           for j in range(M)] for i in range(M)]
     cov = tuple(
         tuple(sum(L[i][k] * L[j][k] for k in range(M)) for j in range(M)) for i in range(M)
     )
-    return GaussianSpec(cov)
+    return cov
 
 
 class TestGaussianMoment:
     def test_second_moment(self):
-        spec = GaussianSpec(((Fraction(9, 4),),))
-        assert gaussian_moment(spec, (2,)) == Fraction(9, 4)
+        assert gaussian_moment(((Fraction(9, 4),),), (2,)) == Fraction(9, 4)
 
     def test_fourth_moment_is_three(self):
-        spec = GaussianSpec(((Fraction(1),),))
-        assert gaussian_moment(spec, (4,)) == 3
-        assert gaussian_moment_pairings(spec, (4,)) == 3
+        cov = ((Fraction(1),),)
+        assert gaussian_moment(cov, (4,)) == 3
+        assert gaussian_moment_pairings(cov, (4,)) == 3
 
     def test_two_by_two(self):
         a, b, c = Fraction(2), Fraction(3), Fraction(1, 2)
-        spec = GaussianSpec(((a, c), (c, b)))
-        assert gaussian_moment(spec, (2, 2)) == a * b + 2 * c**2
+        assert gaussian_moment(((a, c), (c, b)), (2, 2)) == a * b + 2 * c**2
 
     def test_odd_total_degree_vanishes(self):
-        spec = GaussianSpec(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
-        assert gaussian_moment(spec, (2, 1)) == 0
+        cov = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        assert gaussian_moment(cov, (2, 1)) == 0
 
     def test_matches_pairing_oracle(self):
         # closed form vs brute-force Isserlis enumeration, exact rationals
@@ -60,17 +59,16 @@ class TestGaussianMoment:
         cases = 0
         while cases < 20:
             M = rng.randint(1, 3)
-            spec = random_psd(rng, M)
+            cov = random_psd(rng, M)
             powers = tuple(rng.randint(0, 4) for _ in range(M))
             if sum(powers) > 8:
                 continue
-            assert gaussian_moment(spec, powers) == gaussian_moment_pairings(spec, powers)
+            assert gaussian_moment(cov, powers) == gaussian_moment_pairings(cov, powers)
             cases += 1
 
     def test_rejects_mismatched_sizes(self):
-        spec = GaussianSpec(((Fraction(1),),))
-        with pytest.raises(ValueError):
-            gaussian_moment(spec, (2, 2))
+        with pytest.raises(ValueError, match="^powers length 2 does not match covariance size 1$"):
+            gaussian_moment(((Fraction(1),),), (2, 2))
 
 
 class TestSolutionParams:
@@ -101,18 +99,29 @@ class TestSolutionParams:
             solution_params(Fraction(2, 5), LOWER)
 
     @pytest.mark.parametrize("u, message", [
-        (float("nan"), "u must be >= 1/2, got nan"),
-        (float("inf"), "u is too large for the closed form in floats, got inf"),
-        (Fraction(10**400), "u is too large for a float, got 1000"),
-        (10**400, "u is too large for a float, got 1000"),
+        (float("nan"), "u must be a rational number, got nan"),
+        (float("inf"), "u must be a rational number, got inf"),
+        (0.75, "u must be a rational number, got 0.75"),
+        # a huge u is named by its power of ten: str refuses ints past 4300 digits
+        (Fraction(10**400), "u is too large for a float, got about 1e400"),
+        (10**400, "u is too large for a float, got about 1e400"),
+        (Fraction(10**5000), "u is too large for a float, got about 1e5000"),
+        (-Fraction(10**5000), "u must be >= 1/2, got about -1e5000"),
+        (Fraction(1, 10**5000), "u must be >= 1/2, got about 1e-5000"),
         # u fits a float, but 2(2u - 1) does not
         (Fraction(10**308), r"u is too large for the closed form in floats, got 1e\+308"),
-        (None, "u must be a number, got None"),
-        (True, "u must be a number, got True"),
-    ], ids=["nan", "inf", "huge-fraction", "huge-int", "huge-radicand", "none", "boolean"])
+        (None, "u must be a rational number, got None"),
+        (True, "u must be a rational number, got True"),
+    ], ids=["nan", "inf", "float", "huge-fraction", "huge-int", "past-str-limit",
+            "negative-past-str-limit", "tiny-past-str-limit", "huge-radicand", "none", "boolean"])
     def test_non_finite_u_rejected(self, u, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             solution_params(u)
+
+    def test_check_family_returns_a_fraction(self):
+        for u in (1, Fraction(3, 4), 10**300):
+            assert type(check_family(u, LOWER)) is Fraction
+            assert check_family(u, LOWER) == u
 
     def test_unknown_branch_rejected(self):
         with pytest.raises(ValueError, match="^branch must be upper or lower, got 'middle'$"):
@@ -199,8 +208,7 @@ class TestSymbolicExpectation:
         rng = random.Random(13)
         for _ in range(10):
             c1 = Fraction(rng.randint(-2, 3), rng.randint(1, 3))
-            spec = random_psd(rng, 2)
-            (r11, r12), (_, r22) = spec.covariance
+            (r11, r12), (_, r22) = random_psd(rng, 2)
             params = SchemeParams(c1, 1 - c1, r11, r12, r22)
             s = symbolic_expectation(params, 5, 2)
             for w in words_up_to(5, 2):
@@ -213,8 +221,7 @@ class TestSymbolicExpectation:
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle reached the closed form")
 
-        for name in ("product_coefficient", "scheme_coefficient", "gaussian_moment",
-                     "_pairing_counts"):
+        for name in ("scheme_coefficient", "gaussian_moment", "_pairing_counts"):
             monkeypatch.setattr(moment_match, name, forbidden)
         s = symbolic_expectation(DEFAULT_PARAMS, 4, 2)
         assert s.coefficient(Word((1, 1))) == Fraction(1, 2)

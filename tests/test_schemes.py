@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sdeweak import sampling
-from sdeweak.moment_match import DEFAULT_PARAMS
+from sdeweak.moment_match import solution_params
 from sdeweak.rk_integrator import IntegrationFailure, VectorField, integrate, scheme
 from sdeweak.heston_bench import BenchConfig, Cell, HestonParams, heston_model, price_cell
 from sdeweak.sampling import CHUNK, FLOAT_GROUP, MC, QMC, SobolChunk, UniformSource
@@ -23,6 +23,8 @@ from sdeweak.schemes import (
     romberg,
     run_paths,
 )
+
+DEFAULT_PARAMS = solution_params(Fraction(3, 4))
 
 RK5 = scheme("rk5-butcher")
 
@@ -332,7 +334,7 @@ class TestRunPaths:
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             SchemeStepPlan(NN, 2)  # missing params/integrator
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^scheme must be one of nn, em, nv, got 'heun'$"):
             SchemeStepPlan("heun", 2)
         with pytest.raises(ValueError):
             SchemeStepPlan(EM, 0)

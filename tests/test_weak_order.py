@@ -26,18 +26,20 @@ read its uniforms in windows, where they read 3.87 (nn/RK5), 3.97 (nv/RK5),
 """
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.linalg import expm
 
-from sdeweak.moment_match import DEFAULT_PARAMS
+from sdeweak.moment_match import solution_params
 from sdeweak.rk_integrator import IntegrationScheme, VectorField, scheme
 from sdeweak.rk_trees import ButcherTableau
 from sdeweak.sampling import correlate_pair
 from sdeweak.schemes import SDEModel, em_step, nn_step, nv_step, romberg
 
+DEFAULT_PARAMS = solution_params(Fraction(3, 4))
 RK5 = scheme("rk5-butcher")
 # Kutta's third-order method: an ODE order too low for weak order 2
 RK3 = IntegrationScheme(ButcherTableau(a=((0, 0, 0), ("1/2", 0, 0), (-1, 2, 0)),
