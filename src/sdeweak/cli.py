@@ -45,21 +45,31 @@ from .schemes import KINDS
 FLOAT_TOL = 1e-12
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+#: a refused value is shown in full up to this many characters, else by its head
+_SHOWN = 40
 
 
-def _u_fraction(value) -> Fraction:
-    """The family parameter as a Fraction, from a flag or a config; check_family checks it."""
+def _rational(value, what: str) -> Fraction:
+    """A rational number from typed text or a JSON number: ``--u``, a config's
+    ``u`` and a ``--perturb`` shift; check_family checks a u.
+
+    A refusal names a long value by its first characters and its length, so a
+    text past Python's 4300-digit integer limit is refused in one short line.
+    """
     try:
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise ValueError
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"u must be a rational number, got {value!r}") from None
+        text = str(value)
+        shown = (repr(value) if len(text) <= _SHOWN
+                 else f"{text[:_SHOWN]!r}... ({len(text)} characters)")
+        raise argparse.ArgumentTypeError(
+            f"{what} must be a rational number, got {shown}") from None
+
+
+def _u_fraction(value) -> Fraction:
+    return _rational(value, "u")
 
 
 def _count_text(text: str) -> int | float:
@@ -87,7 +97,7 @@ def _perturbation(text: str) -> tuple[str, Fraction]:
     if "=" not in text:
         raise argparse.ArgumentTypeError("perturbation must look like R12=+0.1")
     key, _, val = text.partition("=")
-    return key.strip().lower(), _fraction(val.strip())
+    return key.strip().lower(), _rational(val.strip(), "perturbation")
 
 
 def _emit(lines, path: str | None) -> None:

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,16 +30,6 @@ Matrix = tuple[tuple, ...]
 # ---------------------------------------------------------------------------
 
 
-def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _pairs(M: int) -> list[tuple[int, int]]:
     """The index pairs i <= j of an M x M symmetric matrix, in row order."""
     return [(i, j) for i in range(M) for j in range(i, M)]
@@ -50,34 +40,25 @@ def _pairing_counts(powers: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], Fra
     """Every pairing-count matrix for ``powers``, as (d, its coefficient).
 
     d lists the symmetric nonnegative integer matrix (d_ij) over
-    :func:`_pairs` and satisfies the row condition
+    :func:`_pairs` and solves the row condition
     sum_{j<i} d_ji + 2 d_ii + sum_{j>i} d_ij = m_i.  Its coefficient is
-    prod(m_i!) / (prod d_ij! * 2^(sum d_ii)).  Matrices come depth first,
-    each d_ij ascending; odd total degree admits none.
+    prod(m_i!) / (prod d_ij! * 2^(sum d_ii)).  The matrices come in
+    lexicographic order of d; odd total degree admits none.
     """
     pairs = _pairs(len(powers))
     numer = math.prod(math.factorial(p) for p in powers)
+    bounds = [range(powers[i] // 2 + 1 if i == j else min(powers[i], powers[j]) + 1)
+              for i, j in pairs]
     out = []
-
-    def assign(k: int, remaining: list[int], dvec: list[int]) -> None:
-        if k == len(pairs):
-            if not any(remaining):
-                diag = sum(dv for (i, j), dv in zip(pairs, dvec) if i == j)
-                dfact = math.prod(math.factorial(dv) for dv in dvec)
-                out.append((tuple(dvec), Fraction(numer, dfact * 2**diag)))
-            return
-        i, j = pairs[k]
-        top = remaining[i] // 2 if i == j else min(remaining[i], remaining[j])
-        for dval in range(top + 1):
-            remaining[i] -= 2 * dval if i == j else dval
-            if i != j:
-                remaining[j] -= dval
-            assign(k + 1, remaining, dvec + [dval])
-            remaining[i] += 2 * dval if i == j else dval
-            if i != j:
-                remaining[j] += dval
-
-    assign(0, list(powers), [])
+    for dvec in itertools.product(*bounds):
+        rows = [0] * len(powers)
+        for (i, j), dv in zip(pairs, dvec):
+            rows[i] += dv
+            rows[j] += dv
+        if rows == list(powers):
+            diag = sum(dv for (i, j), dv in zip(pairs, dvec) if i == j)
+            dfact = math.prod(math.factorial(dv) for dv in dvec)
+            out.append((dvec, Fraction(numer, dfact * 2**diag)))
     return tuple(out)
 
 
@@ -275,19 +256,17 @@ def _odd_brownian(letters: tuple[int, ...]) -> bool:
 
 
 def _splits(letters: tuple[int, ...], M: int):
-    """Every split of a word into M consecutive segments k_1 + ... + k_M = |w|.
+    """Every split of a word into M consecutive segments, one per choice of
+    M - 1 ascending cut points (repeats make empty segments).
 
-    Yields (prod k_j!, the v0 count per segment, and for each Brownian letter
-    in ascending order its count per segment).
+    Yields (prod k_j! over the segment lengths k_j, the v0 count per segment,
+    and for each Brownian letter in ascending order its count per segment).
     """
     brownian = sorted(set(letters) - {0})
-    for k in _compositions(len(letters), M):
-        segments = []
-        pos = 0
-        for kj in k:
-            segments.append(letters[pos:pos + kj])
-            pos += kj
-        yield (math.prod(math.factorial(kj) for kj in k),
+    for cuts in itertools.combinations_with_replacement(range(len(letters) + 1), M - 1):
+        bounds = (0, *cuts, len(letters))
+        segments = [letters[a:b] for a, b in itertools.pairwise(bounds)]
+        yield (math.prod(math.factorial(len(seg)) for seg in segments),
                tuple(seg.count(0) for seg in segments),
                [tuple(seg.count(p) for seg in segments) for p in brownian])
 

@@ -9,7 +9,6 @@ of order 5 (6 stages) and order 7 (9 stages) are built in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -56,22 +55,18 @@ class VectorField:
         return self.func(y)
 
 
-def _f(x: str) -> Fraction:
-    return Fraction(x)
-
-
 _RK5_BUTCHER = ButcherTableau(
     name="rk5-butcher",
     declared_order=5,
     a=(
         (0, 0, 0, 0, 0, 0),
-        (_f("2/5"), 0, 0, 0, 0, 0),
-        (_f("11/64"), _f("5/64"), 0, 0, 0, 0),
-        (0, 0, _f("1/2"), 0, 0, 0),
-        (_f("3/64"), _f("-15/64"), _f("3/8"), _f("9/16"), 0, 0),
-        (0, _f("5/7"), _f("6/7"), _f("-12/7"), _f("8/7"), 0),
+        ("2/5", 0, 0, 0, 0, 0),
+        ("11/64", "5/64", 0, 0, 0, 0),
+        (0, 0, "1/2", 0, 0, 0),
+        ("3/64", "-15/64", "3/8", "9/16", 0, 0),
+        (0, "5/7", "6/7", "-12/7", "8/7", 0),
     ),
-    b=(_f("7/90"), 0, _f("32/90"), _f("12/90"), _f("32/90"), _f("7/90")),
+    b=("7/90", 0, "32/90", "12/90", "32/90", "7/90"),
 )
 
 _RK7_BUTCHER = ButcherTableau(
@@ -79,20 +74,20 @@ _RK7_BUTCHER = ButcherTableau(
     declared_order=7,
     a=(
         (0, 0, 0, 0, 0, 0, 0, 0, 0),
-        (_f("1/6"), 0, 0, 0, 0, 0, 0, 0, 0),
-        (0, _f("1/3"), 0, 0, 0, 0, 0, 0, 0),
-        (_f("1/8"), 0, _f("3/8"), 0, 0, 0, 0, 0, 0),
-        (_f("148/1331"), 0, _f("150/1331"), _f("-56/1331"), 0, 0, 0, 0, 0),
-        (_f("-404/243"), 0, _f("-170/27"), _f("4024/1701"), _f("10648/1701"), 0, 0, 0, 0),
-        (_f("2466/2401"), 0, _f("1242/343"), _f("-19176/16807"), _f("-51909/16807"),
-         _f("1053/2401"), 0, 0, 0),
-        (_f("5/154"), 0, 0, _f("96/539"), _f("-1815/20384"), _f("-405/2464"),
-         _f("49/1144"), 0, 0),
-        (_f("-113/32"), 0, _f("-195/22"), _f("32/7"), _f("29403/3584"), _f("-729/512"),
-         _f("1029/1408"), _f("21/16"), 0),
+        ("1/6", 0, 0, 0, 0, 0, 0, 0, 0),
+        (0, "1/3", 0, 0, 0, 0, 0, 0, 0),
+        ("1/8", 0, "3/8", 0, 0, 0, 0, 0, 0),
+        ("148/1331", 0, "150/1331", "-56/1331", 0, 0, 0, 0, 0),
+        ("-404/243", 0, "-170/27", "4024/1701", "10648/1701", 0, 0, 0, 0),
+        ("2466/2401", 0, "1242/343", "-19176/16807", "-51909/16807",
+         "1053/2401", 0, 0, 0),
+        ("5/154", 0, 0, "96/539", "-1815/20384", "-405/2464",
+         "49/1144", 0, 0),
+        ("-113/32", 0, "-195/22", "32/7", "29403/3584", "-729/512",
+         "1029/1408", "21/16", 0),
     ),
-    b=(0, 0, 0, _f("32/105"), _f("1771561/6289920"), _f("243/2560"), _f("16807/74880"),
-       _f("77/1440"), _f("11/270")),
+    b=(0, 0, 0, "32/105", "1771561/6289920", "243/2560", "16807/74880",
+       "77/1440", "11/270"),
 )
 
 _BUILTINS = {t.name: t for t in (_RK5_BUTCHER, _RK7_BUTCHER)}

@@ -1,14 +1,16 @@
 """Rooted-tree combinatorics and exact Runge-Kutta order conditions.
 
 Non-labelled rooted trees are kept in a canonical form (children sorted under
-a total order), so structural equality is tree isomorphism.  The labelling
-count alpha, the symmetry factor sigma, and the stage derivative weights
-zeta_i are combined into the classical order conditions, checked in exact
-rational arithmetic so that certification is an equality test.
+a total order), so structural equality is tree isomorphism.  The symmetry
+factor sigma, the density gamma and the stage derivative weights zeta_i are
+combined into the classical order conditions 1/(sigma gamma) = Phi/sigma,
+checked in exact rational arithmetic so that certification is an equality
+test.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -73,8 +75,8 @@ def trees_of_order(m: int) -> tuple[Tree, ...]:
             extend(budget - c.order, i, chosen)
             chosen.pop()
 
-    extend(m - 1, 0, [])
-    return tuple(sorted(set(found), key=lambda t: t._key))
+    extend(m - 1, 0, [])  # non-decreasing pool indices: each child multiset once
+    return tuple(sorted(found, key=lambda t: t._key))
 
 
 def trees_up_to(max_order: int) -> list[Tree]:
@@ -88,14 +90,9 @@ def trees_up_to(max_order: int) -> list[Tree]:
 def sigma(t: Tree) -> int:
     """Symmetry factor: product over distinct children of m! sigma(child)^m."""
     out = 1
-    i = 0
-    kids = t.children
-    while i < len(kids):
-        j = i
-        while j < len(kids) and kids[j] == kids[i]:
-            j += 1
-        out *= math.factorial(j - i) * sigma(kids[i]) ** (j - i)
-        i = j
+    for child, run in itertools.groupby(t.children):  # equal children are adjacent
+        m = len(list(run))
+        out *= math.factorial(m) * sigma(child) ** m
     return out
 
 
@@ -103,13 +100,6 @@ def sigma(t: Tree) -> int:
 def _density(t: Tree) -> int:
     """Product of subtree sizes (the tree density gamma)."""
     return t.order * math.prod(_density(c) for c in t.children)
-
-
-def alpha(t: Tree) -> int:
-    """Number of monotone labellings of t: r! / (sigma * gamma)."""
-    num, den = math.factorial(t.order), sigma(t) * _density(t)
-    assert num % den == 0, t
-    return num // den
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +174,7 @@ def elementary_weight(t: Tree, tableau: ButcherTableau) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class OrderCondition:
-    """One order condition alpha(t)/r(t)! = (sum_i b_i prod_k zeta_i(t_k)) / sigma(t)."""
+    """One order condition 1/(sigma(t) gamma(t)) = (sum_i b_i prod_k zeta_i(t_k)) / sigma(t)."""
 
     tree: Tree
     lhs: Fraction
@@ -206,7 +196,7 @@ def check_order(tableau: ButcherTableau, m: int) -> list[OrderCondition]:
         child_weights = [elementary_weight(c, tableau) for c in t.children]
         reports.append(OrderCondition(
             tree=t,
-            lhs=Fraction(alpha(t), math.factorial(t.order)),
+            lhs=Fraction(1, sigma(t) * _density(t)),
             rhs=_stage_sum(tableau.b, child_weights) / sigma(t),
         ))
     return reports

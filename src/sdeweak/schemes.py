@@ -130,6 +130,11 @@ class SchemeStepPlan:
 # ---------------------------------------------------------------------------
 
 
+def _flow(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, coeffs: Sequence) -> np.ndarray:
+    """The time-1 flow of sum_k coeffs[k] V_k from x: one step of rk."""
+    return integrate(rk, lambda y: model.combination(y, coeffs), x, read_dim=model.read_dim)
+
+
 def nn_step(model: SDEModel, params: SchemeParams, rk: IntegrationScheme, x: np.ndarray,
             s: float, gaussians: np.ndarray) -> np.ndarray:
     """One splitting step: the flow of W_2 applied first, then the flow of W_1.
@@ -147,8 +152,7 @@ def nn_step(model: SDEModel, params: SchemeParams, rk: IntegrationScheme, x: np.
     for j in (1, 0):  # Z_2's flow first, then Z_1's
         coeffs = [s * c[j]] + [root_s * gaussians[..., i, j]
                                for i in range(model.brownian_dim)]
-        w = lambda y, coeffs=coeffs: model.combination(y, coeffs)
-        x = integrate(rk, w, x, read_dim=model.read_dim)
+        x = _flow(model, rk, x, coeffs)
     return x
 
 
@@ -183,12 +187,8 @@ def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
     root_s = np.sqrt(s)
     d = model.brownian_dim
 
-    def flow(y, coeffs):
-        return integrate(rk, lambda z: model.combination(z, coeffs), y,
-                         read_dim=model.read_dim)
-
     drift_half = [0.5 * s] + [0.0] * d
-    x = flow(x, drift_half)
+    x = _flow(model, rk, x, drift_half)
     # flow position p runs V_p on ascending paths and V_{d+1-p} on descending
     # ones, as one flow over all paths: each path's other coefficient is +0.0,
     # which the combination treats like the scalar 0.0 of a flow of its own
@@ -201,8 +201,8 @@ def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
         else:
             coeffs[p] = np.where(asc, root_s * etas[..., p - 1], 0.0)
             coeffs[q] = np.where(~asc, root_s * etas[..., q - 1], 0.0)
-        x = flow(x, coeffs)
-    return flow(x, drift_half)
+        x = _flow(model, rk, x, coeffs)
+    return _flow(model, rk, x, drift_half)
 
 
 # ---------------------------------------------------------------------------

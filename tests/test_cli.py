@@ -817,6 +817,38 @@ _OUT_ARGV = {
 }
 
 
+#: a rational just above 1 whose digits pass Python's 4300-digit integer limit
+LONG_RATIONAL = "1." + "0" * 5000 + "1"
+LONG_SHOWN = f"got '1.{'0' * 38}'... (5003 characters)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-moments", "--u", LONG_RATIONAL], "verify-moments: error: argument --u: u"),
+    (["verify-moments", "--perturb", "R12=" + LONG_RATIONAL],
+     "verify-moments: error: argument --perturb: perturbation"),
+    (["converge", "--config"], "converge: error: u"),
+], ids=["flag", "perturb", "config"])
+def test_long_rational_text_is_refused_in_one_short_line(capsys, monkeypatch, tmp_path,
+                                                         argv, message):
+    # the refusal names the text by its head and its length, not in full
+    if argv[-1] == "--config":
+        config = tmp_path / "u.json"
+        config.write_text(json.dumps({"u": LONG_RATIONAL, "cells": [
+            {"scheme": "nn", "n": 2, "samples": 1000}]}))
+        argv = [*argv, str(config)]
+    _refuse_pricing(monkeypatch)
+    monkeypatch.setattr(cli, "residual_table", _no_work)
+    try:  # a flag's refusal leaves through argparse
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines() == [
+        f"sdeweak {message} must be a rational number, {LONG_SHOWN}"]
+    assert len(captured.err.encode()) < 200
+
+
 @pytest.mark.parametrize("target, reason", [
     ("missing/row.csv", "[Errno 2] No such file or directory"),
     (".", "[Errno 21] Is a directory")], ids=["missing-directory", "directory"])

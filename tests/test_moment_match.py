@@ -70,6 +70,22 @@ class TestGaussianMoment:
         with pytest.raises(ValueError, match="^powers length 2 does not match covariance size 1$"):
             gaussian_moment(((Fraction(1),),), (2, 2))
 
+    def test_pairing_counts_two_by_two(self):
+        # E[Y1^2 Y2^2] = 2 R12^2 + R11 R22: d over (R11, R12, R22), in lexicographic order
+        assert moment_match._pairing_counts((2, 2)) == (((0, 2, 0), 2), ((1, 0, 1), 1))
+
+
+def test_splits_into_three_segments():
+    # the word v0 v1 cut at 0 <= c1 <= c2 <= 2: (prod k_j!, v0 counts, v1 counts)
+    assert list(moment_match._splits((0, 1), 3)) == [
+        (2, (0, 0, 1), [(0, 0, 1)]),
+        (1, (0, 1, 0), [(0, 0, 1)]),
+        (2, (0, 1, 0), [(0, 1, 0)]),
+        (1, (1, 0, 0), [(0, 0, 1)]),
+        (1, (1, 0, 0), [(0, 1, 0)]),
+        (2, (1, 0, 0), [(1, 0, 0)]),
+    ]
+
 
 class TestSolutionParams:
     def test_u_half_branches_coincide(self):

@@ -8,7 +8,7 @@ from sdeweak.rk_trees import (
     TAU,
     ButcherTableau,
     Tree,
-    alpha,
+    _density,
     check_order,
     elementary_weight,
     has_order,
@@ -23,7 +23,8 @@ def labelled_trees(n: int):
     """Every monotone labelled rooted tree on vertices 1..n, as a canonical Tree.
 
     Vertex k's parent is any vertex with a smaller label, so there are (n-1)!
-    of them; this is the brute-force oracle for alpha.
+    of them; this is the brute-force oracle for alpha(t) = r!/(sigma gamma),
+    the number of monotone labellings of t.
     """
     def build(parents):
         kids = {v: [] for v in range(1, n + 1)}
@@ -73,16 +74,22 @@ class TestEnumeration:
             assert shapes == set(trees_of_order(m))
 
 
+def condition_lhs(t: Tree) -> Fraction:
+    """The left side 1/(sigma gamma) that check_order reports for t."""
+    report = check_order(builtin_tableau("rk5-butcher"), t.order)
+    return next(c.lhs for c in report if c.tree == t)
+
+
 class TestAlphaSigma:
-    def test_alpha_single_vertex(self):
-        assert alpha(TAU) == 1
+    def test_lhs_single_vertex(self):
+        assert condition_lhs(TAU) == 1
 
-    def test_alpha_cherry_with_leaf(self):
-        assert alpha(Tree([TAU, Tree([TAU])])) == 3
+    def test_lhs_cherry_with_leaf(self):
+        assert condition_lhs(Tree([TAU, Tree([TAU])])) == Fraction(1, 8)
 
-    def test_alpha_chain_is_one(self):
+    def test_lhs_four_chain(self):
         chain = Tree([Tree([Tree([TAU])])])
-        assert alpha(chain) == 1
+        assert condition_lhs(chain) == Fraction(1, 24)
 
     def test_sigma_values(self):
         assert sigma(TAU) == 1
@@ -93,11 +100,13 @@ class TestAlphaSigma:
         for m in range(1, 7):
             counts = Counter(labelled_trees(m))
             for t in trees_of_order(m):
-                assert alpha(t) == counts[t], str(t)
+                assert math.factorial(m) == counts[t] * sigma(t) * _density(t), str(t)
 
     def test_alpha_sums_to_monotone_tree_count(self):
         for m in range(1, 7):
-            assert sum(alpha(t) for t in trees_of_order(m)) == math.factorial(m - 1)
+            total = sum(Fraction(math.factorial(m), sigma(t) * _density(t))
+                        for t in trees_of_order(m))
+            assert total == math.factorial(m - 1)
 
 
 class TestElementaryWeight:
