@@ -37,16 +37,13 @@ from .heston_bench import (
     result_rows,
 )
 from .moment_match import UPPER, LOWER, residual_table, solution_params
+from .refusal import shown
 from .rk_trees import ButcherTableau, check_order
 from .rk_integrator import IntegrationFailure, builtin_tableau
 from .sampling import MC, QMC
 from .schemes import KINDS
 
 FLOAT_TOL = 1e-12
-
-
-#: a refused value is shown in full up to this many characters, else by its head
-_SHOWN = 40
 
 
 def _rational(value, what: str) -> Fraction:
@@ -61,11 +58,8 @@ def _rational(value, what: str) -> Fraction:
             raise ValueError
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError):
-        text = str(value)
-        shown = (repr(value) if len(text) <= _SHOWN
-                 else f"{text[:_SHOWN]!r}... ({len(text)} characters)")
         raise argparse.ArgumentTypeError(
-            f"{what} must be a rational number, got {shown}") from None
+            f"{what} must be a rational number, got {shown(value)}") from None
 
 
 def _u_fraction(value) -> Fraction:
@@ -155,7 +149,11 @@ def cmd_verify_moments(args) -> int:
 
 
 def _load_tableau(spec: str) -> ButcherTableau:
-    if Path(spec).suffix == ".json" or Path(spec).exists():
+    try:
+        is_file = Path(spec).suffix == ".json" or Path(spec).exists()
+    except OSError:  # a name too long for the file system names no file
+        is_file = False
+    if is_file:
         try:
             return ButcherTableau.from_json_file(spec)
         except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
@@ -324,6 +322,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def _check_value(self, action, value):
+        # argparse's own check, with a long refused value named by its head
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, f"invalid choice: {shown(value)} (choose from {choices})")
 
 
 def build_parser() -> argparse.ArgumentParser:

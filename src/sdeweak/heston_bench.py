@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .moment_match import LOWER, check_family, solution_params
+from .refusal import shown
 from .rk_integrator import IntegrationFailure, VectorField, builtin_tableau, scheme
 from .sampling import QMC, UniformSource, check_mode, estimate
 from .schemes import EM, NN, NV, SDEModel, SchemeStepPlan, check_kind, romberg, run_paths
@@ -151,6 +152,22 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
         out[..., 2] = y[..., 0]
         return out
 
+    def variances(y2):
+        """(min, max) of y2 as floats when every variance is positive and
+        finite (no 0.0, -0.0, negative, NaN or inf), else None."""
+        if y2.size:
+            lo = float(y2.min())
+            if lo > 0.0:
+                hi = float(y2.max())
+                if hi < math.inf:
+                    return lo, hi
+        return None
+
+    def drift_factors_finite(y2: float) -> bool:
+        # V0's two factors at one variance, in the kernel's operation order;
+        # each falls as y2 grows, so a range is finite if its ends are
+        return math.isfinite(al * (th - y2) - be2_4) and math.isfinite(mu - y2 * 0.5 - rb4)
+
     def fused(y, coeffs):
         # a V0 + b1 V1 + b2 V2 with the variance sqrt shared.  The columns
         # are accumulated in place, with the output columns and q as the
@@ -164,17 +181,34 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
         y2 = y[..., 1]
         out = np.empty_like(y)
         o0, o1, o2 = out[..., 0], out[..., 1], out[..., 2]
-        if _positive_zero(b1) and _positive_zero(b2) and y2.size and \
-                0.0 < y2.min() and y2.max() < math.inf:
-            # a drift flow (N-V's half drifts) skips vol.  Every variance is
-            # positive and finite, so q is too and b1 q = +0.0.  b2 orth =
-            # +0.0 (orth >= 0), so b1 rho beta + b2 orth = +0.0 whatever the
-            # sign of rho, and its product with q is +0.0.  So both diffusion
-            # terms are +0.0 (added on the left in out1; addition commutes).
+        if _positive_zero(b1) and _positive_zero(b2) and variances(y2):
+            # a drift flow of N-V skips vol.  Every variance is positive and
+            # finite, so q is too and b1 q = +0.0.  b2 orth = +0.0 (orth >=
+            # 0), so b1 rho beta + b2 orth = +0.0 whatever the sign of rho,
+            # and its product with q is +0.0.  So both diffusion terms are
+            # +0.0 (added on the left in out1; addition commutes).
             # Adding +0.0 changes nothing but a -0.0, which it turns into
             # +0.0, so it is kept.  vol would count no clamp.
             guard.record(0, y2.size)
             diffusion0 = diffusion1 = 0.0
+        elif _positive_zero(a) and (span := variances(y2)) and \
+                all(map(drift_factors_finite, span)):
+            # a Gaussian flow of N-V skips the drift passes.  V0's factors are
+            # finite, so both drift terms are +0.0 or -0.0, and adding one
+            # changes at most the sign of a zero sum: the values are the
+            # general kernel's up to that sign, and a field value of +0.0 or
+            # -0.0 changes no nonzero state coordinate.  vol would take the
+            # root once and count no clamp.
+            guard.record(0, y2.size)
+            q = np.sqrt(y2)
+            np.multiply(b1, rb, out=o1)
+            np.multiply(b2, orth, out=o2)
+            o1 += o2
+            o1 *= q
+            np.multiply(b1, q, out=o0)
+            o0 *= y1
+            np.multiply(y1, a, out=o2)
+            return out
         else:
             q = vol(y2)
             np.multiply(b1, rb, out=o1)
@@ -290,7 +324,7 @@ class BenchConfig:
         for key in ("nn_tableau", "nv_tableau"):
             name = getattr(self, key)
             if not isinstance(name, str):
-                raise ValueError(f"{key} must be a tableau name, got {name!r}")
+                raise ValueError(f"{key} must be a tableau name, got {shown(name)}")
             try:
                 builtin_tableau(name)
             except KeyError as exc:

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .freealg import TruncatedSeries, Word, exp, words_up_to
+from .refusal import shown
 
 Matrix = tuple[tuple, ...]
 
@@ -174,7 +175,7 @@ class SchemeParams:
         fields = {"r11": self.r11, "r12": self.r12, "r22": self.r22}
         for key, delta in deltas.items():
             if key not in fields:
-                raise ValueError(f"only r11, r12, r22 can be perturbed, got {key!r}")
+                raise ValueError(f"only r11, r12, r22 can be perturbed, got {shown(key)}")
             if not self.is_exact:
                 try:
                     delta = float(delta)
@@ -197,7 +198,7 @@ def check_family(u, branch: str) -> Fraction:
     """u checked as a rational number (an int or a Fraction) >= 1/2 that a float
     holds, and branch as upper or lower; returns u as a Fraction."""
     if isinstance(u, bool) or not isinstance(u, (int, Fraction)):
-        raise ValueError(f"u must be a rational number, got {u!r}")
+        raise ValueError(f"u must be a rational number, got {shown(u)}")
     u = Fraction(u)
     if u < Fraction(1, 2):
         raise ValueError(f"u must be >= 1/2, got {_short(u)}")
@@ -206,7 +207,7 @@ def check_family(u, branch: str) -> Fraction:
     except OverflowError:
         raise ValueError(f"u is too large for a float, got {_short(u)}") from None
     if branch not in (UPPER, LOWER):
-        raise ValueError(f"branch must be upper or lower, got {branch!r}")
+        raise ValueError(f"branch must be upper or lower, got {shown(branch)}")
     return u
 
 

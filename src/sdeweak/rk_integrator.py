@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .refusal import shown
 from .rk_trees import ButcherTableau, has_order
 
 
@@ -98,7 +99,7 @@ def builtin_tableau(name: str) -> ButcherTableau:
     try:
         return _BUILTINS[name]
     except KeyError:
-        raise KeyError(f"unknown tableau {name!r}; builtins: {sorted(_BUILTINS)}") from None
+        raise KeyError(f"unknown tableau {shown(name)}; builtins: {sorted(_BUILTINS)}") from None
 
 
 @lru_cache(maxsize=None)

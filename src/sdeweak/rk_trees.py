@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -109,12 +109,17 @@ def _density(t: Tree) -> int:
 
 @dataclass(frozen=True)
 class ButcherTableau:
-    """An explicit Runge-Kutta coefficient pair (A, b) with exact rational entries."""
+    """An explicit Runge-Kutta coefficient pair (A, b) with exact rational entries.
+
+    The hash is computed once: the order checks' caches look a tableau up
+    for every tree, and hashing its Fractions anew each time would dominate.
+    """
 
     a: tuple[tuple[Fraction, ...], ...]
     b: tuple[Fraction, ...]
     declared_order: int
     name: str = ""
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = tuple(tuple(Fraction(x) for x in row) for row in self.a)
@@ -128,6 +133,10 @@ class ButcherTableau:
             for j in range(i, k):
                 if a[i][j] != 0:
                     raise ValueError(f"not explicit: a[{i + 1}][{j + 1}] != 0")
+        object.__setattr__(self, "_hash", hash((a, b, self.declared_order, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def stages(self) -> int:

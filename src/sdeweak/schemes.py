@@ -50,10 +50,13 @@ class SDEModel:
     on that path's state and coefficients, give a scalar coefficient the same
     result as that value broadcast over the paths (the N-V step selects an
     ordering per path by +0.0 entries in place of scalar zeros), and accept
-    any memory layout of y.  ``fused_euler``, when given, is the whole
-    Euler-Maruyama step x + s drift(x) + sum_i dB^i V_i(x) in one call; it
-    must give the per-field :func:`em_step` bits, for per-path (P, d) and
-    scalar (d,) increments and any layout of x.
+    any memory layout of y.  It may leave out the terms of scalar +0.0
+    coefficients (an N-V drift flow's diffusion coefficients, a Gaussian
+    flow's drift coefficient), which can change the sign of a zero and
+    nothing else.  ``fused_euler``, when given, is the whole Euler-Maruyama
+    step x + s drift(x) + sum_i dB^i V_i(x) in one call; it must give the
+    per-field :func:`em_step` bits, for per-path (P, d) and scalar (d,)
+    increments and any layout of x.
 
     ``read_dim``, when given, declares that the Stratonovich fields and
     ``fused_combination`` read only the first ``read_dim`` coordinates of
@@ -172,9 +175,15 @@ def em_step(model: SDEModel, x: np.ndarray, s: float, increments: np.ndarray) ->
 
 
 def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
-            bernoulli: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """One N-V step: half drift, the d Gaussian flows, half drift.
+            bernoulli: np.ndarray, etas: np.ndarray, before: float = 0.5,
+            after: float = 0.5) -> np.ndarray:
+    """One N-V step: a drift flow, the d Gaussian flows, a drift flow.
 
+    The drift flows are the time-1 flows of ``before`` s V0 and ``after`` s V0;
+    a fraction of 0 skips that flow.  The defaults give the one-step map, half
+    drift on each side.  :func:`run_paths` runs the half drift that ends one
+    step and the half drift that starts the next as one flow of s V0, which
+    the exact flows compose to, so a path of n steps makes (d + 1) n + 1 flows.
     The middle flows run in ascending Brownian order where the Bernoulli draw
     is +1 and descending where -1; bernoulli holds one draw per path, or one
     0-d draw for every path.  This competitor is a reconstruction of the
@@ -187,8 +196,8 @@ def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
     root_s = np.sqrt(s)
     d = model.brownian_dim
 
-    drift_half = [0.5 * s] + [0.0] * d
-    x = _flow(model, rk, x, drift_half)
+    if before:
+        x = _flow(model, rk, x, [before * s] + [0.0] * d)
     # flow position p runs V_p on ascending paths and V_{d+1-p} on descending
     # ones, as one flow over all paths: each path's other coefficient is +0.0,
     # which the combination treats like the scalar 0.0 of a flow of its own
@@ -202,7 +211,9 @@ def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
             coeffs[p] = np.where(asc, root_s * etas[..., p - 1], 0.0)
             coeffs[q] = np.where(~asc, root_s * etas[..., q - 1], 0.0)
         x = _flow(model, rk, x, coeffs)
-    return _flow(model, rk, x, drift_half)
+    if after:
+        x = _flow(model, rk, x, [after * s] + [0.0] * d)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +231,8 @@ def run_paths(plan: SchemeStepPlan, model: SDEModel, x0: Sequence[float], T: flo
     a time, about FLOAT_GROUP coordinates and at least one step, so a chunk
     generates each coordinate once and never holds more than one window.
     Identical blocks, or a chunk and its block, give identical outputs.  An
-    IntegrationFailure leaves with its time step k (0-based) added.
+    IntegrationFailure leaves with its time step k (0-based) added; the N-V
+    drift flow between steps k and k + 1 is step k's.
     """
     if isinstance(uniforms, SobolChunk):
         columns = uniforms.columns
@@ -261,7 +273,10 @@ def run_paths(plan: SchemeStepPlan, model: SDEModel, x0: Sequence[float], T: flo
             else:
                 bern = np.where(block[:, 0] >= 0.5, 1.0, -1.0)
                 etas = inv_normal_cdf(block[:, 1:])
-                x = nv_step(model, plan.integrator, x, s, bern, etas)
+                # the drift flows between steps merge into one of s V0
+                x = nv_step(model, plan.integrator, x, s, bern, etas,
+                            before=0.5 if k == 0 else 0.0,
+                            after=0.5 if k == n - 1 else 1.0)
         except IntegrationFailure as exc:
             exc.step = k
             raise

@@ -849,6 +849,57 @@ def test_long_rational_text_is_refused_in_one_short_line(capsys, monkeypatch, tm
     assert len(captured.err.encode()) < 200
 
 
+#: a value past SHOWN characters, and how a refusal names it
+LONG_VALUE = "x" * 5001
+LONG_VALUE_SHOWN = f"'{'x' * 40}'... (5001 characters)"
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["verify-moments", "--perturb", LONG_VALUE + "=0.1"], None,
+     f"verify-moments: error: only r11, r12, r22 can be perturbed, got {LONG_VALUE_SHOWN}"),
+    (["verify-moments", "--branch", LONG_VALUE], None,
+     f"verify-moments: error: argument --branch: invalid choice: {LONG_VALUE_SHOWN} "
+     "(choose from 'upper', 'lower')"),
+    (["price", "--scheme", "nn", "--n", "2", "--samples", "1000", "--branch", LONG_VALUE], None,
+     f"price: error: argument --branch: invalid choice: {LONG_VALUE_SHOWN} "
+     "(choose from 'upper', 'lower')"),
+    (["converge"], {"branch": LONG_VALUE},
+     f"converge: error: branch must be upper or lower, got {LONG_VALUE_SHOWN}"),
+    (["converge"], {"nn_tableau": LONG_VALUE},
+     f"converge: error: nn_tableau: unknown tableau {LONG_VALUE_SHOWN}; "
+     "builtins: ['rk5-butcher', 'rk7-butcher']"),
+    (["converge"], {"nv_tableau": LONG_VALUE},
+     f"converge: error: nv_tableau: unknown tableau {LONG_VALUE_SHOWN}; "
+     "builtins: ['rk5-butcher', 'rk7-butcher']"),
+    (["verify-rk-order", "--order", "5", "--tableau", "r" + "0" * 300], None,
+     "verify-rk-order: error: argument --tableau: \"unknown tableau "
+     f"'r{'0' * 39}'... (301 characters); builtins: ['rk5-butcher', 'rk7-butcher']\""),
+    (["verify-moments", "--branch", "middle"], None,
+     "verify-moments: error: argument --branch: invalid choice: 'middle' "
+     "(choose from 'upper', 'lower')"),
+], ids=["perturb-key", "branch-flag", "price-branch-flag", "config-branch", "config-nn-tableau",
+        "config-nv-tableau", "tableau-past-file-name-limit", "short-branch-flag"])
+def test_long_value_is_refused_in_one_short_line(capsys, monkeypatch, tmp_path,
+                                                 argv, config, message):
+    # a refusal names a long value by its head and its length; a short one in full
+    if config is not None:
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({**config, "cells": [
+            {"scheme": "nn", "n": 2, "samples": 1000}]}))
+        argv = [*argv, "--config", str(path)]
+    _refuse_pricing(monkeypatch)
+    monkeypatch.setattr(cli, "residual_table", _no_work)
+    monkeypatch.setattr(cli, "check_order", _no_work)
+    try:  # a flag's refusal leaves through argparse
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.splitlines() == [f"sdeweak {message}"]
+    assert len(captured.err.encode()) < 200
+
+
 @pytest.mark.parametrize("target, reason", [
     ("missing/row.csv", "[Errno 2] No such file or directory"),
     (".", "[Errno 21] Is a directory")], ids=["missing-directory", "directory"])

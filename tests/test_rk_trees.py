@@ -139,6 +139,26 @@ class TestTableauValidation:
         assert has_order(tab, 2)
 
 
+class TestTableauHash:
+    def test_hash_follows_equality(self):
+        rk5 = builtin_tableau("rk5-butcher")
+        copy = ButcherTableau(a=rk5.a, b=rk5.b, declared_order=5, name="rk5-butcher")
+        assert copy == rk5 and hash(copy) == hash(rk5)
+        other = ButcherTableau(a=rk5.a, b=rk5.b, declared_order=5, name="other")
+        assert other != rk5
+
+    def test_hash_reads_no_fraction(self, monkeypatch):
+        # computed once, when the tableau is built; the order checks' caches
+        # look it up for every tree
+        rk7 = builtin_tableau("rk7-butcher")
+        calls = []
+        fraction_hash = Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__",
+                            lambda self: calls.append(1) or fraction_hash(self))
+        assert hash(rk7) == hash(rk7)
+        assert calls == []
+
+
 class TestCheckOrder:
     def test_rk5_passes_all_seventeen(self):
         report = check_order(builtin_tableau("rk5-butcher"), 5)

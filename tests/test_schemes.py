@@ -28,6 +28,10 @@ DEFAULT_PARAMS = solution_params(Fraction(3, 4))
 
 RK5 = scheme("rk5-butcher")
 
+#: the N-V pins before the drift flows between steps ran as one flow of s V0;
+#: the merge moves an estimate by the Runge-Kutta error of the drift flows
+NV_BEFORE_MERGE = {(4, QMC): 0.05998188995138026, (3, MC): 0.05967567321437449}
+
 
 def linear_model(a=1.0, b=0.5):
     """Scalar commuting model: V0 = a y, V1 = b y (Stratonovich)."""
@@ -271,6 +275,34 @@ class TestRunPaths:
         plan = SchemeStepPlan(NV, 4, integrator=RK5)
         assert plan.uniform_dimension(model) == 12
 
+    @pytest.mark.parametrize("kind, n, model, x0, flows", [
+        (NV, 5, heston_model(HestonParams()), (1.0, 0.09, 0.0), 3 * 5 + 1),
+        (NV, 4, three_factor_model(), (0.3, 0.2, 0.1), 4 * 4 + 1),
+        (NV, 1, heston_model(HestonParams()), (1.0, 0.09, 0.0), 4),
+        (NN, 5, heston_model(HestonParams()), (1.0, 0.09, 0.0), 2 * 5),
+    ], ids=["nv-heston", "nv-three-factor", "nv-one-step", "nn"])
+    def test_flows_per_path(self, monkeypatch, kind, n, model, x0, flows):
+        # an N-V path makes (d + 1) n + 1 flows, its drift flows between steps
+        # merged; a splitting path makes two per step
+        from sdeweak import schemes
+        calls = []
+        monkeypatch.setattr(schemes, "integrate",
+                            lambda *args, **kw: calls.append(1) or integrate(*args, **kw))
+        plan = _plan(kind, n)
+        block = np.asarray(UniformSource(MC, plan.uniform_dimension(model), seed=3).chunk(0, 8))
+        run_paths(plan, model, x0, 1.0, block)
+        assert len(calls) == flows
+
+    def test_one_nv_step_is_the_one_step_map(self):
+        # with n = 1 the path is one step with a half drift on each side
+        model = heston_model(HestonParams(rho=-0.5))
+        plan = _plan(NV, 1)
+        block = np.asarray(UniformSource(MC, 3, seed=5).chunk(0, 50))
+        bern = np.where(block[:, 0] >= 0.5, 1.0, -1.0)
+        x = np.array(np.broadcast_to([1.0, 0.09, 0.0], (50, 3)), order="F")
+        want = nv_step(model, RK5, x, 1.0, bern, sampling.inv_normal_cdf(block[:, 1:]))
+        assert np.array_equal(run_paths(plan, model, (1.0, 0.09, 0.0), 1.0, block), want)
+
     def test_dimension_mismatch_rejected(self):
         model = planar_drift_model()
         plan = SchemeStepPlan(EM, 3)
@@ -313,7 +345,7 @@ class TestRunPaths:
     @pytest.mark.parametrize("kind, n, pinned", [
         (EM, 8, "0.05182674617787431"),
         (NN, 2, "0.0615391137596445"),
-        (NV, 4, "0.05998188995138026"),
+        (NV, 4, "0.05998188828312475"),
     ])
     def test_small_qmc_estimates_pinned(self, kind, n, pinned):
         # 20000 samples span two estimator chunks; any change to the Sobol
@@ -321,15 +353,19 @@ class TestRunPaths:
         # these digits
         res = price_cell(BenchConfig(workers=1), Cell(kind, n, 20_000, QMC))
         assert repr(res.estimate) == pinned
+        if kind == NV:
+            assert abs(res.estimate - NV_BEFORE_MERGE[n, QMC]) < 1e-8
 
     @pytest.mark.parametrize("kind, n, pinned", [
         (NN, 2, "0.06203760383778746"),
-        (NV, 3, "0.05967567321437449"),
+        (NV, 3, "0.05967567215773005"),
     ])
     def test_small_mc_estimates_pinned(self, kind, n, pinned):
         # the same with Philox uniforms: ten batches of 2000, row-major blocks
         res = price_cell(BenchConfig(workers=1), Cell(kind, n, 20_000, MC))
         assert repr(res.estimate) == pinned
+        if kind == NV:
+            assert abs(res.estimate - NV_BEFORE_MERGE[n, MC]) < 1e-8
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -343,7 +379,8 @@ class TestRunPaths:
 def _clock_model():
     """V0 moves y1 at unit speed, V1 adds a little noise to it, and V2 turns
     NaN once y1 passes 1.3: from x0 = (1, 0.09, 0) over T = 1 in 8 steps a
-    path passes 1.3 in step 2, never earlier."""
+    splitting path passes 1.3 in step 2, never earlier, and an N-V path in
+    step 1, whose last flow is the merged drift to time 2.5/8."""
     def unit(column, value):
         def f(y):
             out = np.zeros_like(y)
@@ -365,11 +402,13 @@ class TestFailureStep:
 
     @staticmethod
     def _first_failure(plan, model, uniforms):
-        # (stage, step, path) of the first failing step, one step map at a time
+        # (stage, step, path) of the first failing step, one step map at a time,
+        # with run_paths' composition: one drift flow between N-V steps
         x = np.array(np.broadcast_to([1.0, 0.09, 0.0], (len(uniforms), 3)), order="F")
-        s = 1.0 / plan.partitions
+        n = plan.partitions
+        s = 1.0 / n
         per = plan.step_dimension(model)
-        for k in range(plan.partitions):
+        for k in range(n):
             block = uniforms[:, k * per:(k + 1) * per]
             try:
                 if plan.kind == NN:
@@ -378,7 +417,9 @@ class TestFailureStep:
                     x = nn_step(model, plan.params, RK5, x, s, g)
                 else:
                     bern = np.where(block[:, 0] >= 0.5, 1.0, -1.0)
-                    x = nv_step(model, RK5, x, s, bern, sampling.inv_normal_cdf(block[:, 1:]))
+                    x = nv_step(model, RK5, x, s, bern, sampling.inv_normal_cdf(block[:, 1:]),
+                                before=0.5 if k == 0 else 0.0,
+                                after=0.5 if k == n - 1 else 1.0)
             except IntegrationFailure as exc:
                 assert exc.step is None
                 return exc.stage, k, exc.path
@@ -392,13 +433,13 @@ class TestFailureStep:
         plan = _plan(kind, 8)
         first = np.asarray(UniformSource(QMC, plan.uniform_dimension(model)).chunk(0, CHUNK))
         stage, step, path = self._first_failure(plan, model, first)
-        assert step == 2
+        assert step == {NN: 2, NV: 1}[kind]
         for workers in (1, 3):
             with pytest.raises(IntegrationFailure) as exc:
                 price_cell(BenchConfig(workers=workers), Cell(kind, 8, 2 * CHUNK + 100, QMC))
             assert (exc.value.stage, exc.value.step, exc.value.path) == (stage, step, path)
             assert str(exc.value) == (f"non-finite state in Runge-Kutta stage {stage}, "
-                                      f"step 2, path {path}; cell {kind} n=8 qmc")
+                                      f"step {step}, path {path}; cell {kind} n=8 qmc")
 
 
 def _plan(kind, n, integrator=RK5):
