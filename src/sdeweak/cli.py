@@ -13,6 +13,7 @@ are therefore excluded from the CSV unless --timings is passed.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
 import math
@@ -84,7 +85,7 @@ def _count_text(text: str) -> int | float:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(
-        f"expected an integer or a number a float holds exactly, got {text!r}")
+        f"expected an integer or a number a float holds exactly, got {shown(text)}")
 
 
 def _perturbation(text: str) -> tuple[str, Fraction]:
@@ -92,6 +93,38 @@ def _perturbation(text: str) -> tuple[str, Fraction]:
         raise argparse.ArgumentTypeError("perturbation must look like R12=+0.1")
     key, _, val = text.partition("=")
     return key.strip().lower(), _rational(val.strip(), "perturbation")
+
+
+def _error_text(exc: Exception) -> str:
+    """``str(exc)``, but a file name the file system refuses as too long is named
+    by its head and length; a name it takes is shown in full, as real paths are
+    often long."""
+    if not isinstance(exc, OSError) or exc.errno != errno.ENAMETOOLONG:
+        return str(exc)
+    return f"[Errno {exc.errno}] {exc.strerror}: {shown(exc.filename)}"
+
+
+class _LongInteger:
+    """A JSON integer past Python's 4300-digit parse limit.  No input takes one,
+    so the check of the key that holds it refuses it, naming it by its length."""
+
+    def __init__(self, text: str):
+        self.digits = len(text.lstrip("-"))
+
+    def __repr__(self):
+        return f"{self.digits} digits, more than Python reads"
+
+
+def _load_json(path: str):
+    """A config's or a tableau file's value; an integer past the limit is a _LongInteger."""
+    def parse_int(text):
+        try:
+            return int(text)
+        except ValueError:
+            return _LongInteger(text)
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_int=parse_int)
 
 
 def _emit(lines, path: str | None) -> None:
@@ -155,8 +188,11 @@ def _load_tableau(spec: str) -> ButcherTableau:
         is_file = False
     if is_file:
         try:
-            return ButcherTableau.from_json_file(spec)
-        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            return ButcherTableau.from_mapping(_load_json(spec))
+        except OSError as exc:  # its text names the file
+            raise argparse.ArgumentTypeError(
+                f"cannot load tableau file: {_error_text(exc)}") from exc
+        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             raise argparse.ArgumentTypeError(f"cannot load tableau file {spec}: {exc}") from exc
     try:
         return builtin_tableau(spec)
@@ -216,8 +252,7 @@ def _axis(value, what: str) -> list:
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _load_json(path)
     if not isinstance(raw, dict):
         raise ValueError("config must be a JSON object")
     return raw
@@ -270,7 +305,7 @@ _CELL_KEYS = ("scheme", "n", "samples", "mode", "romberg")
 def _cell_grid(item) -> list[Cell]:
     """The cells of one config entry: every n crossed with every sample count."""
     if not isinstance(item, dict):
-        raise ValueError(f"a cell must be a JSON object, got {item!r}")
+        raise ValueError(f"a cell must be a JSON object, got {shown(item)}")
     _check_keys(item, _CELL_KEYS, "key(s)")
     missing = [key for key in ("scheme", "n", "samples") if key not in item]
     if missing:
@@ -413,7 +448,7 @@ def main(argv=None) -> int:
             return args.func(args)
     # a config's u is parsed as a flag's is, so it can raise ArgumentTypeError here
     except (ValueError, KeyError, OSError, argparse.ArgumentTypeError) as exc:
-        print(f"{prog}: error: {exc}", file=sys.stderr)
+        print(f"{prog}: error: {_error_text(exc)}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         # a request no machine can hold, such as a Monte Carlo cell with 1e15 steps

@@ -56,9 +56,9 @@ class HestonParams:
     def __post_init__(self):
         for name, value in vars(self).items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"heston {name} must be a number, got {value!r}")
+                raise ValueError(f"heston {name} must be a number, got {shown(value)}")
             if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past floats
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise ValueError(f"{name} must be finite, got {shown(value)}")
         if min(self.mu, self.alpha, self.theta, self.beta, self.x1, self.x2, self.T) <= 0:
             raise ValueError("mu, alpha, theta, beta, x1, x2, T must be positive")
         if not -1.0 <= self.rho <= 1.0:
@@ -89,11 +89,6 @@ class GuardCounter:
     @property
     def fraction(self) -> float:
         return self.negative / self.total if self.total else 0.0
-
-
-def _positive_zero(b) -> bool:
-    """b is the float +0.0 (not -0.0, not an array)."""
-    return type(b) is float and b == 0.0 and math.copysign(1.0, b) > 0.0
 
 
 def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDEModel:
@@ -152,71 +147,36 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
         out[..., 2] = y[..., 0]
         return out
 
-    def variances(y2):
-        """(min, max) of y2 as floats when every variance is positive and
-        finite (no 0.0, -0.0, negative, NaN or inf), else None."""
-        if y2.size:
-            lo = float(y2.min())
-            if lo > 0.0:
-                hi = float(y2.max())
-                if hi < math.inf:
-                    return lo, hi
-        return None
-
-    def drift_factors_finite(y2: float) -> bool:
-        # V0's two factors at one variance, in the kernel's operation order;
-        # each falls as y2 grows, so a range is finite if its ends are
-        return math.isfinite(al * (th - y2) - be2_4) and math.isfinite(mu - y2 * 0.5 - rb4)
-
     def fused(y, coeffs):
-        # a V0 + b1 V1 + b2 V2 with the variance sqrt shared.  The columns
-        # are accumulated in place, with the output columns and q as the
-        # only scratch, in the operation order of
+        # a V0 + b1 V1 + b2 V2 with the variance sqrt shared, where a None
+        # coefficient leaves its field out.  The columns are accumulated in
+        # place, with the output columns and q as the only scratch, in the
+        # operation order of
         #   out1 = (b1 rho beta + b2 orth) q + a (alpha (theta - y2) - beta^2/4)
         #   out0 = y1 (a (mu - y2/2 - rb4) + b1 q)
         #   out2 = a y1
-        # so the bits do not depend on the layout or on the passes taken.
+        # so the bits do not depend on the layout.  Without V1 and V2 no root
+        # is taken and 0.0 stands for each diffusion term; one of them alone
+        # takes the root with 0.0 as the other's coefficient; without V0 the
+        # drift passes are skipped and out2 is 0.
         a, b1, b2 = coeffs
-        y1 = y[..., 0]
-        y2 = y[..., 1]
+        y1, y2 = y[..., 0], y[..., 1]
         out = np.empty_like(y)
         o0, o1, o2 = out[..., 0], out[..., 1], out[..., 2]
-        if _positive_zero(b1) and _positive_zero(b2) and variances(y2):
-            # a drift flow of N-V skips vol.  Every variance is positive and
-            # finite, so q is too and b1 q = +0.0.  b2 orth = +0.0 (orth >=
-            # 0), so b1 rho beta + b2 orth = +0.0 whatever the sign of rho,
-            # and its product with q is +0.0.  So both diffusion terms are
-            # +0.0 (added on the left in out1; addition commutes).
-            # Adding +0.0 changes nothing but a -0.0, which it turns into
-            # +0.0, so it is kept.  vol would count no clamp.
-            guard.record(0, y2.size)
+        if b1 is None and b2 is None:
             diffusion0 = diffusion1 = 0.0
-        elif _positive_zero(a) and (span := variances(y2)) and \
-                all(map(drift_factors_finite, span)):
-            # a Gaussian flow of N-V skips the drift passes.  V0's factors are
-            # finite, so both drift terms are +0.0 or -0.0, and adding one
-            # changes at most the sign of a zero sum: the values are the
-            # general kernel's up to that sign, and a field value of +0.0 or
-            # -0.0 changes no nonzero state coordinate.  vol would take the
-            # root once and count no clamp.
-            guard.record(0, y2.size)
-            q = np.sqrt(y2)
-            np.multiply(b1, rb, out=o1)
-            np.multiply(b2, orth, out=o2)
-            o1 += o2
-            o1 *= q
-            np.multiply(b1, q, out=o0)
-            o0 *= y1
-            np.multiply(y1, a, out=o2)
-            return out
         else:
             q = vol(y2)
-            np.multiply(b1, rb, out=o1)
-            np.multiply(b2, orth, out=o2)
+            np.multiply(0.0 if b1 is None else b1, rb, out=o1)
+            np.multiply(0.0 if b2 is None else b2, orth, out=o2)
             o1 += o2
             o1 *= q
             diffusion1 = o1
-            diffusion0 = np.multiply(b1, q, out=q)
+            diffusion0 = np.multiply(0.0 if b1 is None else b1, q, out=q)
+        if a is None:
+            np.multiply(diffusion0, y1, out=o0)
+            o2.fill(0.0)
+            return out
         np.subtract(th, y2, out=o0)
         o0 *= al
         o0 -= be2_4
@@ -292,9 +252,9 @@ def count(value, what: str, least: int = 1, most: int | None = None) -> int:
     2e5 (a bool is neither); otherwise ValueError naming ``what``."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if isinstance(value, bool) or not integral or value < least:
-        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+        raise ValueError(f"{what} must be an integer >= {least}, got {shown(value)}")
     if most is not None and value > most:
-        raise ValueError(f"{what} must be <= {most}, got {value!r}")
+        raise ValueError(f"{what} must be <= {most}, got {shown(value)}")
     return int(value)
 
 
@@ -337,7 +297,7 @@ class BenchConfig:
         if ref is not None:
             if isinstance(ref, bool) or not isinstance(ref, (int, float)) or \
                     not abs(ref) <= sys.float_info.max:
-                raise ValueError(f"reference must be a finite number, got {ref!r}")
+                raise ValueError(f"reference must be a finite number, got {shown(ref)}")
             object.__setattr__(self, "reference", float(ref))
 
     @property
@@ -370,7 +330,7 @@ class Cell:
         object.__setattr__(self, "partitions", count(self.partitions, "n"))
         object.__setattr__(self, "samples", count(self.samples, "samples", most=MAX_SAMPLES))
         if not isinstance(self.use_romberg, bool):
-            raise ValueError(f"romberg must be true or false, got {self.use_romberg!r}")
+            raise ValueError(f"romberg must be true or false, got {shown(self.use_romberg)}")
         if self.use_romberg and self.partitions % 2 != 0:
             raise ValueError("Romberg needs an even fine partition count (runs n and n/2)")
 

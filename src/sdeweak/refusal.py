@@ -8,9 +8,10 @@ SHOWN = 40
 
 def shown(value) -> str:
     """``value`` as a refusal names it: its repr, or for a value longer than
-    SHOWN characters its first SHOWN characters and its length, so that the
-    refusal of a long input stays one short line."""
+    SHOWN characters its first SHOWN characters (unquoted for an integer) and
+    its length, so that the refusal of a long input stays one short line."""
     text = value if isinstance(value, str) else repr(value)
     if len(text) <= SHOWN:
         return repr(value)
-    return f"{text[:SHOWN]!r}... ({len(text)} characters)"
+    head = text[:SHOWN] if isinstance(value, int) else repr(text[:SHOWN])
+    return f"{head}... ({len(text)} characters)"

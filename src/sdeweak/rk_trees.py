@@ -11,12 +11,10 @@ test.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 from typing import Iterable
 
 
@@ -150,11 +148,6 @@ class ButcherTableau:
         a = tuple(tuple(Fraction(str(x)) for x in row) for row in data["a"])
         b = tuple(Fraction(str(x)) for x in data["b"])
         return cls(a=a, b=b, declared_order=int(data["order"]), name=data.get("name", ""))
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "ButcherTableau":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_mapping(json.load(fh))
 
 
 def _stage_sum(weights: tuple[Fraction, ...], child_weights: list) -> Fraction:

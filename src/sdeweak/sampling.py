@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .refusal import shown
 from .rk_integrator import IntegrationFailure
 
 _SOBOL_BITS = 32
@@ -221,7 +222,7 @@ QMC = "qmc"
 def check_mode(mode) -> None:
     """Refuse a sampling mode other than :data:`QMC` and :data:`MC`."""
     if mode not in (QMC, MC):
-        raise ValueError(f"mode must be {QMC} or {MC}, got {mode!r}")
+        raise ValueError(f"mode must be {QMC} or {MC}, got {shown(mode)}")
 
 
 @dataclass(frozen=True)
@@ -278,17 +279,17 @@ class UniformSource:
         indices past 2^32 or the direction table's width, MC samples not in 10 batches, or a
         seed >= 2^128."""
         if samples < 1:
-            raise ValueError(f"samples must be at least 1, got {samples}")
+            raise ValueError(f"samples must be at least 1, got {shown(samples)}")
         if self.kind == QMC:
             if self.skip + samples > 1 << _SOBOL_BITS:
-                raise ValueError(f"sobol_skip + samples must be <= 2^32 (the Sobol index "
-                                 f"space), got sobol_skip {self.skip} and samples {samples}")
+                raise ValueError(f"sobol_skip + samples must be <= 2^32 (the Sobol index space), "
+                                 f"got sobol_skip {shown(self.skip)} and samples {shown(samples)}")
             check_sobol_dimension(self.dimension)
         elif samples % MC_BATCHES != 0:
             raise ValueError(f"MC sample count must be divisible by {MC_BATCHES}")
         elif self.seed >= 1 << 128:
             raise ValueError(f"seed must be < 2^128 for an MC cell (the Philox key), "
-                             f"got {self.seed}")
+                             f"got {shown(self.seed)}")
 
     def chunk(self, start: int, count: int) -> np.ndarray | SobolChunk:
         """Points start .. start+count-1 as ``estimate`` hands them to its payoff.

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .moment_match import SchemeParams
+from .refusal import shown
 from .rk_integrator import IntegrationFailure, IntegrationScheme, VectorField, integrate
 from .sampling import FLOAT_GROUP, SobolChunk, correlate_pair, inv_normal_cdf
 
@@ -33,7 +34,7 @@ KINDS = (NN, EM, NV)
 def check_kind(kind) -> None:
     """Refuse a scheme kind outside :data:`KINDS`."""
     if kind not in KINDS:
-        raise ValueError(f"scheme must be one of {', '.join(KINDS)}, got {kind!r}")
+        raise ValueError(f"scheme must be one of {', '.join(KINDS)}, got {shown(kind)}")
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,9 @@ class SDEModel:
     pass; it must agree with the per-field sum and exists purely for speed.
     Like the per-field sum, it must give each path a value that depends only
     on that path's state and coefficients, give a scalar coefficient the same
-    result as that value broadcast over the paths (the N-V step selects an
-    ordering per path by +0.0 entries in place of scalar zeros), and accept
-    any memory layout of y.  It may leave out the terms of scalar +0.0
-    coefficients (an N-V drift flow's diffusion coefficients, a Gaussian
-    flow's drift coefficient), which can change the sign of a zero and
-    nothing else.  ``fused_euler``, when given, is the whole Euler-Maruyama
+    result as that value broadcast over the paths, leave out (and never
+    evaluate) the field of a None coefficient, and accept any memory layout
+    of y.  ``fused_euler``, when given, is the whole Euler-Maruyama
     step x + s drift(x) + sum_i dB^i V_i(x) in one call; it must give the
     per-field :func:`em_step` bits, for per-path (P, d) and scalar (d,)
     increments and any layout of x.
@@ -88,11 +86,15 @@ class SDEModel:
         return len(self.stratonovich) - 1
 
     def combination(self, y: np.ndarray, coeffs: Sequence) -> np.ndarray:
-        """sum_k coeffs[k] V_k(y); scalar or per-path (P,) coefficients."""
+        """sum_k coeffs[k] V_k(y) over the fields of a flow: scalar or per-path
+        (P,) coefficients, and None for a field the flow leaves out (a flow
+        has at least one field)."""
         if self.fused_combination is not None:
             return self.fused_combination(y, coeffs)
         acc = None
         for c, field in zip(coeffs, self.stratonovich):
+            if c is None:
+                continue
             if isinstance(c, np.ndarray) and c.ndim == y.ndim - 1:
                 c = c[..., None]
             term = c * field(y)
@@ -179,11 +181,12 @@ def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
             after: float = 0.5) -> np.ndarray:
     """One N-V step: a drift flow, the d Gaussian flows, a drift flow.
 
-    The drift flows are the time-1 flows of ``before`` s V0 and ``after`` s V0;
-    a fraction of 0 skips that flow.  The defaults give the one-step map, half
-    drift on each side.  :func:`run_paths` runs the half drift that ends one
-    step and the half drift that starts the next as one flow of s V0, which
-    the exact flows compose to, so a path of n steps makes (d + 1) n + 1 flows.
+    The drift flows are the time-1 flows of ``before`` s V0 and ``after`` s V0,
+    which leave V1..Vd out; a fraction of 0 skips that flow.  The defaults
+    give the one-step map, half drift on each side.  :func:`run_paths` runs
+    the half drift that ends one step and the half drift that starts the next
+    as one flow of s V0, which the exact flows compose to, so a path of n
+    steps makes (d + 1) n + 1 flows.
     The middle flows run in ascending Brownian order where the Bernoulli draw
     is +1 and descending where -1; bernoulli holds one draw per path, or one
     0-d draw for every path.  This competitor is a reconstruction of the
@@ -197,14 +200,14 @@ def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
     d = model.brownian_dim
 
     if before:
-        x = _flow(model, rk, x, [before * s] + [0.0] * d)
+        x = _flow(model, rk, x, [before * s] + [None] * d)
     # flow position p runs V_p on ascending paths and V_{d+1-p} on descending
-    # ones, as one flow over all paths: each path's other coefficient is +0.0,
-    # which the combination treats like the scalar 0.0 of a flow of its own
+    # ones, as one flow of both fields over all paths: each path's
+    # coefficient of the other field is 0.0
     asc = bernoulli >= 0
     for p in range(1, d + 1):
         q = d + 1 - p
-        coeffs = [0.0] * (d + 1)
+        coeffs = [None] * (d + 1)
         if p == q:
             coeffs[p] = root_s * etas[..., p - 1]
         else:
@@ -212,7 +215,7 @@ def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
             coeffs[q] = np.where(~asc, root_s * etas[..., q - 1], 0.0)
         x = _flow(model, rk, x, coeffs)
     if after:
-        x = _flow(model, rk, x, [after * s] + [0.0] * d)
+        x = _flow(model, rk, x, [after * s] + [None] * d)
     return x
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -852,6 +853,22 @@ def test_long_rational_text_is_refused_in_one_short_line(capsys, monkeypatch, tm
 #: a value past SHOWN characters, and how a refusal names it
 LONG_VALUE = "x" * 5001
 LONG_VALUE_SHOWN = f"'{'x' * 40}'... (5001 characters)"
+#: a count past Python's 4300-digit integer limit, typed, and how a refusal names it
+LONG_COUNT = "9" * 5001
+LONG_COUNT_SHOWN = f"'{'9' * 40}'... (5001 characters)"
+#: an integer below that limit, and how a refusal names it
+BIG = 10**4000
+BIG_SHOWN = f"1{'0' * 39}... (4001 characters)"
+#: the refusal of a file name the file system takes as too long
+TOO_LONG = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+_PRICE = ["price", "--scheme", "nn", "--n", "2", "--samples", "1000"]
+_ONE_CELL = {"scheme": "nn", "n": 2, "samples": 1000}
+
+
+def _count_flag_case(argv, flag):
+    return ([*argv, flag, LONG_COUNT], None,
+            f"{argv[0]}: error: argument {flag}: expected an integer or a number a float "
+            f"holds exactly, got {LONG_COUNT_SHOWN}")
 
 
 @pytest.mark.parametrize("argv, config, message", [
@@ -877,15 +894,40 @@ LONG_VALUE_SHOWN = f"'{'x' * 40}'... (5001 characters)"
     (["verify-moments", "--branch", "middle"], None,
      "verify-moments: error: argument --branch: invalid choice: 'middle' "
      "(choose from 'upper', 'lower')"),
+    _count_flag_case(["verify-moments"], "--m"),
+    _count_flag_case(["verify-moments"], "--d"),
+    _count_flag_case(["verify-rk-order", "--tableau", "rk5-butcher"], "--order"),
+    *(_count_flag_case(_PRICE, flag)
+      for flag in ("--n", "--samples", "--seed", "--sobol-skip", "--workers")),
+    ([*_PRICE, "--out", "o" * 5000], None,
+     f"price: error: {TOO_LONG}: '{'o' * 40}'... (5000 characters)"),
+    (["verify-rk-order", "--order", "5", "--tableau", "x" * 5000 + ".json"], None,
+     f"verify-rk-order: error: argument --tableau: cannot load tableau file: {TOO_LONG}: "
+     f"'{'x' * 40}'... (5005 characters)"),
+    (["converge"], f'{{"seed": {LONG_COUNT}, "cells": [{json.dumps(_ONE_CELL)}]}}',
+     "converge: error: seed must be an integer >= 0, got 5001 digits, more than Python reads"),
+    (["converge"], {"workers": BIG},
+     f"converge: error: workers must be <= 256, got {BIG_SHOWN}"),
+    (["converge"], {"seed": BIG, "cells": [{**_ONE_CELL, "mode": "mc"}]},
+     "converge: error: cells[0]: seed must be < 2^128 for an MC cell (the Philox key), "
+     f"got {BIG_SHOWN}"),
+    (["converge"], {"sobol_skip": BIG},
+     "converge: error: cells[0]: sobol_skip + samples must be <= 2^32 (the Sobol index "
+     f"space), got sobol_skip {BIG_SHOWN} and samples 1000"),
 ], ids=["perturb-key", "branch-flag", "price-branch-flag", "config-branch", "config-nn-tableau",
-        "config-nv-tableau", "tableau-past-file-name-limit", "short-branch-flag"])
+        "config-nv-tableau", "tableau-past-file-name-limit", "short-branch-flag",
+        "m-flag", "d-flag", "order-flag", "n-flag", "samples-flag", "seed-flag",
+        "sobol-skip-flag", "workers-flag", "out-past-file-name-limit",
+        "json-tableau-past-file-name-limit", "config-integer-past-parse-limit",
+        "config-workers", "config-mc-seed", "config-sobol-skip"])
 def test_long_value_is_refused_in_one_short_line(capsys, monkeypatch, tmp_path,
                                                  argv, config, message):
-    # a refusal names a long value by its head and its length; a short one in full
+    # a refusal names a long value by its head and its length; a short one in
+    # full.  A config is a mapping, or JSON text for an integer no str holds.
     if config is not None:
         path = tmp_path / "long.json"
-        path.write_text(json.dumps({**config, "cells": [
-            {"scheme": "nn", "n": 2, "samples": 1000}]}))
+        path.write_text(config if isinstance(config, str)
+                        else json.dumps({"cells": [_ONE_CELL], **config}))
         argv = [*argv, "--config", str(path)]
     _refuse_pricing(monkeypatch)
     monkeypatch.setattr(cli, "residual_table", _no_work)
@@ -1022,6 +1064,90 @@ def test_converge_exit_codes_on_generated_configs(config):
     if code:
         [line] = err.getvalue().splitlines()
         assert line.startswith("sdeweak converge: ")
+
+
+# Generated command lines: a subcommand, its required flags and a few others,
+# each value ordinary or, about one time in four, adversarial.  TMP in a value
+# is the example's own directory, where config.json holds a generated config,
+# and LONG_INTEGER in a config is a 5,001-digit JSON integer.  Accepted runs
+# stay tiny: --m, --d, --order, --n and --samples take small values, and no
+# value starts more than two workers.
+_WILD = st.sampled_from(["", "-1", "0", "nan", "-inf", "1e400", "1e5000", "x" * 5001,
+                         "9" * 5001, "\x00", "é", "n" * 300, "n" * 300 + ".json"])
+_WILD_JSON = st.sampled_from([None, True, [], {}, -1, 1e300, "x" * 5001, "LONG_INTEGER"])
+
+
+def _value(ordinary, wild=_WILD):
+    """One of the ordinary values (or values of the strategy), or a wild one."""
+    if not isinstance(ordinary, st.SearchStrategy):
+        ordinary = st.sampled_from(ordinary)
+    return st.integers(0, 3).flatmap(lambda k: wild if k == 3 else ordinary)
+
+
+def _flag(name, *ordinary):
+    return st.tuples(st.just(name), _value(ordinary))
+
+
+def _path_flag(name, *ordinary):
+    # a wild file name lies in the example's directory too
+    return st.tuples(st.just(name), _value(ordinary, _WILD.map(lambda v: "TMP/" + v)))
+
+
+_OUT = _path_flag("--out", "TMP/o.csv", "TMP/missing/o.csv", "TMP")
+_BRANCH = _flag("--branch", "lower", "upper")
+_RUN_FLAGS = [_flag("--u", "3/4", "5/8"), _BRANCH, _flag("--seed", "0", "7"),
+              _flag("--sobol-skip", "1", "1010"), _flag("--workers", "1", "2"), _OUT]
+_CONFIG_FLAG = _path_flag("--config", "TMP/config.json", "TMP/missing.json")
+#: each subcommand's required flags, then the flags it may take
+_FLAGS = {
+    "verify-moments": ([], [_flag("--u", "3/4", "1"), _BRANCH, _flag("--m", "1", "4"),
+                            _flag("--d", "1", "2"), _flag("--perturb", "R12=+0.1", "r11=1/3"),
+                            _OUT]),
+    "verify-rk-order": ([_path_flag("--tableau", "rk5-butcher", "rk7-butcher",
+                                    "TMP/config.json"),
+                         _flag("--order", "1", "5")], [_OUT]),
+    "price": ([_flag("--scheme", "nn", "em", "nv"), _flag("--n", "1", "2"),
+               _flag("--samples", "10", "20")],
+              [_flag("--mode", "qmc", "mc"), _CONFIG_FLAG, *_RUN_FLAGS]),
+    "converge": ([_CONFIG_FLAG], _RUN_FLAGS),
+}
+_COMMAND_LINES = st.sampled_from(sorted(_FLAGS)).flatmap(
+    lambda command: st.tuples(st.just(command), st.tuples(*_FLAGS[command][0]),
+                              st.lists(st.one_of(_FLAGS[command][1]), max_size=3)))
+_GENERATED_CONFIGS = st.fixed_dictionaries(
+    {"cells": _value(st.lists(st.fixed_dictionaries(
+        {"scheme": _value(["nn", "em", "nv"], _WILD_JSON), "n": _value([1, 2], _WILD_JSON),
+         "samples": _value([10], _WILD_JSON), "mode": _value(["qmc", "mc"], _WILD_JSON)}),
+        min_size=1, max_size=2), _WILD_JSON)},
+    optional={key: _value(ordinary, _WILD_JSON) for key, ordinary in (
+        ("heston", [{}, {"rho": -0.5}]), ("u", ["3/4", 1]), ("branch", ["lower", "upper"]),
+        ("nn_tableau", ["rk5-butcher"]), ("nv_tableau", ["rk5-butcher"]), ("seed", [0, 7]),
+        ("sobol_skip", [1, 1010]), ("reference", [0.06]), ("workers", [1, 2]))})
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_COMMAND_LINES, _GENERATED_CONFIGS)
+def test_any_command_line_exits_with_a_code_and_one_short_line(command_line, config):
+    # README's contract: exit 0, 1, 2 or 3, never an exception; exits 2 and 3
+    # print one stderr line under 200 bytes, with no traceback
+    command, required, flags = command_line
+    flags = [*required, *flags]
+    with tempfile.TemporaryDirectory() as tmp:
+        text = json.dumps(config).replace('"LONG_INTEGER"', "9" * 5001)
+        Path(tmp, "config.json").write_text(text)
+        argv = [command] + [part.replace("TMP", tmp) for flag in flags for part in flag]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code in (2, 3):
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, (argv, lines)
+        assert len(err.getvalue().encode()) < 200, (argv, lines)
+        assert "Traceback" not in lines[0]
 
 
 def test_cli_import_leaves_numpy_random_unloaded():

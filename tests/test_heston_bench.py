@@ -40,7 +40,7 @@ def _column_expressions(p, y, coeffs):
 
 
 def _drift_expressions(p, y, a):
-    """Reference: the drift-only kernel, a V0 plus the +0.0 of the zero diffusion terms."""
+    """Reference: the drift flow, a V0 plus 0.0 for each left-out diffusion term."""
     rb4 = p.rho * p.beta / 4.0
     y1, y2 = y[..., 0], y[..., 1]
     out = np.empty_like(y)
@@ -48,6 +48,18 @@ def _drift_expressions(p, y, a):
     out[..., 1] = (p.alpha * (p.theta - y2) - p.beta * p.beta / 4.0) * a + 0.0
     out[..., 2] = y1 * a
     return out
+
+
+def _field_sum(model, y, coeffs):
+    """Reference: the per-field sum over the fields of a flow (None: left out)."""
+    terms = [(c[..., None] if isinstance(c, np.ndarray) and c.ndim == y.ndim - 1 else c) * f(y)
+             for c, f in zip(coeffs, model.stratonovich) if c is not None]
+    return sum(terms[1:], terms[0])
+
+
+def _agrees(out, want):
+    """Equal to rounding, which the order of a sum's terms moves; NaN in the same places."""
+    return np.allclose(out, want, rtol=1e-13, atol=1e-300, equal_nan=True)
 
 
 def _per_field_em_step(model, x, s, increments):
@@ -183,7 +195,8 @@ class TestReadColumns:
         y[::7, 1] *= -1.0
         nan = y.copy(order="F")
         nan[:, 2] = np.nan
-        for coeffs in ([0.02, rng.normal(size=50), rng.normal(size=50)], [0.02, 0.0, 0.0]):
+        for coeffs in ([0.02, rng.normal(size=50), rng.normal(size=50)], [0.02, 0.0, 0.0],
+                       [0.02, None, None], [None, rng.normal(size=50), rng.normal(size=50)]):
             assert _same_bits(model.combination(nan, coeffs), model.combination(y, coeffs))
         for f in model.stratonovich:
             assert _same_bits(f(nan), f(y))
@@ -191,7 +204,7 @@ class TestReadColumns:
 
 
 class TestDriftFlow:
-    """The fused kernel's drift-only branch (both diffusion coefficients +0.0)."""
+    """The fused kernel's drift flow: V1 and V2 left out (None coefficients)."""
 
     P = HestonParams(alpha=1.7, rho=-0.5)
 
@@ -208,6 +221,7 @@ class TestDriftFlow:
         return y
 
     def _check(self, state, coeffs):
+        """The general kernel: its bits, and one clamp record per variance."""
         guard = GuardCounter()
         out = heston_model(self.P, guard).combination(state, coeffs)
         want = _column_expressions(self.P, state, coeffs)
@@ -216,18 +230,28 @@ class TestDriftFlow:
         assert (guard.negative, guard.total) == (np.count_nonzero(y2 < 0.0), y2.size)
         return want
 
+    def _drift(self, state, a):
+        """The drift flow: the drift-only bits, the per-field a V0, no clamp record."""
+        guard = GuardCounter()
+        out = heston_model(self.P, guard).combination(state, [a, None, None])
+        assert _same_bits(out, _drift_expressions(self.P, state, a))
+        assert _agrees(out, _field_sum(heston_model(self.P), state, [a, None, None]))
+        assert (guard.negative, guard.total) == (0, 0)
+        return out
+
     @pytest.mark.parametrize("a", [0.013, 0.0, -0.0, -0.7, 1e300, np.linspace(-1, 1, 60)],
                              ids=["small", "zero", "negative-zero", "negative", "huge",
                                   "per-path"])
     def test_matches_the_general_kernel(self, a):
+        # on positive finite variances the drift flow has the bits of the
+        # general kernel with zero diffusion coefficients
         y = self._states()
         states = [np.asfortranarray(y), np.ascontiguousarray(y)]
         if not isinstance(a, np.ndarray):
             states += [y[row].copy() for row in range(8)]
         for state in states:
             with np.errstate(over="ignore", invalid="ignore"):
-                want = self._check(state, [a, 0.0, 0.0])
-                assert _same_bits(_drift_expressions(self.P, state, a), want)
+                assert _same_bits(self._drift(state, a), self._check(state, [a, 0.0, 0.0]))
 
     def test_drift_flow_takes_no_square_root(self, monkeypatch):
         model = heston_model(self.P)
@@ -235,20 +259,24 @@ class TestDriftFlow:
         calls = []
         sqrt = np.sqrt
         monkeypatch.setattr(np, "sqrt", lambda *args, **kw: calls.append(1) or sqrt(*args, **kw))
-        model.combination(y, [0.013, 0.0, 0.0])
+        model.combination(y, [0.013, None, None])
         assert calls == []
-        model.combination(y, [0.013, np.zeros(60), 0.0])
-        assert calls == [1]
+        model.combination(y, [0.013, 0.0, 0.0])
+        model.combination(y, [0.013, np.zeros(60), None])
+        assert calls == [1, 1]
 
     @pytest.mark.parametrize("special", [0.0, -0.0, -0.01, np.nan, np.inf],
                              ids=["zero", "negative-zero", "negative", "nan", "inf"])
     def test_other_variances_take_the_general_kernel(self, special):
+        # zero diffusion coefficients take the general kernel; the drift flow
+        # takes no root, so it neither clamps nor turns NaN on 0.0 q
         y = self._states()
         y[9, 1] = special
         for state in (np.asfortranarray(y), y[9].copy()):
             for a in (0.013, 0.0):
                 with np.errstate(invalid="ignore"):
                     self._check(state, [a, 0.0, 0.0])
+                    self._drift(state, a)
 
     @pytest.mark.parametrize("coeffs, differs", [
         ([-0.0, -0.0, 0.0], True),   # out0: -0.0 + -0.0 keeps the sign
@@ -257,14 +285,15 @@ class TestDriftFlow:
         ([-0.0, np.full(60, -0.0), np.zeros(60)], True),
     ], ids=["negative-zero-b1", "negative-zero-b2", "numpy-zero", "zero-arrays"])
     def test_other_coefficients_take_the_general_kernel(self, coeffs, differs):
+        # zero coefficients are coefficients: the first two cases keep a sign
+        # that the drift flow's added 0.0 would not
         y = np.asfortranarray(self._states())
         want = self._check(y, coeffs)
-        # the first two cases would come out otherwise in the drift-only branch
-        assert _same_bits(_drift_expressions(self.P, y, coeffs[0]), want) != differs
+        assert _same_bits(self._drift(y, coeffs[0]), want) != differs
 
 
 class TestDiffusionFlow:
-    """The fused kernel's diffusion-only branch (drift coefficient +0.0)."""
+    """The fused kernel's Gaussian flow: V0 left out (a None coefficient)."""
 
     P = TestDriftFlow.P
 
@@ -273,11 +302,14 @@ class TestDiffusionFlow:
         rng = np.random.default_rng(37)
         return rng.normal(size=paths), rng.normal(size=paths)
 
-    def _run(self, state, coeffs):
+    def _run(self, state, coeffs, p=None):
+        p = p or self.P
         guard = GuardCounter()
-        out = heston_model(self.P, guard).combination(state, coeffs)
+        out = heston_model(p, guard).combination(state, coeffs)
         y2 = state[..., 1]
         assert (guard.negative, guard.total) == (np.count_nonzero(y2 < 0.0), y2.size)
+        if coeffs[0] is None:
+            assert _agrees(out, _field_sum(heston_model(p), state, coeffs))
         return out
 
     @pytest.mark.parametrize("b1, b2", [
@@ -295,24 +327,25 @@ class TestDiffusionFlow:
             states += [y[row].copy() for row in range(8)]
         for state in states:
             with np.errstate(over="ignore", invalid="ignore"):
-                out = self._run(state, [0.0, b1, b2])
+                out = self._run(state, [None, b1, b2])
                 assert np.array_equal(out, _column_expressions(self.P, state, [0.0, b1, b2]))
 
     @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.3])
     def test_nv_flows_keep_the_general_bits(self, rho):
-        # N-V's Gaussian flows give each path one coefficient and +0.0 for the
-        # other: on positive variances the bits are the general kernel's
+        # N-V's Gaussian flows give each path one coefficient and 0.0 for the
+        # other: on positive variances the bits are the general kernel's with
+        # a zero drift coefficient
         p = HestonParams(alpha=1.7, rho=rho)
         rng = np.random.default_rng(41)
         y = np.asfortranarray(np.abs(rng.normal(size=(200, 3))) * [1.0, 0.1, 1.0]
                               + [0.0, 0.001, 0.0])
         eta = rng.normal(size=200)
         asc = rng.uniform(size=200) >= 0.5
-        for coeffs in ([0.0, np.where(asc, eta, 0.0), np.where(~asc, eta, 0.0)],
-                       [0.0, np.where(~asc, eta, 0.0), np.where(asc, eta, 0.0)],
-                       [0.0, 0.4, -0.7]):
-            out = heston_model(p).combination(y, coeffs)
-            assert _same_bits(out, _column_expressions(p, y, coeffs))
+        for b in ([np.where(asc, eta, 0.0), np.where(~asc, eta, 0.0)],
+                  [np.where(~asc, eta, 0.0), np.where(asc, eta, 0.0)],
+                  [0.4, -0.7]):
+            out = self._run(y, [None, *b], p)
+            assert _same_bits(out, _column_expressions(p, y, [0.0, *b]))
 
     def test_diffusion_flow_takes_one_square_root(self, monkeypatch):
         model = heston_model(self.P)
@@ -321,47 +354,54 @@ class TestDiffusionFlow:
         calls = []
         sqrt = np.sqrt
         monkeypatch.setattr(np, "sqrt", lambda *args, **kw: calls.append(1) or sqrt(*args, **kw))
-        model.combination(y, [0.0, b1, b2])
+        model.combination(y, [None, b1, b2])
         assert calls == [1]
 
     @pytest.mark.parametrize("special", [0.0, -0.0, -0.01, np.nan, np.inf],
                              ids=["zero", "negative-zero", "negative", "nan", "inf"])
     def test_other_variances_take_the_general_kernel(self, special):
+        # a zero drift coefficient takes the general kernel; the Gaussian flow
+        # is the per-field b1 V1 + b2 V2 on every variance
         y = TestDriftFlow._states()
         y[9, 1] = special
         b1, b2 = self._coeffs()
-        for state, coeffs in ((np.asfortranarray(y), [0.0, b1, b2]),
-                              (y[9].copy(), [0.0, b1[9], b2[9]])):
+        for state, b in ((np.asfortranarray(y), [b1, b2]), (y[9].copy(), [b1[9], b2[9]])):
             with np.errstate(invalid="ignore"):
-                out = self._run(state, coeffs)
-                assert _same_bits(out, _column_expressions(self.P, state, coeffs))
+                out = self._run(state, [0.0, *b])
+                assert _same_bits(out, _column_expressions(self.P, state, [0.0, *b]))
+                self._run(state, [None, *b])
 
     def test_overflowing_drift_factors_take_the_general_kernel(self):
-        # alpha (theta - y2) overflows at a 1e300 variance, so +0.0 times it is
-        # NaN in the general kernel; the branch would leave that NaN out
+        # alpha (theta - y2) overflows at a 1e300 variance, so a zero drift
+        # coefficient times it is NaN in the general kernel; the Gaussian flow
+        # evaluates no drift factor and stays finite
         p = HestonParams(alpha=1e10)
         y = TestDriftFlow._states()
         b1, b2 = self._coeffs()
         with np.errstate(over="ignore", invalid="ignore"):
-            out = heston_model(p).combination(y, [0.0, b1, b2])
+            out = self._run(y, [0.0, b1, b2], p)
             want = _column_expressions(p, y, [0.0, b1, b2])
+            gaussian = self._run(y, [None, b1, b2], p)
         assert np.isnan(want[5, 1])
         assert _same_bits(out, want)
+        assert np.all(np.isfinite(gaussian))
 
     @pytest.mark.parametrize("a", [-0.0, np.float64(0.0), np.zeros(60)],
                              ids=["negative-zero", "numpy-zero", "zero-array"])
     def test_other_drift_coefficients_take_the_general_kernel(self, a):
-        # b1 = -0.0 makes b1 q -0.0; the drift term +0.0 turns that sum into
-        # +0.0 (row 5: mu - y2/2 - rb4 < 0 times -0.0; row 10: > 0 times +0.0),
-        # which the diffusion-only branch would leave as -0.0
+        # every zero drift coefficient, the float 0.0 too, is a coefficient:
+        # b1 = -0.0 makes b1 q -0.0, and the drift term +0.0 turns that sum
+        # into +0.0 (row 5: mu - y2/2 - rb4 < 0 times -0.0; row 10: > 0 times
+        # +0.0), which the Gaussian flow, adding no drift term, leaves -0.0
         model = heston_model(self.P)
         y = np.asfortranarray(TestDriftFlow._states())
         b1, b2 = self._coeffs()
         b1[[5, 10]] = -0.0
         with np.errstate(over="ignore"):
-            out = model.combination(y, [a, b1, b2])
-            assert _same_bits(out, _column_expressions(self.P, y, [a, b1, b2]))
-        assert not _same_bits(out, model.combination(y, [0.0, b1, b2]))
+            for coeffs in ([a, b1, b2], [0.0, b1, b2]):
+                out = model.combination(y, coeffs)
+                assert _same_bits(out, _column_expressions(self.P, y, coeffs))
+        assert not _same_bits(out, model.combination(y, [None, b1, b2]))
 
 
 class TestVarianceSqrt:

@@ -379,8 +379,10 @@ class TestRunPaths:
 def _clock_model():
     """V0 moves y1 at unit speed, V1 adds a little noise to it, and V2 turns
     NaN once y1 passes 1.3: from x0 = (1, 0.09, 0) over T = 1 in 8 steps a
-    splitting path passes 1.3 in step 2, never earlier, and an N-V path in
-    step 1, whose last flow is the merged drift to time 2.5/8."""
+    splitting path passes 1.3 in step 2, never earlier.  So does an N-V path:
+    step 1's last flow, the merged drift to time 2.5/8, takes it past 1.3 but
+    leaves V2 out, and the first flow to run V2 there is a Gaussian flow of
+    step 2."""
     def unit(column, value):
         def f(y):
             out = np.zeros_like(y)
@@ -433,7 +435,7 @@ class TestFailureStep:
         plan = _plan(kind, 8)
         first = np.asarray(UniformSource(QMC, plan.uniform_dimension(model)).chunk(0, CHUNK))
         stage, step, path = self._first_failure(plan, model, first)
-        assert step == {NN: 2, NV: 1}[kind]
+        assert step == 2
         for workers in (1, 3):
             with pytest.raises(IntegrationFailure) as exc:
                 price_cell(BenchConfig(workers=workers), Cell(kind, 8, 2 * CHUNK + 100, QMC))
@@ -534,6 +536,29 @@ class TestFusedCombination:
         coeffs = [0.3, np.array([0.1, -0.2, 0.4])]
         assert np.allclose(base.combination(y, coeffs), fused.combination(y, coeffs),
                            atol=1e-15)
+
+    def test_left_out_fields_are_never_called(self):
+        # a None coefficient leaves its field out of the flow: the per-field
+        # sum never calls it, and the fused Heston kernel reads no field
+        def never(y):
+            raise AssertionError("a left-out field was called")
+
+        heston = heston_model(HestonParams(rho=-0.5))
+        v0, v1, v2 = heston.stratonovich
+        no = VectorField(3, never)
+        rng = np.random.default_rng(17)
+        y = np.asfortranarray(np.abs(rng.normal(size=(40, 3))) * [1.0, 0.1, 1.0])
+        b1, b2 = rng.normal(size=40), rng.normal(size=40)
+        for fields, coeffs in (((v0, no, no), [0.02, None, None]),
+                               ((no, v1, v2), [None, b1, b2]),
+                               ((v0, no, v2), [0.02, None, b2]),
+                               ((no, v1, no), [None, b1, None])):
+            generic = SDEModel(fields, heston.ito_drift)
+            fused = SDEModel(fields, heston.ito_drift, fused_combination=heston.fused_combination)
+            want = sum((c[:, None] if isinstance(c, np.ndarray) else c) * f(y)
+                       for c, f in zip(coeffs, fields) if c is not None)
+            assert np.array_equal(generic.combination(y, coeffs), want)
+            assert np.allclose(fused.combination(y, coeffs), want, rtol=1e-13, atol=0.0)
 
 
 class TestReadDim:
