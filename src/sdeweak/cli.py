@@ -38,7 +38,7 @@ from .heston_bench import (
     result_rows,
 )
 from .moment_match import UPPER, LOWER, residual_table, solution_params
-from .refusal import shown
+from .refusal import SHOWN, shown
 from .rk_trees import ButcherTableau, check_order
 from .rk_integrator import IntegrationFailure, builtin_tableau
 from .sampling import MC, QMC
@@ -127,6 +127,19 @@ def _load_json(path: str):
         return json.load(fh, parse_int=parse_int)
 
 
+def _check_keys(data: dict, allowed: tuple[str, ...], label: str) -> None:
+    """Refuse keys outside ``allowed``, naming the first three, or as many of
+    them as fit in 2 * SHOWN bytes, and counting the rest."""
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        named = [shown(key) for key in unknown[:3]]
+        while len(named) > 1 and len(", ".join(named).encode()) > 2 * SHOWN:
+            named.pop()
+        more = len(unknown) - len(named)
+        raise ValueError(f"unknown {label} {', '.join(named)}"
+                         + (f" and {more} more" if more else ""))
+
+
 def _emit(lines, path: str | None) -> None:
     out = open(path, "w", encoding="utf-8") if path else sys.stdout
     try:
@@ -181,6 +194,9 @@ def cmd_verify_moments(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_TABLEAU_KEYS = ("name", "order", "a", "b")
+
+
 def _load_tableau(spec: str) -> ButcherTableau:
     try:
         is_file = Path(spec).suffix == ".json" or Path(spec).exists()
@@ -188,16 +204,18 @@ def _load_tableau(spec: str) -> ButcherTableau:
         is_file = False
     if is_file:
         try:
-            return ButcherTableau.from_mapping(_load_json(spec))
-        except OSError as exc:  # its text names the file
+            data = _load_json(spec)
+            if isinstance(data, dict):
+                _check_keys(data, _TABLEAU_KEYS, "tableau key(s)")
+            return ButcherTableau.from_mapping(data)
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            # the spec is on the command line; an OSError's text names it too
             raise argparse.ArgumentTypeError(
                 f"cannot load tableau file: {_error_text(exc)}") from exc
-        except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-            raise argparse.ArgumentTypeError(f"cannot load tableau file {spec}: {exc}") from exc
     try:
         return builtin_tableau(spec)
-    except KeyError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        raise argparse.ArgumentTypeError(exc.args[0]) from exc
 
 
 #: rooted trees take about 6x longer to enumerate per order: up to order 12
@@ -215,7 +233,8 @@ def cmd_verify_rk(args) -> int:
     _emit(lines, args.out)
     failures = sum(1 for c in report if not c.passed)
     status = "PASS" if failures == 0 else "FAIL"
-    print(f"verify-rk-order: tableau={tableau.name or 'custom'} order={order} "
+    name = shown(tableau.name) if tableau.name else "custom"
+    print(f"verify-rk-order: tableau={name} order={order} "
           f"conditions={len(report)} failures={failures} {status}", file=sys.stderr)
     return 0 if failures == 0 else 1
 
@@ -226,13 +245,6 @@ def cmd_verify_rk(args) -> int:
 
 
 _HESTON_KEYS = tuple(f.name for f in fields(HestonParams))
-
-
-def _check_keys(data: dict, allowed: tuple[str, ...], label: str) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {label} {', '.join(unknown)}; "
-                         f"expected a subset of {', '.join(allowed)}")
 
 
 def _heston_from_mapping(data: dict) -> HestonParams:

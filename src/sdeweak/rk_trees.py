@@ -17,6 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
+from .refusal import shown
+
 
 class Tree:
     """A non-labelled rooted tree; children stored sorted, so equality = isomorphism."""
@@ -145,9 +147,21 @@ class ButcherTableau:
         """Build from a JSON-style dict with rational strings such as "11/64"."""
         if not isinstance(data, dict):
             raise ValueError(f"a tableau must be a JSON object, got {type(data).__name__}")
-        a = tuple(tuple(Fraction(str(x)) for x in row) for row in data["a"])
-        b = tuple(Fraction(str(x)) for x in data["b"])
-        return cls(a=a, b=b, declared_order=int(data["order"]), name=data.get("name", ""))
+        a = tuple(tuple(_entry(x) for x in row) for row in data["a"])
+        b = tuple(_entry(x) for x in data["b"])
+        try:
+            order = int(data["order"])
+        except (TypeError, ValueError):
+            raise ValueError(f"order must be an integer, got {shown(data['order'])}") from None
+        return cls(a=a, b=b, declared_order=order, name=data.get("name", ""))
+
+
+def _entry(x) -> Fraction:
+    """A tableau file's entry: a rational string such as "11/64", or a number."""
+    try:
+        return Fraction(str(x))
+    except ValueError:
+        raise ValueError(f"a tableau entry must be a rational number, got {shown(x)}") from None
 
 
 def _stage_sum(weights: tuple[Fraction, ...], child_weights: list) -> Fraction:
