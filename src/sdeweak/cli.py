@@ -182,7 +182,9 @@ def cmd_verify_moments(args) -> int:
                           (f"{word},{coeff},{target},{residual}"
                            for word, coeff, target, residual in rows)), args.out)
     status = "PASS" if worst <= tol else "FAIL"
-    print(f"verify-moments: u={args.u} branch={args.branch} m={m} d={d} "
+    u = str(args.u)
+    print(f"verify-moments: u={u if len(u) <= SHOWN else shown(u)} branch={args.branch} "
+          f"m={m} d={d} "
           f"mode={'exact' if params.is_exact else 'float'} words={len(rows)} "
           f"max|residual|={worst:.3e} {status}",
           file=sys.stderr)
@@ -208,7 +210,7 @@ def _load_tableau(spec: str) -> ButcherTableau:
             if isinstance(data, dict):
                 _check_keys(data, _TABLEAU_KEYS, "tableau key(s)")
             return ButcherTableau.from_mapping(data)
-        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
             # the spec is on the command line; an OSError's text names it too
             raise argparse.ArgumentTypeError(
                 f"cannot load tableau file: {_error_text(exc)}") from exc

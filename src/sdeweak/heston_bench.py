@@ -16,7 +16,7 @@ import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ import numpy as np
 from .moment_match import LOWER, check_family, solution_params
 from .refusal import shown
 from .rk_integrator import IntegrationFailure, VectorField, builtin_tableau, scheme
+from .rk_trees import ButcherTableau
 from .sampling import QMC, UniformSource, check_mode, estimate
 from .schemes import EM, NN, NV, SDEModel, SchemeStepPlan, check_kind, romberg, run_paths
 
@@ -91,6 +92,77 @@ class GuardCounter:
         return self.negative / self.total if self.total else 0.0
 
 
+def _poly_add(p: list, q: list) -> list:
+    if len(p) < len(q):
+        p, q = q, p
+    return [c + (q[k] if k < len(q) else 0) for k, c in enumerate(p)]
+
+
+def _poly_scale(c: Fraction, p: list) -> list:
+    return [c * x for x in p]
+
+
+def _poly_mul(p: list, q: list) -> list:
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, z in enumerate(q):
+            out[i + j] += x * z
+    return out
+
+
+@lru_cache(maxsize=64)
+def _drift_map(params: HestonParams, tableau: ButcherTableau, a: float):
+    """One step of ``tableau`` for the flow of a V0, as polynomials in y2.
+
+    a V0 is triangular: y2' = A + B y2, y1' = y1 (C + D y2) and y3' = a y1,
+    with A = a (alpha theta - beta^2/4), B = -a alpha, C = a (mu - rho beta/4)
+    and D = -a/2.  So each stage input is y2 affine in y2, y1 times a
+    polynomial in y2 and y3 plus y1 times one, and the step is
+        y2 -> e + f y2,  y1 -> y1 P(y2),  y3 -> y3 + y1 Q(y2)
+    with deg P <= s and deg Q <= s - 1 for s stages.  The stage recursion
+    runs exactly on the float parameters and each coefficient is rounded
+    once.  Returns ((e, f), P, Q), each polynomial highest degree first with
+    at least two coefficients, or None when a coefficient is past the float
+    range.
+    """
+    mu, al, th, be, rho, a = map(Fraction, (params.mu, params.alpha, params.theta,
+                                            params.beta, params.rho, a))
+    A, B = a * (al * th - be * be / 4), -a * al
+    C, D = a * (mu - rho * be / 4), -a / 2
+    # each stage's a V0 as polynomials in y2: its y2 row, and its y1 and y3
+    # rows divided by y1
+    ks2, ks1, ks3 = [], [], []
+    for row in tableau.a:
+        y2 = [Fraction(0), Fraction(1)]
+        p = [Fraction(1)]
+        for aij, k2, k1 in zip(row, ks2, ks1):
+            y2 = _poly_add(y2, _poly_scale(aij, k2))
+            p = _poly_add(p, _poly_scale(aij, k1))
+        ks2.append(_poly_add([A], _poly_scale(B, y2)))
+        ks1.append(_poly_mul(p, _poly_add([C], _poly_scale(D, y2))))
+        ks3.append(_poly_scale(a, p))
+    ef, P, Q = [Fraction(0), Fraction(1)], [Fraction(1)], [Fraction(0)]
+    for bj, k2, k1, k3 in zip(tableau.b, ks2, ks1, ks3):
+        ef = _poly_add(ef, _poly_scale(bj, k2))
+        P = _poly_add(P, _poly_scale(bj, k1))
+        Q = _poly_add(Q, _poly_scale(bj, k3))
+    try:
+        return tuple(tuple(float(c) for c in reversed(_poly_add(poly, [0, 0])))
+                     for poly in (ef, P, Q))
+    except OverflowError:
+        return None
+
+
+def _horner(coeffs: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """coeffs[0] x^n + ... + coeffs[n] into out by Horner's rule (n >= 1)."""
+    np.multiply(x, coeffs[0], out=out)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= x
+    out += coeffs[-1]
+    return out
+
+
 def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDEModel:
     """The three-dimensional (price, variance, running integral) model, d = 2.
 
@@ -105,6 +177,8 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
     rb = rho * be
     rb4 = rb / 4.0
     be2_4 = be * be / 4.0
+    dv = al * th - be2_4
+    dp = mu - rb4
     orth = be * math.sqrt(1.0 - rho * rho)
     guard = guard if guard is not None else GuardCounter()
 
@@ -152,13 +226,15 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
         # coefficient leaves its field out.  The columns are accumulated in
         # place, with the output columns and q as the only scratch, in the
         # operation order of
-        #   out1 = (b1 rho beta + b2 orth) q + a (alpha (theta - y2) - beta^2/4)
-        #   out0 = y1 (a (mu - y2/2 - rb4) + b1 q)
+        #   out1 = (b1 rho beta + b2 orth) q + (a dv - (a alpha) y2)
+        #   out0 = y1 ((a dp - (a/2) y2) + b1 q)
         #   out2 = a y1
-        # so the bits do not depend on the layout.  Without V1 and V2 no root
-        # is taken and 0.0 stands for each diffusion term; one of them alone
-        # takes the root with 0.0 as the other's coefficient; without V0 the
-        # drift passes are skipped and out2 is 0.
+        # with the scalar drift folded into the constants dv = alpha theta -
+        # beta^2/4 and dp = mu - rb4, so the bits do not depend on the
+        # layout.  Without V1 and V2 no root is taken and 0.0 stands for each
+        # diffusion term; one of them alone takes the root with 0.0 as the
+        # other's coefficient; without V0 the drift passes are skipped and
+        # out2 is 0.
         a, b1, b2 = coeffs
         y1, y2 = y[..., 0], y[..., 1]
         out = np.empty_like(y)
@@ -177,15 +253,11 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
             np.multiply(diffusion0, y1, out=o0)
             o2.fill(0.0)
             return out
-        np.subtract(th, y2, out=o0)
-        o0 *= al
-        o0 -= be2_4
-        o0 *= a
+        np.multiply(y2, a * al, out=o0)
+        np.subtract(a * dv, o0, out=o0)
         np.add(diffusion1, o0, out=o1)
-        np.multiply(y2, 0.5, out=o0)
-        np.subtract(mu, o0, out=o0)
-        o0 -= rb4
-        o0 *= a
+        np.multiply(y2, a * 0.5, out=o0)
+        np.subtract(a * dp, o0, out=o0)
         o0 += diffusion0
         o0 *= y1
         np.multiply(y1, a, out=o2)
@@ -231,9 +303,30 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
         o2 += q
         return out
 
+    def drift_step(tableau, a, y):
+        # the step of _drift_map by Horner's rule: about 27 passes for RK5
+        # against six stage evaluations and their combinations
+        if not math.isfinite(a):
+            return None
+        coeffs = _drift_map(params, tableau, float(a))
+        if coeffs is None:
+            return None
+        ef, p, q = coeffs
+        y1, y2, y3 = y[:, 0], y[:, 1], y[:, 2]
+        out = np.empty_like(y)
+        o0, o1, o2 = out[:, 0], out[:, 1], out[:, 2]
+        _horner(p, y2, o0)
+        o0 *= y1
+        _horner(ef, y2, o1)
+        _horner(q, y2, o2)
+        o2 *= y1
+        o2 += y3
+        return out
+
     fields = tuple(VectorField(3, f) for f in (v0, v1, v2))
     return SDEModel(stratonovich=fields, ito_drift=VectorField(3, drift),
-                    fused_combination=fused, fused_euler=euler, read_dim=2)
+                    fused_combination=fused, fused_euler=euler, read_dim=2,
+                    drift_step=drift_step)
 
 
 def asian_payoff(states: np.ndarray, params: HestonParams) -> np.ndarray:

@@ -147,6 +147,9 @@ class ButcherTableau:
         """Build from a JSON-style dict with rational strings such as "11/64"."""
         if not isinstance(data, dict):
             raise ValueError(f"a tableau must be a JSON object, got {type(data).__name__}")
+        missing = [key for key in ("a", "b", "order") if key not in data]
+        if missing:
+            raise ValueError(f"missing key(s) {', '.join(missing)}")
         a = tuple(tuple(_entry(x) for x in row) for row in data["a"])
         b = tuple(_entry(x) for x in data["b"])
         try:

@@ -63,6 +63,12 @@ class SDEModel:
     coordinate of a stage input is unspecified, so a field must not read it;
     it must still return every coordinate.  Each flow's result covers every
     coordinate.
+
+    ``drift_step``, when given, is ``drift_step(tableau, a, y)``: one step of
+    ``tableau`` for the time-1 flow of a V0, for a finite scalar a and a
+    (P, N) batch y, or None where the model does not give it.  It must agree
+    with :func:`integrate` on that flow to rounding, and it too exists purely
+    for speed.
     """
 
     stratonovich: tuple[VectorField, ...]
@@ -70,6 +76,7 @@ class SDEModel:
     fused_combination: Callable | None = None
     fused_euler: Callable | None = None
     read_dim: int | None = None
+    drift_step: Callable | None = None
 
     def __post_init__(self):
         if any(f.dimension != self.dim for f in self.stratonovich):
@@ -136,7 +143,18 @@ class SchemeStepPlan:
 
 
 def _flow(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, coeffs: Sequence) -> np.ndarray:
-    """The time-1 flow of sum_k coeffs[k] V_k from x: one step of rk."""
+    """The time-1 flow of sum_k coeffs[k] V_k from x: one step of rk.
+
+    A flow of V0 alone, with a scalar coefficient over a batch, takes the
+    model's drift step; a flow it does not give, or gives non-finite, runs
+    rk through :func:`integrate`, so a failure names its stage and path.
+    """
+    a = coeffs[0]
+    if (model.drift_step is not None and x.ndim == 2 and a is not None
+            and not isinstance(a, np.ndarray) and all(c is None for c in coeffs[1:])):
+        out = model.drift_step(rk.tableau, a, x)
+        if out is not None and np.isfinite(out).all():
+            return out
     return integrate(rk, lambda y: model.combination(y, coeffs), x, read_dim=model.read_dim)
 
 
@@ -186,7 +204,8 @@ def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
     give the one-step map, half drift on each side.  :func:`run_paths` runs
     the half drift that ends one step and the half drift that starts the next
     as one flow of s V0, which the exact flows compose to, so a path of n
-    steps makes (d + 1) n + 1 flows.
+    steps makes (d + 1) n + 1 flows: d n Runge-Kutta flows and n + 1 drift
+    flows, each the model's drift step where it has one (see :func:`_flow`).
     The middle flows run in ascending Brownian order where the Bernoulli draw
     is +1 and descending where -1; bernoulli holds one draw per path, or one
     0-d draw for every path.  This competitor is a reconstruction of the

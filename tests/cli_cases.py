@@ -220,6 +220,7 @@ GROUPS: dict[str, list[Case]] = {
         _tableau("non-list-a", {"order": 1, "a": 5, "b": ["1"]},
                  "'int' object is not iterable"),
         _tableau("top-level-list", [1, 2], "a tableau must be a JSON object, got list"),
+        _tableau("missing-keys", {"a": [["0"]]}, "missing key(s) b, order"),
     ],
     # a tableau file's contents and a builtin's name are named by refusal.shown
     "tableau-contents": [
@@ -381,8 +382,9 @@ GROUPS: dict[str, list[Case]] = {
                   "error: u must be a rational number, got '1/0'"),
         _converge("null-workers", {"workers": None, "cells": [CELL]}, 2,
                   "error: workers must not be null"),
+        # the kernel's folded drift constants keep path 0's stage 5 finite
         _converge("stiff-parameters", {"heston": {"alpha": 1e80}, "cells": [CELL]}, 3,
-                  "numerical failure: non-finite state in Runge-Kutta stage 5, step 0, path 0; "
+                  "numerical failure: non-finite state in Runge-Kutta stage 5, step 0, path 1; "
                   "cell nn n=2 qmc"),
     ],
     # a refusal names a long text by its head and its length, not in full

@@ -102,6 +102,15 @@ class TestVerifyMoments:
         assert len(out.strip().splitlines()) == 1 + 119
         assert "mode=exact" in err and "PASS" in err
 
+    def test_long_u_is_named_short_in_the_summary(self, capsys):
+        # a rational just above 1, whose float is 1: the summary names it by
+        # its head and length, as a refusal would
+        code, _, err = run_cli(capsys, "verify-moments", "--u", f"1{'0' * 3000}1/1{'0' * 3001}")
+        assert code == 0
+        [line] = err.splitlines()
+        assert len(line.encode()) < 200
+        assert f"u='1{'0' * 39}'... (6005 characters) branch=lower" in line
+
     def test_perturbation_fails_with_named_row(self, capsys):
         code, out, err = run_cli(capsys, "verify-moments", "--u", "0.75",
                                  "--branch", "lower", "--perturb", "R12=+0.1")
@@ -454,6 +463,8 @@ class TestConverge:
     test_numerical_failure_exits_3 = staticmethod(_contract("process", "stiff-parameters"))
 
     def test_numerical_failure_names_the_romberg_level(self, capsys, tmp_path):
+        # alpha 1e80 puts the drift step's coefficients past the float range,
+        # so N-V's first drift flow runs its Runge-Kutta stages
         path = tmp_path / "stiff.json"
         path.write_text(json.dumps(
             {"heston": {"alpha": 1e80},
@@ -464,7 +475,7 @@ class TestConverge:
                                      "--workers", workers)
             assert code == 3
             assert err.splitlines() == ["sdeweak converge: numerical failure: "
-                                        "non-finite state in Runge-Kutta stage 5, step 0, "
+                                        "non-finite state in Runge-Kutta stage 4, step 0, "
                                         "path 0; cell nv n=4 mc +romberg, level n=2"]
 
     @_cases("process")

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sdeweak import heston_bench
+from sdeweak import heston_bench, schemes
 from sdeweak.heston_bench import (
     BenchConfig,
     Cell,
@@ -18,23 +20,25 @@ from sdeweak.heston_bench import (
     price_cell,
     result_rows,
 )
+from sdeweak.rk_integrator import IntegrationFailure, integrate, scheme
 from sdeweak.schemes import em_step
 
 CFG = BenchConfig(workers=2)
 
 
 def _column_expressions(p, y, coeffs):
-    """Reference: a V0 + b1 V1 + b2 V2 for the Heston fields, one expression per column."""
+    """Reference: a V0 + b1 V1 + b2 V2 for the Heston fields, one expression per
+    column, with the drift coefficient folded into the constants."""
     rb4 = p.rho * p.beta / 4.0
-    be2_4 = p.beta * p.beta / 4.0
+    dv = p.alpha * p.theta - p.beta * p.beta / 4.0
     orth = p.beta * math.sqrt(1.0 - p.rho * p.rho)
     a, b1, b2 = coeffs
     y1, y2 = y[..., 0], y[..., 1]
     q = np.sqrt(np.maximum(y2, 0.0))
     out = np.empty_like(y)
-    out[..., 0] = y1 * (a * (p.mu - 0.5 * y2 - rb4) + b1 * q)
-    out[..., 1] = (a * (p.alpha * (p.theta - y2) - be2_4)
-                   + (b1 * (p.rho * p.beta) + b2 * orth) * q)
+    out[..., 0] = y1 * ((a * (p.mu - rb4) - (a * 0.5) * y2) + b1 * q)
+    out[..., 1] = ((b1 * (p.rho * p.beta) + b2 * orth) * q
+                   + (a * dv - (a * p.alpha) * y2))
     out[..., 2] = a * y1
     return out
 
@@ -42,10 +46,11 @@ def _column_expressions(p, y, coeffs):
 def _drift_expressions(p, y, a):
     """Reference: the drift flow, a V0 plus 0.0 for each left-out diffusion term."""
     rb4 = p.rho * p.beta / 4.0
+    dv = p.alpha * p.theta - p.beta * p.beta / 4.0
     y1, y2 = y[..., 0], y[..., 1]
     out = np.empty_like(y)
-    out[..., 0] = ((p.mu - 0.5 * y2 - rb4) * a + 0.0) * y1
-    out[..., 1] = (p.alpha * (p.theta - y2) - p.beta * p.beta / 4.0) * a + 0.0
+    out[..., 0] = ((a * (p.mu - rb4) - (a * 0.5) * y2) + 0.0) * y1
+    out[..., 1] = 0.0 + (a * dv - (a * p.alpha) * y2)
     out[..., 2] = y1 * a
     return out
 
@@ -285,9 +290,12 @@ class TestDriftFlow:
         ([-0.0, np.full(60, -0.0), np.zeros(60)], True),
     ], ids=["negative-zero-b1", "negative-zero-b2", "numpy-zero", "zero-arrays"])
     def test_other_coefficients_take_the_general_kernel(self, coeffs, differs):
-        # zero coefficients are coefficients: the first two cases keep a sign
-        # that the drift flow's added 0.0 would not
-        y = np.asfortranarray(self._states())
+        # zero coefficients are coefficients: at the negative variance of row
+        # 8, where a = -0.0 makes the folded drift terms -0.0, the first two
+        # cases keep a sign that the drift flow's added 0.0 would not
+        y = self._states()
+        y[8, 1] = -0.01
+        y = np.asfortranarray(y)
         want = self._check(y, coeffs)
         assert _same_bits(self._drift(y, coeffs[0]), want) != differs
 
@@ -372,9 +380,10 @@ class TestDiffusionFlow:
                 self._run(state, [None, *b])
 
     def test_overflowing_drift_factors_take_the_general_kernel(self):
-        # alpha (theta - y2) overflows at a 1e300 variance, so a zero drift
-        # coefficient times it is NaN in the general kernel; the Gaussian flow
-        # evaluates no drift factor and stays finite
+        # alpha y2 overflows at a 1e300 variance, but the general kernel folds
+        # a zero drift coefficient into the constants first, so its drift
+        # terms are zero and it stays finite, as the Gaussian flow does,
+        # which evaluates no drift term
         p = HestonParams(alpha=1e10)
         y = TestDriftFlow._states()
         b1, b2 = self._coeffs()
@@ -382,9 +391,9 @@ class TestDiffusionFlow:
             out = self._run(y, [0.0, b1, b2], p)
             want = _column_expressions(p, y, [0.0, b1, b2])
             gaussian = self._run(y, [None, b1, b2], p)
-        assert np.isnan(want[5, 1])
+        assert p.alpha * float(y[5, 1]) == math.inf
         assert _same_bits(out, want)
-        assert np.all(np.isfinite(gaussian))
+        assert np.all(np.isfinite(out)) and np.all(np.isfinite(gaussian))
 
     @pytest.mark.parametrize("a", [-0.0, np.float64(0.0), np.zeros(60)],
                              ids=["negative-zero", "numpy-zero", "zero-array"])
@@ -402,6 +411,117 @@ class TestDiffusionFlow:
                 out = model.combination(y, coeffs)
                 assert _same_bits(out, _column_expressions(self.P, y, coeffs))
         assert not _same_bits(out, model.combination(y, [None, b1, b2]))
+
+
+#: the drift step against integrate, in ulps of the largest term that the
+#: Runge-Kutta step sums: float Runge-Kutta rounds each stage, and rk7's large
+#: coefficients make its stage terms cancel (a random search found 10 and 310)
+DRIFT_STEP_ULPS = {"rk5-butcher": 32, "rk7-butcher": 1024}
+RKS = tuple(scheme(name) for name in DRIFT_STEP_ULPS)
+HUGE = 1e300
+
+
+def _exact_drift_step(p, tableau, a, y):
+    """Reference: the tableau's step of a V0 from one state, in exact arithmetic."""
+    mu, al, th, be, rho, a = map(Fraction, (p.mu, p.alpha, p.theta, p.beta, p.rho, a))
+    y = [Fraction(v) for v in y]
+
+    def v0(z):
+        return [a * z[0] * (mu - z[1] / 2 - rho * be / 4), a * (al * (th - z[1]) - be * be / 4),
+                a * z[0]]
+
+    ks = []
+    for row in tableau.a:
+        ks.append(v0([y[c] + sum(aij * k[c] for aij, k in zip(row, ks)) for c in range(3)]))
+    return [float(y[c] + sum(bj * k[c] for bj, k in zip(tableau.b, ks))) for c in range(3)]
+
+
+class TestDriftStep:
+    """Heston's drift step: a tableau's step of a V0 as a polynomial map."""
+
+    P = TestDriftFlow.P
+    MODEL = heston_model(P)
+
+    def _integrate(self, rk, a, y):
+        """integrate on the flow of a V0, and the largest term each of its sums adds."""
+        ks = []
+
+        def field(z):
+            ks.append(self.MODEL.combination(z, [a, None, None]))
+            return ks[-1]
+
+        out = integrate(rk, field, y, read_dim=self.MODEL.read_dim)
+        weights = np.abs(np.array(rk.tableau.a + (rk.tableau.b,), dtype=float)).max(axis=0)
+        largest = (weights[:, None, None] * np.abs(np.stack(ks))).max(axis=0)
+        return out, np.maximum(largest, np.abs(y))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rk=st.sampled_from(RKS), a=st.floats(0.0, 2.0, exclude_min=True),
+           rows=st.lists(st.tuples(
+               st.floats(0.0, 10.0),
+               st.sampled_from([0.0, -0.0, HUGE, -HUGE]) | st.floats(-1.0, 1.0),
+               st.floats(0.0, 10.0)), min_size=1, max_size=6))
+    def test_agrees_with_integrate(self, rk, a, rows):
+        # a huge variance overflows the step for any a from 1e-6, which then
+        # runs integrate and fails as it does, naming the same stage and path
+        y = np.asfortranarray(rows, dtype=float)
+        huge = np.abs(y[:, 1]) == HUGE
+        assume(a >= 1e-6 or not huge.any())
+        flow = [a, None, None]
+        with np.errstate(all="ignore"):
+            if huge.any() and y[huge, 0].any():
+                assert not np.isfinite(self.MODEL.drift_step(rk.tableau, a, y)).all()
+            try:
+                want, largest = self._integrate(rk, a, y)
+            except IntegrationFailure as failure:
+                with pytest.raises(IntegrationFailure) as got:
+                    schemes._flow(self.MODEL, rk, y, flow)
+                assert (got.value.stage, got.value.path) == (failure.stage, failure.path)
+                return
+            out = schemes._flow(self.MODEL, rk, y, flow)
+        bound = DRIFT_STEP_ULPS[rk.tableau.name] * np.spacing(largest)
+        assert np.all(np.abs(out - want) <= bound)
+
+    @pytest.mark.parametrize("rk", RKS, ids=lambda rk: rk.tableau.name)
+    def test_is_the_exact_step_rounded(self, rk):
+        # rounded once and evaluated by Horner's rule, each column is within
+        # a few ulps of the sum of its terms' magnitudes
+        rng = np.random.default_rng(43)
+        y = np.asfortranarray(rng.uniform([0.0, -1.0, 0.0], [10.0, 1.0, 10.0], size=(40, 3)))
+        s = rk.stages
+        for a in (1 / 32, 0.5, 2.0):
+            ef, p, q = heston_bench._drift_map(self.P, rk.tableau, a)
+            assert (len(ef), len(p), len(q)) == (2, s + 1, s)  # deg P <= s, deg Q <= s - 1
+            out = self.MODEL.drift_step(rk.tableau, a, y)
+            for row, state in zip(out, y):
+                y1, y2, y3 = np.abs(state)
+                scale = [y1 * np.polyval(np.abs(p), y2), np.polyval(np.abs(ef), y2),
+                         y3 + y1 * np.polyval(np.abs(q), y2)]
+                exact = _exact_drift_step(self.P, rk.tableau, a, state)
+                assert np.all(np.abs(row - exact) <= 4 * s * np.finfo(float).eps
+                              * np.array(scale))
+
+    def test_leaves_other_flows_to_integrate(self):
+        # a per-path drift coefficient, a single state, a non-finite a and
+        # coefficients past the float range run the Runge-Kutta stages
+        rk = RKS[0]
+        y = np.asfortranarray(TestDriftFlow._states()[8:])
+        assert self.MODEL.drift_step(rk.tableau, math.inf, y) is None
+        assert heston_model(HestonParams(alpha=1e80)).drift_step(rk.tableau, 0.5, y) is None
+        for state, a in ((y, np.linspace(0.1, 0.5, len(y))), (y[3].copy(), 0.5)):
+            want = integrate(rk, lambda z: self.MODEL.combination(z, [a, None, None]), state,
+                             read_dim=2)
+            assert _same_bits(schemes._flow(self.MODEL, rk, state, [a, None, None]), want)
+
+    def test_nv_tableau_picks_the_drift_step(self, monkeypatch):
+        # the drift step is derived from the config's nv_tableau, here rk7
+        names = []
+        derive = heston_bench._drift_map
+        monkeypatch.setattr(heston_bench, "_drift_map",
+                            lambda p, tableau, a: names.append(tableau.name) or
+                            derive(p, tableau, a))
+        price_cell(BenchConfig(nv_tableau="rk7-butcher"), Cell("nv", 4, 2000, "qmc"))
+        assert names and set(names) == {"rk7-butcher"}
 
 
 class TestVarianceSqrt:
@@ -650,7 +770,8 @@ class TestBenchmark:
     @pytest.mark.parametrize("cell, estimate, error", [
         (Cell("em", 4, 2000, "mc", use_romberg=True),
          "0.06055868354569188", "0.01541928157070072"),
-        (Cell("nv", 2, 2000, "mc"), "0.057395079701646055", "0.012178619548985543"),
+        # before the drift step: 0.057395079701646055, 0.012178619548985543
+        (Cell("nv", 2, 2000, "mc"), "0.057395079701646", "0.012178619548985536"),
     ], ids=["em-romberg", "nv"])
     def test_small_mc_error_bars_pinned(self, cell, estimate, error):
         # no benchmark digest covers an MC Romberg or an MC N-V cell; the
@@ -663,6 +784,9 @@ class TestBenchmark:
             # three merges' of an n = 4 cell, so the move is 4e-8, not 1e-9
             assert abs(res.estimate - 0.05739503996545826) < 1e-7
             assert abs(res.error - 0.012178585148163343) < 1e-7
+            # before the drift flows took the drift step: a rounding move
+            assert abs(res.estimate - 0.057395079701646055) < 1e-12
+            assert abs(res.error - 0.012178619548985543) < 1e-12
 
     @pytest.mark.slow
     def test_em_romberg_qmc_matches_table_accuracy(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -6,7 +7,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from sdeweak import sampling
+from sdeweak import sampling, schemes
 from sdeweak.moment_match import solution_params
 from sdeweak.rk_integrator import IntegrationFailure, VectorField, integrate, scheme
 from sdeweak.heston_bench import BenchConfig, Cell, HestonParams, heston_model, price_cell
@@ -31,6 +32,9 @@ RK5 = scheme("rk5-butcher")
 #: the N-V pins before the drift flows between steps ran as one flow of s V0;
 #: the merge moves an estimate by the Runge-Kutta error of the drift flows
 NV_BEFORE_MERGE = {(4, QMC): 0.05998188995138026, (3, MC): 0.05967567321437449}
+#: the N-V pins before the drift flows took the drift step, the tableau's
+#: step as a polynomial map: the move is rounding, not Runge-Kutta error
+NV_BEFORE_DRIFT_STEP = {(4, QMC): 0.05998188828312475, (3, MC): 0.05967567215773005}
 
 
 def linear_model(a=1.0, b=0.5):
@@ -139,14 +143,16 @@ class TestEMStep:
 
 
 def _masked_split_nv_step(model, rk, x, s, bernoulli, etas):
-    """Reference: each Bernoulli ordering flows its own subset of the paths."""
+    """Reference: each Bernoulli ordering flows its own subset of the paths,
+    between the drift flows of :func:`schemes._flow`."""
     root_s = np.sqrt(s)
     d = model.brownian_dim
 
     def flow(y, coeffs):
         return integrate(rk, lambda z: model.combination(z, coeffs), y)
 
-    x = flow(x, [0.5 * s] + [0.0] * d)
+    drift = [0.5 * s] + [None] * d
+    x = schemes._flow(model, rk, x, drift)
     asc = bernoulli >= 0
     for sel, order in ((asc, range(1, d + 1)), (~asc, range(d, 0, -1))):
         if not np.any(sel):
@@ -158,7 +164,7 @@ def _masked_split_nv_step(model, rk, x, s, bernoulli, etas):
             sub = flow(sub, coeffs)
         x = x.copy()
         x[sel] = sub
-    return flow(x, [0.5 * s] + [0.0] * d)
+    return schemes._flow(model, rk, x, drift)
 
 
 def three_factor_model():
@@ -283,15 +289,21 @@ class TestRunPaths:
     ], ids=["nv-heston", "nv-three-factor", "nv-one-step", "nn"])
     def test_flows_per_path(self, monkeypatch, kind, n, model, x0, flows):
         # an N-V path makes (d + 1) n + 1 flows, its drift flows between steps
-        # merged; a splitting path makes two per step
-        from sdeweak import schemes
+        # merged; a splitting path makes two per step.  A flow is a drift step
+        # or a Runge-Kutta step
         calls = []
         monkeypatch.setattr(schemes, "integrate",
-                            lambda *args, **kw: calls.append(1) or integrate(*args, **kw))
+                            lambda *args, **kw: calls.append("rk") or integrate(*args, **kw))
+        drifts = n + 1 if kind == NV and model.drift_step is not None else 0
+        if model.drift_step is not None:
+            step = model.drift_step
+            model = dataclasses.replace(
+                model, drift_step=lambda *args: calls.append("drift") or step(*args))
         plan = _plan(kind, n)
         block = np.asarray(UniformSource(MC, plan.uniform_dimension(model), seed=3).chunk(0, 8))
         run_paths(plan, model, x0, 1.0, block)
         assert len(calls) == flows
+        assert calls.count("drift") == drifts
 
     def test_one_nv_step_is_the_one_step_map(self):
         # with n = 1 the path is one step with a half drift on each side
@@ -345,7 +357,7 @@ class TestRunPaths:
     @pytest.mark.parametrize("kind, n, pinned", [
         (EM, 8, "0.05182674617787431"),
         (NN, 2, "0.0615391137596445"),
-        (NV, 4, "0.05998188828312475"),
+        (NV, 4, "0.05998188828312479"),
     ])
     def test_small_qmc_estimates_pinned(self, kind, n, pinned):
         # 20000 samples span two estimator chunks; any change to the Sobol
@@ -355,10 +367,11 @@ class TestRunPaths:
         assert repr(res.estimate) == pinned
         if kind == NV:
             assert abs(res.estimate - NV_BEFORE_MERGE[n, QMC]) < 1e-8
+            assert abs(res.estimate - NV_BEFORE_DRIFT_STEP[n, QMC]) < 1e-12
 
     @pytest.mark.parametrize("kind, n, pinned", [
         (NN, 2, "0.06203760383778746"),
-        (NV, 3, "0.05967567215773005"),
+        (NV, 3, "0.05967567215773015"),
     ])
     def test_small_mc_estimates_pinned(self, kind, n, pinned):
         # the same with Philox uniforms: ten batches of 2000, row-major blocks
@@ -366,6 +379,7 @@ class TestRunPaths:
         assert repr(res.estimate) == pinned
         if kind == NV:
             assert abs(res.estimate - NV_BEFORE_MERGE[n, MC]) < 1e-8
+            assert abs(res.estimate - NV_BEFORE_DRIFT_STEP[n, MC]) < 1e-12
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
