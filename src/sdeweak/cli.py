@@ -13,7 +13,6 @@ are therefore excluded from the CSV unless --timings is passed.
 from __future__ import annotations
 
 import argparse
-import errno
 import itertools
 import json
 import math
@@ -95,11 +94,11 @@ def _perturbation(text: str) -> tuple[str, Fraction]:
     return key.strip().lower(), _rational(val.strip(), "perturbation")
 
 
-def _error_text(exc: Exception) -> str:
-    """``str(exc)``, but a file name the file system refuses as too long is named
-    by its head and length; a name it takes is shown in full, as real paths are
-    often long."""
-    if not isinstance(exc, OSError) or exc.errno != errno.ENAMETOOLONG:
+def _error_text(exc: Exception, room: int = 100) -> str:
+    """``str(exc)``, but an OSError's file name whose repr is wider than ``room``
+    bytes is named by its head and length, so that its refusal stays one line
+    under 200 bytes; a name that fits is shown in full, as real paths are often long."""
+    if not isinstance(exc, OSError) or len(repr(exc.filename).encode()) <= room:
         return str(exc)
     return f"[Errno {exc.errno}] {exc.strerror}: {shown(exc.filename)}"
 
@@ -211,9 +210,10 @@ def _load_tableau(spec: str) -> ButcherTableau:
                 _check_keys(data, _TABLEAU_KEYS, "tableau key(s)")
             return ButcherTableau.from_mapping(data)
         except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
-            # the spec is on the command line; an OSError's text names it too
+            # the spec is on the command line; an OSError's text names it too,
+            # after 46 bytes more of refusal than main's file names
             raise argparse.ArgumentTypeError(
-                f"cannot load tableau file: {_error_text(exc)}") from exc
+                f"cannot load tableau file: {_error_text(exc, 50)}") from exc
     try:
         return builtin_tableau(spec)
     except KeyError as exc:  # str() of a KeyError is the repr of its message
@@ -272,10 +272,9 @@ def _load_config(path: str | None) -> dict:
     return raw
 
 
-_CONFIG_KEYS = ("heston", "u", "branch", "nn_tableau", "nv_tableau", "seed", "sobol_skip",
-                "reference", "workers", "cells")
+_CONFIG_KEYS = tuple(f.name for f in fields(BenchConfig)) + ("cells",)
 #: read as they are; BenchConfig checks them
-_PLAIN_KEYS = ("branch", "nn_tableau", "nv_tableau", "seed", "sobol_skip", "reference", "workers")
+_PLAIN_KEYS = tuple(key for key in _CONFIG_KEYS if key not in ("heston", "u", "cells"))
 _FLAG_KEYS = ("u", "branch", "seed", "sobol_skip", "workers")
 
 

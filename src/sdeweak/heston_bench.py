@@ -21,11 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .freealg import EMPTY_WORD, TruncatedSeries, Word
 from .moment_match import LOWER, check_family, solution_params
 from .refusal import shown
 from .rk_integrator import IntegrationFailure, VectorField, builtin_tableau, scheme
 from .rk_trees import ButcherTableau
-from .sampling import QMC, UniformSource, check_mode, estimate
+from .sampling import QMC, UniformSource, check_mode, estimate, horner
 from .schemes import EM, NN, NV, SDEModel, SchemeStepPlan, check_kind, romberg, run_paths
 
 #: the benchmark's target value, computed by extrapolated QMC at n = 96+48
@@ -92,24 +93,6 @@ class GuardCounter:
         return self.negative / self.total if self.total else 0.0
 
 
-def _poly_add(p: list, q: list) -> list:
-    if len(p) < len(q):
-        p, q = q, p
-    return [c + (q[k] if k < len(q) else 0) for k, c in enumerate(p)]
-
-
-def _poly_scale(c: Fraction, p: list) -> list:
-    return [c * x for x in p]
-
-
-def _poly_mul(p: list, q: list) -> list:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, z in enumerate(q):
-            out[i + j] += x * z
-    return out
-
-
 @lru_cache(maxsize=64)
 def _drift_map(params: HestonParams, tableau: ButcherTableau, a: float):
     """One step of ``tableau`` for the flow of a V0, as polynomials in y2.
@@ -120,47 +103,38 @@ def _drift_map(params: HestonParams, tableau: ButcherTableau, a: float):
     polynomial in y2 and y3 plus y1 times one, and the step is
         y2 -> e + f y2,  y1 -> y1 P(y2),  y3 -> y3 + y1 Q(y2)
     with deg P <= s and deg Q <= s - 1 for s stages.  The stage recursion
-    runs exactly on the float parameters and each coefficient is rounded
-    once.  Returns ((e, f), P, Q), each polynomial highest degree first with
-    at least two coefficients, or None when a coefficient is past the float
-    range.
+    runs on series in the one letter y2, truncated at degree s, which no term
+    reaches past, exactly on the float parameters, and each coefficient is
+    rounded once.  Returns ((e, f), P, Q), each polynomial lowest degree
+    first with s + 1 coefficients for P and at least two for Q, or None for a
+    non-finite a or when a coefficient is past the float range.
     """
+    if not math.isfinite(a):
+        return None
     mu, al, th, be, rho, a = map(Fraction, (params.mu, params.alpha, params.theta,
                                             params.beta, params.rho, a))
-    A, B = a * (al * th - be * be / 4), -a * al
-    C, D = a * (mu - rho * be / 4), -a / 2
-    # each stage's a V0 as polynomials in y2: its y2 row, and its y1 and y3
-    # rows divided by y1
+    s = len(tableau.b)
+    one, y2 = (TruncatedSeries({w: 1}, s) for w in (EMPTY_WORD, Word((1,))))
+    A, B = one * (a * (al * th - be * be / 4)), -a * al
+    C, D = one * (a * (mu - rho * be / 4)), -a / 2
+    # each stage's a V0 as series in y2: its y2 row, and its y1 and y3 rows
+    # divided by y1
     ks2, ks1, ks3 = [], [], []
     for row in tableau.a:
-        y2 = [Fraction(0), Fraction(1)]
-        p = [Fraction(1)]
+        z2, p = y2, one
         for aij, k2, k1 in zip(row, ks2, ks1):
-            y2 = _poly_add(y2, _poly_scale(aij, k2))
-            p = _poly_add(p, _poly_scale(aij, k1))
-        ks2.append(_poly_add([A], _poly_scale(B, y2)))
-        ks1.append(_poly_mul(p, _poly_add([C], _poly_scale(D, y2))))
-        ks3.append(_poly_scale(a, p))
-    ef, P, Q = [Fraction(0), Fraction(1)], [Fraction(1)], [Fraction(0)]
+            z2, p = z2 + k2 * aij, p + k1 * aij
+        ks2.append(A + z2 * B)
+        ks1.append(p * (C + z2 * D))
+        ks3.append(p * a)
+    ef, P, Q = y2, one, one * 0
     for bj, k2, k1, k3 in zip(tableau.b, ks2, ks1, ks3):
-        ef = _poly_add(ef, _poly_scale(bj, k2))
-        P = _poly_add(P, _poly_scale(bj, k1))
-        Q = _poly_add(Q, _poly_scale(bj, k3))
+        ef, P, Q = ef + k2 * bj, P + k1 * bj, Q + k3 * bj
     try:
-        return tuple(tuple(float(c) for c in reversed(_poly_add(poly, [0, 0])))
-                     for poly in (ef, P, Q))
+        return tuple(tuple(float(poly.coefficient(Word((1,) * k))) for k in range(n))
+                     for poly, n in ((ef, 2), (P, s + 1), (Q, max(s, 2))))
     except OverflowError:
         return None
-
-
-def _horner(coeffs: tuple, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """coeffs[0] x^n + ... + coeffs[n] into out by Horner's rule (n >= 1)."""
-    np.multiply(x, coeffs[0], out=out)
-    for c in coeffs[1:-1]:
-        out += c
-        out *= x
-    out += coeffs[-1]
-    return out
 
 
 def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDEModel:
@@ -306,8 +280,6 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
     def drift_step(tableau, a, y):
         # the step of _drift_map by Horner's rule: about 27 passes for RK5
         # against six stage evaluations and their combinations
-        if not math.isfinite(a):
-            return None
         coeffs = _drift_map(params, tableau, float(a))
         if coeffs is None:
             return None
@@ -315,10 +287,10 @@ def heston_model(params: HestonParams, guard: GuardCounter | None = None) -> SDE
         y1, y2, y3 = y[:, 0], y[:, 1], y[:, 2]
         out = np.empty_like(y)
         o0, o1, o2 = out[:, 0], out[:, 1], out[:, 2]
-        _horner(p, y2, o0)
+        horner(p, y2, o0)
         o0 *= y1
-        _horner(ef, y2, o1)
-        _horner(q, y2, o2)
+        horner(ef, y2, o1)
+        horner(q, y2, o2)
         o2 *= y1
         o2 += y3
         return out

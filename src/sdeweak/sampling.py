@@ -329,8 +329,9 @@ _F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.4875361290850
       2.04426310338993978564e-15)
 
 
-def _poly(coeffs: Sequence[float], x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # Horner's rule; its first product c[-1] * x needs no filled array
+def horner(coeffs: Sequence[float], x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """coeffs[0] + coeffs[1] x + ... + coeffs[n] x^n by Horner's rule (n >= 1),
+    into ``out`` when given; its first product coeffs[n] x needs no filled array."""
     acc = np.multiply(x, coeffs[-1], out=out)
     acc += coeffs[-2]
     for c in reversed(coeffs[:-2]):
@@ -347,9 +348,9 @@ def _inv_normal_block(flat: np.ndarray, out: np.ndarray) -> None:
     q = flat - 0.5
     r = q * q
     np.subtract(0.180625, r, out=r)
-    num = _poly(_A, r)
+    num = horner(_A, r)
     # the denominator is built in out, and the quotient replaces it there
-    np.divide(num, _poly(_B, r, out=out), out=out)
+    np.divide(num, horner(_B, r, out=out), out=out)
     out *= q
 
     # the tails are a scattered ~15% of the block, exactly where r < 0
@@ -368,10 +369,10 @@ def _inv_normal_block(flat: np.ndarray, out: np.ndarray) -> None:
         far = np.flatnonzero(rt > 5.0)
         rf = rt[far] - 5.0
         rt -= 1.6
-        val = _poly(_C, rt)
-        val /= _poly(_D, rt)
+        val = horner(_C, rt)
+        val /= horner(_D, rt)
         if far.size:
-            val[far] = _poly(_E, rf) / _poly(_F, rf)
+            val[far] = horner(_E, rf) / horner(_F, rf)
         np.copysign(val, qt, out=val)
         out[tail] = val
 

@@ -101,6 +101,8 @@ LONG_COUNT_SHOWN = f"'{'9' * 40}'... (5001 characters)"
 BIG = 10**4000
 BIG_SHOWN = f"1{'0' * 39}... (4001 characters)"
 BUILTINS = "builtins: ['rk5-butcher', 'rk7-butcher']"
+#: a directory no case creates
+MISSING_DIR = "/nonexistent_dir/"
 PHILOX_KEY = 2**128
 
 
@@ -436,6 +438,18 @@ GROUPS: dict[str, list[Case]] = {
              ("verify-rk-order", "--tableau", "x" * 5000 + ".json", "--order", "5"), 2,
              f"error: argument --tableau: cannot load tableau file: "
              f"{_os_text(errno.ENAMETOOLONG)}: '{'x' * 40}'... (5005 characters)"),
+        # a path the file system takes is named in full while its repr fits 100
+        # bytes (a tableau file's 50), and past that by its head and length
+        Case("config-long-path", ("converge", "--config", MISSING_DIR + "a" * 200), 2,
+             f"error: {_os_text(errno.ENOENT)}: '{MISSING_DIR}{'a' * 23}'... (217 characters)"),
+        Case("out-long-path", (*_PRICE, "--out", MISSING_DIR + "b" * 200 + ".csv"), 2,
+             f"error: {_os_text(errno.ENOENT)}: '{MISSING_DIR}{'b' * 23}'... (221 characters)"),
+        Case("config-control-characters", ("converge", "--config", "\x01" * 41), 2,
+             f"error: {_os_text(errno.ENOENT)}: '" + r"\x01" * 10 + "'... (41 characters)"),
+        Case("json-tableau-long-path",
+             ("verify-rk-order", "--tableau", MISSING_DIR + "t" * 70 + ".json", "--order", "5"), 2,
+             f"error: argument --tableau: cannot load tableau file: {_os_text(errno.ENOENT)}: "
+             f"'{MISSING_DIR}{'t' * 23}'... (92 characters)"),
         _converge("config-integer-past-parse-limit",
                   f'{{"seed": {LONG_COUNT}, "cells": [{json.dumps(CELL)}]}}', 2,
                   "error: seed must be an integer >= 0, got 5001 digits, more than Python reads"),

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -55,27 +57,9 @@ def _drift_expressions(p, y, a):
     return out
 
 
-def _field_sum(model, y, coeffs):
-    """Reference: the per-field sum over the fields of a flow (None: left out)."""
-    terms = [(c[..., None] if isinstance(c, np.ndarray) and c.ndim == y.ndim - 1 else c) * f(y)
-             for c, f in zip(coeffs, model.stratonovich) if c is not None]
-    return sum(terms[1:], terms[0])
-
-
 def _agrees(out, want):
     """Equal to rounding, which the order of a sum's terms moves; NaN in the same places."""
     return np.allclose(out, want, rtol=1e-13, atol=1e-300, equal_nan=True)
-
-
-def _per_field_em_step(model, x, s, increments):
-    """Reference: the Euler-Maruyama step as the drift plus one term per field."""
-    out = x + s * model.ito_drift(x)
-    for i in range(model.brownian_dim):
-        dbi = increments[..., i]
-        if dbi.ndim == x.ndim - 1:
-            dbi = dbi[..., None]
-        out = out + dbi * model.stratonovich[i + 1](x)
-    return out
 
 
 def _same_bits(a, b):
@@ -149,10 +133,7 @@ class TestHestonFields:
         rng = np.random.default_rng(2)
         y = np.abs(rng.normal(size=(64, 3))) + 0.01
         coeffs = [0.37, rng.normal(size=64), rng.normal(size=64)]
-        generic = sum(
-            (c[..., None] if isinstance(c, np.ndarray) else c) * f(y)
-            for c, f in zip(coeffs, model.stratonovich)
-        )
+        generic = replace(model, fused_combination=None).combination(y, coeffs)
         fused = model.combination(y, coeffs)
         assert np.allclose(fused, generic, atol=1e-14)
 
@@ -240,7 +221,8 @@ class TestDriftFlow:
         guard = GuardCounter()
         out = heston_model(self.P, guard).combination(state, [a, None, None])
         assert _same_bits(out, _drift_expressions(self.P, state, a))
-        assert _agrees(out, _field_sum(heston_model(self.P), state, [a, None, None]))
+        per_field = replace(heston_model(self.P), fused_combination=None)
+        assert _agrees(out, per_field.combination(state, [a, None, None]))
         assert (guard.negative, guard.total) == (0, 0)
         return out
 
@@ -317,7 +299,8 @@ class TestDiffusionFlow:
         y2 = state[..., 1]
         assert (guard.negative, guard.total) == (np.count_nonzero(y2 < 0.0), y2.size)
         if coeffs[0] is None:
-            assert _agrees(out, _field_sum(heston_model(p), state, coeffs))
+            per_field = replace(heston_model(p), fused_combination=None)
+            assert _agrees(out, per_field.combination(state, coeffs))
         return out
 
     @pytest.mark.parametrize("b1, b2", [
@@ -418,6 +401,9 @@ class TestDiffusionFlow:
 #: coefficients make its stage terms cancel (a random search found 10 and 310)
 DRIFT_STEP_ULPS = {"rk5-butcher": 32, "rk7-butcher": 1024}
 RKS = tuple(scheme(name) for name in DRIFT_STEP_ULPS)
+#: the head of the sha256 of the reprs of the drift maps of HestonParams() at
+#: a = 1/32 and 1/16, joined by a newline: the coefficients' bits
+DRIFT_MAP_SHA256 = {"rk5-butcher": "28f0ae0a3451cb63", "rk7-butcher": "155333fb327295ad"}
 HUGE = 1e300
 
 
@@ -495,11 +481,14 @@ class TestDriftStep:
             out = self.MODEL.drift_step(rk.tableau, a, y)
             for row, state in zip(out, y):
                 y1, y2, y3 = np.abs(state)
-                scale = [y1 * np.polyval(np.abs(p), y2), np.polyval(np.abs(ef), y2),
-                         y3 + y1 * np.polyval(np.abs(q), y2)]
+                scale = [y1 * np.polyval(np.abs(p[::-1]), y2), np.polyval(np.abs(ef[::-1]), y2),
+                         y3 + y1 * np.polyval(np.abs(q[::-1]), y2)]
                 exact = _exact_drift_step(self.P, rk.tableau, a, state)
                 assert np.all(np.abs(row - exact) <= 4 * s * np.finfo(float).eps
                               * np.array(scale))
+        maps = "\n".join(repr(heston_bench._drift_map(HestonParams(), rk.tableau, a))
+                         for a in (1 / 32, 1 / 16))
+        assert hashlib.sha256(maps.encode()).hexdigest()[:16] == DRIFT_MAP_SHA256[rk.tableau.name]
 
     def test_leaves_other_flows_to_integrate(self):
         # a per-path drift coefficient, a single state, a non-finite a and
@@ -583,7 +572,8 @@ class TestFusedEuler:
             model = heston_model(p, fused_guard)
             before = state.copy()
             out = em_step(model, state, 0.37, increments)
-            ref = _per_field_em_step(heston_model(p, ref_guard), state, 0.37, increments)
+            per_field = replace(heston_model(p, ref_guard), fused_euler=None)
+            ref = em_step(per_field, state, 0.37, increments)
             assert _same_bits(out, ref), name
             assert _same_bits(state, before), name
             assert fused_guard.fraction == ref_guard.fraction, name
