@@ -464,7 +464,7 @@ def main(argv=None) -> int:
         print(f"{prog}: error: {_error_text(exc)}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # a request no machine can hold, such as a Monte Carlo cell with 1e15 steps
+        # a run past this machine's memory still ends in one line
         detail = f": {exc}" if str(exc) else ""
         print(f"{prog}: error: out of memory{detail}", file=sys.stderr)
         return 2

@@ -26,7 +26,7 @@ from .moment_match import LOWER, check_family, solution_params
 from .refusal import shown
 from .rk_integrator import IntegrationFailure, VectorField, builtin_tableau, scheme
 from .rk_trees import ButcherTableau
-from .sampling import QMC, UniformSource, check_mode, estimate, horner
+from .sampling import QMC, UniformChunk, UniformSource, check_mode, estimate, horner
 from .schemes import EM, NN, NV, SDEModel, SchemeStepPlan, check_kind, romberg, run_paths
 
 #: the benchmark's target value, computed by extrapolated QMC at n = 96+48
@@ -452,7 +452,7 @@ def price_cell(config: BenchConfig, cell: Cell) -> CellResult:
     reports = []
     for plan, source in _levels(config, cell, model):
 
-        def payoff(uniforms: np.ndarray) -> np.ndarray:
+        def payoff(uniforms: UniformChunk) -> np.ndarray:
             states = run_paths(plan, model, heston.x0, heston.T, uniforms)
             return asian_payoff(states, heston)
 

@@ -3,9 +3,11 @@
 A source's kind is the estimate's mode, and each mode has one generator:
 
 * ``mc``: the Philox4x64-10 counter-based generator (numpy's ``Philox``)
-  viewed as one global uniform stream; path ``i`` of a D-dimensional problem
-  owns stream words ``i*D .. (i+1)*D - 1``.  Uniforms are
-  ``((raw >> 11) + 0.5) * 2**-53``, strictly inside (0, 1).
+  viewed as one global uniform stream; coordinate ``k`` of path ``i`` is
+  stream word ``k*2**66 + i``, so ``k`` is the second 64-bit word of the
+  counter and one coordinate of consecutive paths is one counter range.  A
+  point depends on (seed, path, coordinate) alone, not on the dimension.
+  Uniforms are ``((raw >> 11) + 0.5) * 2**-53``, strictly inside (0, 1).
 * ``qmc``: an own Sobol low-discrepancy implementation (Gray-code order)
   with Joe-Kuo direction numbers loaded from a bundled data file; raw index 0
   is the all-zeros point and is skipped by default.
@@ -217,6 +219,10 @@ def philox_uniforms(seed: int, start: int, count: int) -> np.ndarray:
 
 MC = "mc"
 QMC = "qmc"
+#: the most uniforms an MC path may take (``em`` up to n = 2^19 at d = 2).  A
+#: chunk holds one window of them, so memory bounds no path's length, and a
+#: longer path would run for a very long time
+MC_MAX_DIMENSION = 1 << 20
 
 
 def check_mode(mode) -> None:
@@ -225,31 +231,70 @@ def check_mode(mode) -> None:
         raise ValueError(f"mode must be {QMC} or {MC}, got {shown(mode)}")
 
 
-@dataclass(frozen=True)
-class SobolChunk:
-    """Sobol points start .. start+count-1 in (0,1)^dimension, generated on demand.
+class UniformChunk:
+    """Points start .. start+count-1 of a source, generated on demand.
 
-    What ``estimate`` hands a QMC payoff in place of the (count, dimension)
-    block: a reader that takes the coordinates a range at a time, as
-    ``schemes.run_paths`` does, never holds them all.  ``np.asarray`` gives the
-    whole block.
+    What ``estimate`` hands its payoff in place of the (count, dimension)
+    block: a reader that takes the coordinates a range at a time through
+    ``columns(first, stop)``, as ``schemes.run_paths`` does, never holds them
+    all.  ``np.asarray`` gives the whole block.  A subclass is a dataclass
+    with ``dimension`` and ``count`` fields and a ``columns`` method.
     """
-
-    dimension: int
-    start: int
-    count: int
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.count, self.dimension
 
+    def __array__(self, dtype=None, copy=None):
+        points = self.columns(0, self.dimension)
+        return points if dtype is None else points.astype(dtype, copy=False)
+
+
+@dataclass(frozen=True)
+class SobolChunk(UniformChunk):
+    """Sobol points start .. start+count-1 in (0,1)^dimension."""
+
+    dimension: int
+    start: int
+    count: int
+
     def columns(self, first: int, stop: int) -> np.ndarray:
         """Coordinates first .. stop-1 of every point, shape (count, stop - first)."""
         return sobol_points(self.dimension, self.start, self.count, first, stop)
 
-    def __array__(self, dtype=None, copy=None):
-        points = self.columns(0, self.dimension)
-        return points if dtype is None else points.astype(dtype, copy=False)
+
+#: coordinate k of path i is Philox stream word (k << _COORDINATE_SHIFT) + i
+_COORDINATE_SHIFT = 66
+
+
+@dataclass(frozen=True)
+class PhiloxChunk(UniformChunk):
+    """Philox points start .. start+count-1 in (0,1)^dimension of the stream of ``seed``.
+
+    Coordinate k of path i is stream word k*2^66 + i (paths below 2^66), so a
+    point is the same whatever the dimension, the chunk or the worker count.
+    """
+
+    dimension: int
+    seed: int
+    start: int
+    count: int
+
+    def columns(self, first: int, stop: int) -> np.ndarray:
+        """Coordinates first .. stop-1 of every point, shape (count, stop - first).
+
+        Each coordinate is one counter range of ``count`` words, drawn into
+        its own row of a (stop - first, count) array: the result is that
+        array's transposed, Fortran-ordered view.
+        """
+        if not 0 <= first <= stop <= self.dimension:
+            raise ValueError(f"coordinate range [{first}, {stop}) must lie in "
+                             f"[0, {self.dimension}]")
+        points = np.empty((stop - first, self.count))
+        for row, k in enumerate(range(first, stop)):
+            points[row] = philox_uniforms(self.seed, (k << _COORDINATE_SHIFT) + self.start,
+                                          self.count)
+        return points.T
 
 
 @dataclass(frozen=True)
@@ -276,8 +321,8 @@ class UniformSource:
 
     def check(self, samples: int) -> None:
         """Raise ValueError if ``estimate`` cannot draw ``samples`` points: fewer than 1, Sobol
-        indices past 2^32 or the direction table's width, MC samples not in 10 batches, or a
-        seed >= 2^128."""
+        indices past 2^32 or the direction table's width, MC samples not in 10 batches, a
+        seed >= 2^128, or more than :data:`MC_MAX_DIMENSION` MC uniforms per path."""
         if samples < 1:
             raise ValueError(f"samples must be at least 1, got {shown(samples)}")
         if self.kind == QMC:
@@ -290,18 +335,16 @@ class UniformSource:
         elif self.seed >= 1 << 128:
             raise ValueError(f"seed must be < 2^128 for an MC cell (the Philox key), "
                              f"got {shown(self.seed)}")
+        elif self.dimension > MC_MAX_DIMENSION:
+            raise ValueError(f"an MC cell takes at most {MC_MAX_DIMENSION} uniforms per path, "
+                             f"got {shown(self.dimension)}")
 
-    def chunk(self, start: int, count: int) -> np.ndarray | SobolChunk:
-        """Points start .. start+count-1 as ``estimate`` hands them to its payoff.
-
-        QMC points come as a :class:`SobolChunk`.  MC points come as the
-        (count, dimension) Philox block: path i owns Philox words i*D onward,
-        so a coordinate range of every path is no cheaper to generate than the
-        whole block.
-        """
+    def chunk(self, start: int, count: int) -> UniformChunk:
+        """Points start .. start+count-1 as ``estimate`` hands them to its payoff: a
+        :class:`PhiloxChunk` (MC) or a :class:`SobolChunk` (QMC), which generates a
+        coordinate range on demand."""
         if self.kind == MC:
-            flat = philox_uniforms(self.seed, start * self.dimension, count * self.dimension)
-            return flat.reshape(count, self.dimension)
+            return PhiloxChunk(self.dimension, self.seed, start, count)
         return SobolChunk(self.dimension, self.skip + start, count)
 
 
@@ -440,12 +483,12 @@ class EstimatorReport:
     batch_means: tuple[float, ...]
 
 
-def estimate(payoff: Callable[[np.ndarray | SobolChunk], np.ndarray], source: UniformSource,
+def estimate(payoff: Callable[[UniformChunk], np.ndarray], source: UniformSource,
              samples: int, workers: int | None = None) -> EstimatorReport:
     """Average ``payoff`` over ``samples`` source points.
 
-    payoff maps a chunk of points, ``source.chunk``: an MC block (count, D) or a
-    QMC :class:`SobolChunk`, to a value vector (count,).  Points are processed
+    payoff maps a chunk of points, ``source.chunk``: a :class:`PhiloxChunk` (MC)
+    or a :class:`SobolChunk` (QMC), to a value vector (count,).  Points are processed
     in fixed chunks whose sums are reduced in index order, so the
     result is bit-identical for every worker count.  MC estimates 10 batches,
     QMC one.  What ``source.check`` refuses is refused before any chunk runs.

@@ -23,7 +23,7 @@ import numpy as np
 from .moment_match import SchemeParams
 from .refusal import shown
 from .rk_integrator import IntegrationFailure, IntegrationScheme, VectorField, integrate
-from .sampling import FLOAT_GROUP, SobolChunk, correlate_pair, inv_normal_cdf
+from .sampling import FLOAT_GROUP, UniformChunk, correlate_pair, inv_normal_cdf
 
 NN = "nn"
 EM = "em"
@@ -244,19 +244,20 @@ def nv_step(model: SDEModel, rk: IntegrationScheme, x: np.ndarray, s: float,
 
 
 def run_paths(plan: SchemeStepPlan, model: SDEModel, x0: Sequence[float], T: float,
-              uniforms: np.ndarray | SobolChunk) -> np.ndarray:
-    """Drive a batch of paths to time T from a (P, dims) uniform block or Sobol chunk.
+              uniforms: np.ndarray | UniformChunk) -> np.ndarray:
+    """Drive a batch of paths to time T from a (P, dims) uniform block or a chunk.
 
     Uniforms are consumed step-major; within a step, Brownian-index major,
     with the factor index j = 1, 2 innermost (splitting scheme), or the
     Bernoulli variate first (N-V).  They are read a window of whole steps at
-    a time, about FLOAT_GROUP coordinates and at least one step, so a chunk
+    a time, about FLOAT_GROUP coordinates and at least one step, through a
+    chunk's ``columns`` (Philox or Sobol) or as slices of a block, so a chunk
     generates each coordinate once and never holds more than one window.
     Identical blocks, or a chunk and its block, give identical outputs.  An
     IntegrationFailure leaves with its time step k (0-based) added; the N-V
     drift flow between steps k and k + 1 is step k's.
     """
-    if isinstance(uniforms, SobolChunk):
+    if isinstance(uniforms, UniformChunk):
         columns = uniforms.columns
     else:
         uniforms = np.atleast_2d(np.asarray(uniforms, dtype=float))

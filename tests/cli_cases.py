@@ -1,12 +1,13 @@
 """The command-line contract of ``sdeweak``, one case per row, and its one check.
 
 README's contract: every command line ends in exit 0 (success), 1 (a failed
-verification), 2 (refused input, or a run too large to allocate) or 3 (a
-numerical failure), never in a traceback.  Exits 2 and 3 print nothing on
-stdout and one stderr line under 200 bytes, ``sdeweak <command>: ...``.
+verification), 2 (refused input) or 3 (a numerical failure), never in a
+traceback.  Exits 2 and 3 print nothing on stdout and one stderr line under
+200 bytes, ``sdeweak <command>: ...``.
 
 A case is an argv, the files it reads, its exit code and, for exits 2 and 3,
-its line.  ``tests/test_cli.py`` checks every case in-process through
+its line.  It runs in a directory of its own, which is also its working
+directory.  ``tests/test_cli.py`` checks every case in-process through
 ``cli.main``.  Run as a script, this file checks every case against the
 ``sdeweak`` command on PATH and names each case that fails::
 
@@ -41,13 +42,11 @@ class Case:
     files: dict = field(default_factory=dict)
     #: False where ``line`` holds OS text: it is then a fragment of stderr's line
     exact: bool = True
-    #: an exit 2 that may do work first (running out of memory); every other
-    #: exit 2 is a refusal that must not
-    works: bool = False
 
     @property
     def may_work(self) -> bool:
-        return self.code != 2 or self.works
+        """An exit 2 is a refusal, which must do none of a command's work."""
+        return self.code != 2
 
     def prepare(self, tmp) -> list[str]:
         """Write the case's files into ``tmp``; its argv with TMP read as ``tmp``."""
@@ -76,10 +75,11 @@ def check(case: Case, code, out: str, err: str, tmp) -> None:
 
 def run_process(case: Case, command: list[str], tmp, env=None) -> tuple[int, str, str]:
     """``case`` run by ``command`` (the installed ``sdeweak``, or a Python that
-    runs ``sdeweak.cli``) in a process of its own: its exit code, stdout and stderr."""
+    runs ``sdeweak.cli``) in a process of its own in ``tmp``: its exit code,
+    stdout and stderr."""
     argv = case.prepare(tmp)
     proc = subprocess.run([*command, *argv], capture_output=True, text=True, timeout=60,
-                          env=env)
+                          env=env, cwd=tmp)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -352,10 +352,16 @@ GROUPS: dict[str, list[Case]] = {
              f"reference must be a finite number, got -{'1' + '0' * 38}... (402 characters)"),
         )
     ] + [
-        # no machine holds a Monte Carlo cell of 1e15 steps; the allocation is tried
+        # a Monte Carlo path takes at most 2^20 uniforms: em n = 1e15 takes 2e15,
+        # nn n = 262145 (4 a step) one step's worth past the bound
         _converge("huge-mc-n", _edit(cells=[{"scheme": "em", "n": 1e15, "samples": 10,
-                                             "mode": "mc"}]),
-                  2, "error: out of memory: ", exact=False, works=True),
+                                             "mode": "mc"}]), 2,
+                  "error: cells[0]: an MC cell takes at most 1048576 uniforms per path, "
+                  "got 2000000000000000"),
+        _converge("mc-n-past-the-bound", _edit(cells=[{"scheme": "nn", "n": 262145,
+                                                       "samples": 10, "mode": "mc"}]), 2,
+                  "error: cells[0]: an MC cell takes at most 1048576 uniforms per path, "
+                  "got 1048580"),
     ],
     # a JSON null is refused, not read as the default ("workers": null is not every core)
     "null-values": [
@@ -513,13 +519,17 @@ UNWRITABLE_OUT = {
     "price": ("price", "--scheme", "nn", "--n", "10", "--samples", "200000"),
     "converge": ("converge", "--config", "TMP/config.json"),
 }
-# refused before any work; appending keeps an existing file's bytes
+# refused before any work; appending keeps an existing file's bytes.  The
+# targets are relative to the case's directory, so the line does not depend on
+# how long its path is, except one under a short root no case creates
 GROUPS["unwritable-out"] = [
     Case(f"{command}-{id}", (*argv, "--out", target), 2, f"error: {_os_text(code)}: '{target}'",
          files={"config.json": {"cells": [CELL]}} if command == "converge" else {})
     for command, argv in UNWRITABLE_OUT.items()
-    for id, target, code in (("missing-directory", "TMP/missing/x.csv", errno.ENOENT),
-                             ("directory", "TMP", errno.EISDIR))]
+    for id, target, code in (("missing-directory", "missing/x.csv", errno.ENOENT),
+                             ("directory", ".", errno.EISDIR))
+] + [Case("price-missing-root", (*UNWRITABLE_OUT["price"], "--out", MISSING_DIR + "x.csv"), 2,
+          f"error: {_os_text(errno.ENOENT)}: '{MISSING_DIR}x.csv'")]
 
 
 def main() -> int:

@@ -55,7 +55,8 @@ _WORK = [(heston_bench, "price_cell"), (heston_bench, "estimate"), (heston_bench
 
 
 def _check_case(case, monkeypatch, tmp_path):
-    """The contract for ``case`` of tests/cli_cases.py, run through ``cli.main``."""
+    """The contract for ``case`` of tests/cli_cases.py, run through ``cli.main`` in ``tmp_path``."""
+    monkeypatch.chdir(tmp_path)
     if not case.may_work:
         for module, name in _WORK:
             monkeypatch.setattr(module, name, _refused_work)
@@ -525,14 +526,25 @@ def test_out_is_written_only_by_a_successful_run(capsys, tmp_path, existing):
     assert target.read_text().startswith("scheme,n,samples")
 
 
+def test_running_out_of_memory_ends_in_one_line(monkeypatch):
+    # no cell the refusals let through holds more than a window of uniforms,
+    # but a machine short of memory still gets exit 2 and one line
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "price_cell", exhausted)
+    assert _main(["price", "--scheme", "nn", "--n", "2", "--samples", "10"]) == (
+        2, "", "sdeweak price: error: out of memory\n")
+
+
 # Generated command lines: a subcommand, its required flags and a few others,
 # each value ordinary or, about one time in four, wild.  TMP in a value is the
 # example's own directory, where config.json holds a generated config and
 # tableau.json a generated tableau; LONG_INTEGER in either is a 5,001-digit JSON
 # integer, and MANY_KEYS in a key's place is 2,000 unknown keys.  Accepted runs
 # stay tiny: --m, --d, --order, n and samples take small values (an integral
-# float such as 1e300 is a count, so a wild count is refused or runs out of
-# memory at once), and no value starts more than two workers.
+# float such as 1e300 is a count, so a wild count is refused), and no value
+# starts more than two workers.
 _WILD = st.sampled_from(["", "-1", "0", "nan", "-inf", "1e400", "1e5000", "x" * 5001,
                          "9" * 5001, "\x00", "\x01" * 41, "é", "n" * 300, "n" * 300 + ".json"])
 _WILD_JSON = st.sampled_from([None, True, [], {}, -1, 1e300, "x" * 5001, "\x01" * 41,
@@ -633,7 +645,7 @@ def _check_generated_run(argv, config, tableau):
 
     Exit 0, 1, 2 or 3, never an exception; exits 2 and 3 print nothing on
     stdout and one stderr line under 200 bytes, with no traceback.  A usage
-    error estimates no level of a cell, unless it is running out of memory.
+    error estimates no level of a cell.
     """
     estimated = []
     estimate = heston_bench.estimate
@@ -651,7 +663,7 @@ def _check_generated_run(argv, config, tableau):
     assert code in (0, 1, 2, 3), (argv, err)
     # the table's check, for the code the run exited with and any line
     check(Case("generated", tuple(argv), code, "", exact=False), code, out, err, tmp)
-    assert not (code == 2 and estimated and "out of memory" not in err), (argv, err)
+    assert not (code == 2 and estimated), (argv, err)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

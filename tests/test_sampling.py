@@ -11,6 +11,7 @@ from sdeweak.sampling import (
     FLOAT_GROUP,
     MC,
     QMC,
+    PhiloxChunk,
     SobolChunk,
     UniformSource,
     correlate_pair,
@@ -186,9 +187,15 @@ class TestSobol:
         assert np.asarray(chunk).tobytes() == block.tobytes()
         assert chunk.columns(14, 19).tobytes() == block[:, 14:19].tobytes()
 
-    def test_mc_chunk_is_the_block(self):
-        src = UniformSource(MC, dimension=5, seed=3)
-        assert np.array_equal(src.chunk(2, 7), philox_uniforms(3, 10, 35).reshape(7, 5))
+    def test_mc_chunk_window_is_those_columns_of_the_block(self):
+        chunk = UniformSource(MC, dimension=40, seed=3).chunk(5, 300)
+        assert chunk == PhiloxChunk(40, 3, 5, 300) and chunk.shape == (300, 40)
+        block = np.asarray(chunk)
+        assert block.shape == (300, 40)
+        for first, stop in ((0, 16), (14, 19), (32, 40), (7, 7)):
+            window = chunk.columns(first, stop)
+            assert window.shape == (300, stop - first) and window.flags.f_contiguous
+            assert window.tobytes("F") == block[:, first:stop].tobytes("F")
 
     def test_source_emits_open_interval(self):
         src = UniformSource(QMC, dimension=16)
@@ -207,7 +214,7 @@ class TestSobol:
 
         sob = l2_star(np.asarray(UniformSource(QMC, 2).chunk(0, 1024)))
         pseudo = np.median([
-            l2_star(UniformSource(MC, 2, seed=s).chunk(0, 1024)) for s in range(10)
+            l2_star(np.asarray(UniformSource(MC, 2, seed=s).chunk(0, 1024))) for s in range(10)
         ])
         assert sob < pseudo
 
@@ -225,12 +232,25 @@ class TestPhilox:
         u = philox_uniforms(0, 0, 1 << 16)
         assert u.min() > 0.0 and u.max() < 1.0
 
-    def test_block_layout_by_path(self):
+    def test_coordinate_k_of_path_i_is_word_k_times_2_66_plus_i(self):
+        block = np.asarray(UniformSource(MC, dimension=5, seed=3).chunk(2, 7))
+        for k in range(5):
+            assert np.array_equal(block[:, k], philox_uniforms(3, k * 2**66 + 2, 7))
+
+    def test_points_do_not_depend_on_the_dimension(self):
+        short = np.asarray(UniformSource(MC, dimension=5, seed=3).chunk(0, 64))
+        long = np.asarray(UniformSource(MC, dimension=40, seed=3).chunk(0, 64))
+        assert np.array_equal(long[:, :5], short)
+
+    def test_points_do_not_depend_on_the_chunk(self):
         src = UniformSource(MC, dimension=5, seed=3)
-        block = src.chunk(0, 8)
-        assert block.shape == (8, 5)
-        assert np.array_equal(block[6], src.chunk(6, 1)[0])
-        assert np.array_equal(block.ravel(), philox_uniforms(3, 0, 40))
+        assert np.array_equal(np.asarray(src.chunk(0, 9))[2:9], np.asarray(src.chunk(2, 7)))
+
+    def test_coordinate_range_errors(self):
+        chunk = UniformSource(MC, dimension=5, seed=3).chunk(0, 4)
+        for first, stop in ((-1, 2), (3, 2), (0, 6)):
+            with pytest.raises(ValueError, match="coordinate range"):
+                chunk.columns(first, stop)
 
     def test_seeds_differ(self):
         assert not np.array_equal(philox_uniforms(1, 0, 8), philox_uniforms(2, 0, 8))
@@ -390,7 +410,7 @@ class TestCorrelatePair:
 class TestEstimate:
     def test_constant_payoff(self):
         src = UniformSource(MC, 3, seed=0)
-        rep = estimate(lambda u: np.ones(len(u)), src, 1000)
+        rep = estimate(lambda u: np.ones(len(np.asarray(u))), src, 1000)
         assert rep.estimate == 1.0
         assert rep.batch_means == (1.0,) * 10
 
@@ -406,8 +426,8 @@ class TestEstimate:
 
     def test_mc_error_scales_like_clt(self):
         src = UniformSource(MC, 1, seed=5)
-        e1 = np.std(estimate(lambda u: u[:, 0], src, 40_000).batch_means, ddof=1)
-        e2 = np.std(estimate(lambda u: u[:, 0], src, 160_000).batch_means, ddof=1)
+        e1 = np.std(estimate(lambda u: np.asarray(u)[:, 0], src, 40_000).batch_means, ddof=1)
+        e2 = np.std(estimate(lambda u: np.asarray(u)[:, 0], src, 160_000).batch_means, ddof=1)
         ratio = e1 / e2
         assert 2 / 1.5 <= ratio <= 2 * 1.5
 
@@ -488,8 +508,10 @@ class TestEstimate:
         (UniformSource(QMC, 2), 0, "samples must be at least 1, got 0"),
         # -10 is divisible by the 10 MC batches
         (UniformSource(MC, 2), -10, "samples must be at least 1, got -10"),
+        (UniformSource(MC, 2**20 + 1), 10,
+         "^an MC cell takes at most 1048576 uniforms per path, got 1048577$"),
     ], ids=["sobol-span", "sobol-width", "indivisible-mc", "seed-past-philox-key",
-            "zero-samples", "negative-mc-samples"])
+            "zero-samples", "negative-mc-samples", "mc-path-too-long"])
     def test_check_is_what_estimate_refuses(self, source, samples, message):
         def payoff(u):
             raise AssertionError("a refused estimate must not call the payoff")
@@ -503,7 +525,9 @@ class TestEstimate:
         (UniformSource(MC, 2, seed=2**128 - 1), 10),
         (UniformSource(QMC, 2, seed=2**128), 2**32 - 1),  # QMC reads no seed
         (UniformSource(QMC, 1025), 15),
-    ], ids=["largest-philox-key", "qmc-ignores-seed", "full-direction-table"])
+        (UniformSource(MC, 2**20), 10),
+    ], ids=["largest-philox-key", "qmc-ignores-seed", "full-direction-table",
+            "longest-mc-path"])
     def test_check_accepts_the_limits(self, source, samples):
         source.check(samples)
 

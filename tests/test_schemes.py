@@ -11,7 +11,8 @@ from sdeweak import sampling, schemes
 from sdeweak.moment_match import solution_params
 from sdeweak.rk_integrator import IntegrationFailure, VectorField, integrate, scheme
 from sdeweak.heston_bench import BenchConfig, Cell, HestonParams, heston_model, price_cell
-from sdeweak.sampling import CHUNK, FLOAT_GROUP, MC, QMC, SobolChunk, UniformSource
+from sdeweak.sampling import (CHUNK, FLOAT_GROUP, MC, QMC, PhiloxChunk, SobolChunk,
+                              UniformSource)
 from sdeweak.schemes import (
     EM,
     NN,
@@ -29,12 +30,16 @@ DEFAULT_PARAMS = solution_params(Fraction(3, 4))
 
 RK5 = scheme("rk5-butcher")
 
-#: the N-V pins before the drift flows between steps ran as one flow of s V0;
+#: the N-V QMC pin before the drift flows between steps ran as one flow of s V0;
 #: the merge moves an estimate by the Runge-Kutta error of the drift flows
-NV_BEFORE_MERGE = {(4, QMC): 0.05998188995138026, (3, MC): 0.05967567321437449}
-#: the N-V pins before the drift flows took the drift step, the tableau's
+NV_BEFORE_MERGE = 0.05998188995138026
+#: the N-V QMC pin before the drift flows took the drift step, the tableau's
 #: step as a polynomial map: the move is rounding, not Runge-Kutta error
-NV_BEFORE_DRIFT_STEP = {(4, QMC): 0.05998188828312475, (3, MC): 0.05967567215773005}
+NV_BEFORE_DRIFT_STEP = 0.05998188828312475
+#: the MC pins while path i owned Philox words i*D onward: laying the stream
+#: out by coordinate draws other uniforms, so an estimate moves by sampling
+#: noise, inside its error column
+MC_BEFORE_COORDINATE_LAYOUT = {(NN, 2): 0.06203760383778746, (NV, 3): 0.05967567215773015}
 
 
 def linear_model(a=1.0, b=0.5):
@@ -366,20 +371,19 @@ class TestRunPaths:
         res = price_cell(BenchConfig(workers=1), Cell(kind, n, 20_000, QMC))
         assert repr(res.estimate) == pinned
         if kind == NV:
-            assert abs(res.estimate - NV_BEFORE_MERGE[n, QMC]) < 1e-8
-            assert abs(res.estimate - NV_BEFORE_DRIFT_STEP[n, QMC]) < 1e-12
+            assert abs(res.estimate - NV_BEFORE_MERGE) < 1e-8
+            assert abs(res.estimate - NV_BEFORE_DRIFT_STEP) < 1e-12
 
     @pytest.mark.parametrize("kind, n, pinned", [
-        (NN, 2, "0.06203760383778746"),
-        (NV, 3, "0.05967567215773015"),
+        (NN, 2, "0.06215028850600348"),
+        (NV, 3, "0.06068663451317026"),
     ])
     def test_small_mc_estimates_pinned(self, kind, n, pinned):
-        # the same with Philox uniforms: ten batches of 2000, row-major blocks
+        # the same with Philox uniforms: ten batches of 2000, coordinate k of
+        # path i at stream word k*2^66 + i
         res = price_cell(BenchConfig(workers=1), Cell(kind, n, 20_000, MC))
         assert repr(res.estimate) == pinned
-        if kind == NV:
-            assert abs(res.estimate - NV_BEFORE_MERGE[n, MC]) < 1e-8
-            assert abs(res.estimate - NV_BEFORE_DRIFT_STEP[n, MC]) < 1e-12
+        assert abs(res.estimate - MC_BEFORE_COORDINATE_LAYOUT[kind, n]) < res.error
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -465,7 +469,7 @@ def _plan(kind, n, integrator=RK5):
 
 
 class TestStreamedChunk:
-    """A QMC chunk is read a window of whole steps at a time, with the block's bits."""
+    """A chunk is read a window of whole steps at a time, with the block's bits."""
 
     X0 = (1.0, 0.09, 0.0)
 
@@ -473,16 +477,20 @@ class TestStreamedChunk:
         (NN, 10), (NV, 16), (EM, 200), (EM, 13),
         # both levels of the nn 2+1 and em 14+7 Romberg cells
         (NN, 1), (NN, 2), (EM, 7), (EM, 14)])
-    def test_chunk_gives_the_block_bits(self, kind, n):
-        # skip 1010 is not tile-aligned, so windows cross tile boundaries
+    def test_chunk_gives_the_block_bits(self, kind, n, mode=QMC, chunk_type=SobolChunk):
+        # skip 1010 is not tile-aligned, so Sobol windows cross tile boundaries
         model = heston_model(HestonParams())
         plan = _plan(kind, n)
-        src = UniformSource(QMC, plan.uniform_dimension(model), skip=1010)
+        src = UniformSource(mode, plan.uniform_dimension(model), seed=7, skip=1010)
         chunk = src.chunk(300, 700)
-        assert isinstance(chunk, SobolChunk)
+        assert isinstance(chunk, chunk_type)
         streamed = run_paths(plan, model, self.X0, 1.0, chunk)
         materialised = run_paths(plan, model, self.X0, 1.0, np.asarray(chunk))
         assert streamed.tobytes() == materialised.tobytes()
+
+    @pytest.mark.parametrize("kind, n", [(NN, 10), (NV, 16), (EM, 200), (EM, 13), (NN, 1)])
+    def test_mc_chunk_gives_the_block_bits(self, kind, n):
+        self.test_chunk_gives_the_block_bits(kind, n, MC, PhiloxChunk)
 
     @pytest.mark.parametrize("kind, n, brownian_dim, width", [
         (EM, 200, 2, 16), (NN, 10, 2, 16), (NV, 16, 2, 15), (EM, 3, 2, 16),
@@ -513,17 +521,38 @@ class TestStreamedChunk:
 
     @pytest.mark.parametrize("cell", [
         Cell(NN, 2, 20_000, QMC, use_romberg=True), Cell(NV, 16, 20_000, QMC),
-        Cell(EM, 14, 20_000, QMC, use_romberg=True)], ids=["nn-romberg", "nv", "em-romberg"])
+        Cell(EM, 14, 20_000, QMC, use_romberg=True), Cell(NN, 10, 20_000, MC),
+        Cell(EM, 14, 20_000, MC, use_romberg=True)],
+        ids=["nn-romberg", "nv", "em-romberg", "nn-mc", "em-romberg-mc"])
     def test_price_cell_streams_the_block_bits(self, monkeypatch, cell):
-        # 20000 samples span two chunks; the estimate is the same with
-        # streamed chunks and materialised blocks, for 1 and 3 workers
-        streamed = [price_cell(BenchConfig(workers=w, sobol_skip=1010), cell).estimate
-                    for w in (1, 3)]
+        # 20000 samples span two QMC chunks or ten MC chunks; the estimate and
+        # its error are the same with streamed chunks and materialised
+        # blocks, for 1 and 3 workers
+        def run(workers):
+            res = price_cell(BenchConfig(workers=workers, seed=5, sobol_skip=1010), cell)
+            return res.estimate, res.error
+
+        streamed = [run(w) for w in (1, 3)]
         chunk = UniformSource.chunk
         monkeypatch.setattr(UniformSource, "chunk",
                             lambda self, start, count: np.asarray(chunk(self, start, count)))
-        materialised = price_cell(BenchConfig(workers=1, sobol_skip=1010), cell).estimate
-        assert streamed == [materialised] * 2
+        assert streamed == [run(1)] * 2
+
+    def test_mc_chunk_draws_each_word_once(self, monkeypatch):
+        # one counter range per coordinate, in order, of one word per path
+        model = heston_model(HestonParams())
+        plan = _plan(NN, 10)
+        dim = plan.uniform_dimension(model)
+        draws = []
+        original = sampling.philox_uniforms
+
+        def recording(seed, start, count):
+            draws.append((start >> 66, start % 2**66, count))
+            return original(seed, start, count)
+
+        monkeypatch.setattr(sampling, "philox_uniforms", recording)
+        run_paths(plan, model, self.X0, 1.0, UniformSource(MC, dim, seed=3).chunk(40, 50))
+        assert draws == [(k, 40, 50) for k in range(dim)]
 
     def test_em512_cell_memory_does_not_grow_with_n(self):
         # the whole (16384, 1024) block is 128 MiB; one window is 2 MiB
@@ -536,6 +565,19 @@ class TestStreamedChunk:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_em512_mc_cell_memory_does_not_grow_with_n(self):
+        # ten chunks of 2048 paths: a whole (2048, 1024) block would be 16 MiB, one
+        # window 256 KiB
+        cell = Cell(EM, 512, 10 * 2048, MC)
+        price_cell(BenchConfig(workers=1), Cell(EM, 8, 10, MC))  # lazy set-up
+        tracemalloc.start()
+        try:
+            price_cell(BenchConfig(workers=1), cell)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestFusedCombination:
